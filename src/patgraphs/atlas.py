@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from .gf import GF, make_field
-from .numth import is_prime, validate_parameters
+from .numth import VerificationError, check, is_prime, validate_parameters
 from .permgrp import (
     Perm,
     PermGroup,
@@ -119,48 +119,43 @@ def least_nonresidue(p: int) -> int:
     for nu in range(2, p):
         if pow(nu, (p - 1) // 2, p) == p - 1:
             return nu
-    raise AssertionError(f"no quadratic non-residue modulo {p}")
+    raise VerificationError(f"no quadratic non-residue modulo {p}")
 
 
 # -- shared verification ----------------------------------------------
-
-
-def _check(cond: bool, message: str) -> None:
-    if not cond:
-        raise AssertionError(f"seed verification failed: {message}")
 
 
 def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
     """The invariants every standard seed must satisfy."""
     q = seed.q
     two = gcd(2, q - 1)
-    _check(PermGroup(seed.F, degree=seed.degree).order() == q,
-           "F does not have order q")
-    _check(porder(seed.b) == (q - 1) // two, "b has the wrong order")
+    check(PermGroup(seed.F, degree=seed.degree).order() == q,
+          "F does not have order q")
+    check(porder(seed.b) == (q - 1) // two, "b has the wrong order")
     c_order = 1 if seed.c == pid(seed.degree) else porder(seed.c)
-    _check(c_order == two, "c has the wrong order")
-    _check(seed.R.order() == q * (q - 1), "R is not AGL_1(q)")
+    check(c_order == two, "c has the wrong order")
+    check(seed.R.order() == q * (q - 1), "R is not AGL_1(q)")
     for g in seed.R.gens:
-        _check(seed.X.contains(g), "R is not inside X")
+        check(seed.X.contains(g), "R is not inside X")
     # R meet T is F:<b, c^{|X:T|}>
     meet = filtered_intersection_with_product(seed.R, seed.T)
     expected = PermGroup(list(seed.F) + [seed.b, ppow(seed.c, seed.index_XT)],
                          degree=seed.degree)
-    _check(meet.order() == expected.order() == q * (q - 1) // seed.index_XT,
-           "R meet T has the wrong order")
+    check(meet.order() == expected.order() == q * (q - 1) // seed.index_XT,
+          "R meet T has the wrong order")
     for g in expected.gens:
-        _check(meet.contains(g), "R meet T mismatch")
+        check(meet.contains(g), "R meet T mismatch")
     # the distinguished involution
     o = seed.o
-    _check(o is not None and pmul(o, o) == pid(seed.degree)
-           and o != pid(seed.degree), "o is not an involution")
-    _check(seed.T.contains(o), "o is not in the socle")
+    check(o is not None and pmul(o, o) == pid(seed.degree)
+          and o != pid(seed.degree), "o is not an involution")
+    check(seed.T.contains(o), "o is not in the socle")
     bc = PermGroup([seed.b, seed.c], degree=seed.degree)
     for g in bc.gens:
-        _check(bc.contains(pconj(g, o)), "o does not normalize <b, c>")
-    _check(pmul(o, seed.c) == pmul(seed.c, o), "o does not commute with c")
+        check(bc.contains(pconj(g, o)), "o does not normalize <b, c>")
+    check(pmul(o, seed.c) == pmul(seed.c, o), "o does not commute with c")
     full = PermGroup(list(seed.F) + [seed.b, seed.c, o], degree=seed.degree)
-    _check(full.order() == seed.X.order(), "<F, b, c, o> is not all of X")
+    check(full.order() == seed.X.order(), "<F, b, c, o> is not all of X")
 
 
 def _verify_bipartite_pair(seed: AlmostSimpleSeed) -> None:
@@ -168,41 +163,21 @@ def _verify_bipartite_pair(seed: AlmostSimpleSeed) -> None:
     b of order p-1, and an involution c inverting b with c*b^((p-1)/2)
     outside the socle."""
     p = seed.q
-    _check(porder(seed.a) == p, "a does not have order p")
-    _check(porder(seed.b) == p - 1, "b does not have order p-1")
-    _check(seed.R.order() == p * (p - 1), "R is not AGL_1(p)")
+    check(porder(seed.a) == p, "a does not have order p")
+    check(porder(seed.b) == p - 1, "b does not have order p-1")
+    check(seed.R.order() == p * (p - 1), "R is not AGL_1(p)")
     c = seed.c
-    _check(pmul(c, c) == pid(seed.degree) and c != pid(seed.degree),
-           "c is not an involution")
-    _check(pconj(seed.b, c) == pinv(seed.b), "c does not invert b")
+    check(pmul(c, c) == pid(seed.degree) and c != pid(seed.degree),
+          "c is not an involution")
+    check(pconj(seed.b, c) == pinv(seed.b), "c does not invert b")
     dihedral = PermGroup([seed.b, c], degree=seed.degree)
-    _check(dihedral.order() == 2 * (p - 1), "<b, c> is not dihedral of "
-           "order 2(p-1)")
+    check(dihedral.order() == 2 * (p - 1), "<b, c> is not dihedral of "
+          "order 2(p-1)")
     half_turn = ppow(seed.b, (p - 1) // 2)
-    _check(not seed.T.contains(pmul(c, half_turn)),
-           "c * b^((p-1)/2) lies in the socle")
-    _check(seed.X.order() == seed.index_XT * seed.T.order(),
-           "socle index mismatch")
-
-
-def _fallback_involution(X: PermGroup, T: PermGroup, b: Perm, c: Perm,
-                         F, degree: int):
-    """Exhaustive search for a valid distinguished involution inside
-    N_X(<b, c>) when the closed-form recipe fails."""
-    bc = PermGroup([b, c], degree=degree)
-    norm = normalizer_by_enumeration(X, bc)
-    ident = pid(degree)
-    for cand in sorted(norm.elements()):
-        if cand == ident or pmul(cand, cand) != ident:
-            continue
-        if not T.contains(cand):
-            continue
-        if pmul(cand, c) != pmul(c, cand):
-            continue
-        if PermGroup(list(F) + [b, c, cand], degree=degree).order() \
-                == X.order():
-            return cand
-    raise AssertionError("no distinguished involution exists in N_X(<b,c>)")
+    check(not seed.T.contains(pmul(c, half_turn)),
+          "c * b^((p-1)/2) lies in the socle")
+    check(seed.X.order() == seed.index_XT * seed.T.order(),
+          "socle index mismatch")
 
 
 # -- seed constructors -------------------------------------------------
@@ -231,10 +206,10 @@ def seed_pgl2(q: int, bipartite: bool = False) -> AlmostSimpleSeed:
     X = pgl2(k)
     T = psl2(k)
     two = gcd(2, q - 1)
-    _check(X.order() == q * (q * q - 1), "PGL(2,q) has the wrong order")
-    _check(T.order() == q * (q * q - 1) // two, "PSL(2,q) has the wrong order")
+    check(X.order() == q * (q * q - 1), "PGL(2,q) has the wrong order")
+    check(T.order() == q * (q * q - 1) // two, "PSL(2,q) has the wrong order")
     for g in T.gens:
-        _check(X.contains(g), "socle is not inside X")
+        check(X.contains(g), "socle is not inside X")
     F = tuple(projective_translation(k, k.p**i) for i in range(k.f))
     scale = projective_scaling(k, mu)
     if bipartite:
@@ -248,7 +223,7 @@ def seed_pgl2(q: int, bipartite: bool = False) -> AlmostSimpleSeed:
             if not T.contains(pmul(cand, ppow(b, half))):
                 c = cand
                 break
-        _check(c is not None, "no reflection avoids the socle condition")
+        check(c is not None, "no reflection avoids the socle condition")
         R = PermGroup([a, b], degree=degree, known_order=q * (q - 1))
         seed = AlmostSimpleSeed("pgl2-bipartite", q, degree, X, T, R,
                                 two, F, a, b, c, None)
@@ -263,19 +238,11 @@ def seed_pgl2(q: int, bipartite: bool = False) -> AlmostSimpleSeed:
         if T.contains(cand):
             o = cand
             break
-    _check(o is not None, "no inversion map lands in the socle")
-    try:
-        _check(pconj(a, o) == pinv(a), "o does not invert a")
-        R = PermGroup(list(F) + [b, c], degree=degree)
-        seed = AlmostSimpleSeed("pgl2", q, degree, X, T, R,
-                                two, F, a, b, c, o)
-        _verify_affine_pair(seed)
-    except AssertionError:
-        o = _fallback_involution(X, T, b, c, F, degree)
-        R = PermGroup(list(F) + [b, c], degree=degree)
-        seed = AlmostSimpleSeed("pgl2", q, degree, X, T, R,
-                                two, F, a, b, c, o)
-        _verify_affine_pair(seed)
+    check(o is not None, "no inversion map lands in the socle")
+    check(pconj(a, o) == pinv(a), "o does not invert a")
+    R = PermGroup(list(F) + [b, c], degree=degree)
+    seed = AlmostSimpleSeed("pgl2", q, degree, X, T, R, two, F, a, b, c, o)
+    _verify_affine_pair(seed)
     return seed
 
 
@@ -304,8 +271,8 @@ def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
     pcycle = trans
     X = PermGroup([pcycle, (1, 0) + tuple(range(2, p))])
     T = PermGroup([pcycle, (1, 2, 0) + tuple(range(3, p))])
-    _check(X.order() == factorial(p), "S_p has the wrong order")
-    _check(T.order() == factorial(p) // 2, "A_p has the wrong order")
+    check(X.order() == factorial(p), "S_p has the wrong order")
+    check(T.order() == factorial(p) // 2, "A_p has the wrong order")
     F = (trans,)
     if bipartite:
         a = trans
@@ -318,7 +285,7 @@ def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
             if not T.contains(pmul(cand, ppow(b, half))):
                 c = cand
                 break
-        _check(c is not None, "no reflection avoids the socle condition")
+        check(c is not None, "no reflection avoids the socle condition")
         R = PermGroup([a, b], degree=degree, known_order=p * (p - 1))
         seed = AlmostSimpleSeed("symmetric-bipartite", p, degree, X, T, R,
                                 2, F, a, b, c, None)
@@ -330,23 +297,15 @@ def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
     nu = least_nonresidue(p)
     d = residue_scaled_inversion(p, nu)
     o = pmul(c, d)
-    try:
-        _check(pconj(a, d) == pinv(a), "d does not invert a")
-        _check(PermGroup([a, d], degree=degree).order() == 2 * (p - 1),
-               "<a, d> is not dihedral of order 2(p-1)")
-        _check(pmul(c, d) == pmul(d, c), "c is not central in <a, d>")
-        R = PermGroup(list(F) + [b, c], degree=degree)
-        seed = AlmostSimpleSeed("symmetric", p, degree, X, T, R,
-                                2, F, a, b, c, o)
-        _verify_affine_pair(seed)
-    except AssertionError:
-        o = _fallback_involution(X, T, b, c, F, degree)
-        R = PermGroup(list(F) + [b, c], degree=degree)
-        seed = AlmostSimpleSeed("symmetric", p, degree, X, T, R,
-                                2, F, a, b, c, o)
-        _verify_affine_pair(seed)
-    _check(PermGroup(list(F) + [b, o], degree=degree).order() == T.order(),
-           "<F, b, o> is not all of the socle")
+    check(pconj(a, d) == pinv(a), "d does not invert a")
+    check(PermGroup([a, d], degree=degree).order() == 2 * (p - 1),
+          "<a, d> is not dihedral of order 2(p-1)")
+    check(pmul(c, d) == pmul(d, c), "c is not central in <a, d>")
+    R = PermGroup(list(F) + [b, c], degree=degree)
+    seed = AlmostSimpleSeed("symmetric", p, degree, X, T, R, 2, F, a, b, c, o)
+    _verify_affine_pair(seed)
+    check(PermGroup(list(F) + [b, o], degree=degree).order() == T.order(),
+          "<F, b, o> is not all of the socle")
     return seed
 
 
@@ -357,22 +316,22 @@ def seed_psl28_gamma() -> AlmostSimpleSeed:
     k = make_field(8)
     degree = 9
     T = psl2(k)
-    _check(T.order() == 504, "PSL(2,8) has the wrong order")
+    check(T.order() == 504, "PSL(2,8) has the wrong order")
     sigma = projective_frobenius(k)
     X = PermGroup(list(T.gens) + [sigma])
-    _check(X.order() == 1512, "PSL(2,8):3 has the wrong order")
+    check(X.order() == 1512, "PSL(2,8):3 has the wrong order")
     F = tuple(projective_translation(k, k.p**i) for i in range(3))
     Fgrp = PermGroup(F, degree=degree)
-    _check(Fgrp.order() == 8, "translation subgroup has the wrong order")
-    _check(porder(sigma) == 3, "the field automorphism does not have order 3")
+    check(Fgrp.order() == 8, "translation subgroup has the wrong order")
+    check(porder(sigma) == 3, "the field automorphism does not have order 3")
     for g in F:
-        _check(Fgrp.contains(pconj(g, sigma)),
-               "the field automorphism does not normalize F")
-    _check(normalizer_by_enumeration(T, Fgrp).order() == 56,
-           "N_T(F) has the wrong order")
-    _check(normalizer_by_enumeration(X, Fgrp).order() == 168,
-           "N_X(F) has the wrong order")
+        check(Fgrp.contains(pconj(g, sigma)),
+              "the field automorphism does not normalize F")
+    check(normalizer_by_enumeration(T, Fgrp).order() == 56,
+          "N_T(F) has the wrong order")
+    check(normalizer_by_enumeration(X, Fgrp).order() == 168,
+          "N_X(F) has the wrong order")
     R = PermGroup(list(F) + [sigma], degree=degree)
-    _check(R.order() == 24, "F:<b> has the wrong order")
+    check(R.order() == 24, "F:<b> has the wrong order")
     return AlmostSimpleSeed("psl28-gamma", 8, degree, X, T, R,
                             3, F, None, sigma, None, None)

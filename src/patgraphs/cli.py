@@ -40,7 +40,7 @@ from .graphcert import (
     two_arc_orbit_count,
     verify_certificate,
 )
-from .numth import validate_parameters
+from .numth import VerificationError, check, validate_parameters
 from .permgrp import PermGroup, coset_action, perm_from_cycles
 
 EXIT_OK = 0
@@ -146,9 +146,7 @@ def _print_certificate(cert) -> None:
         print(f"index of G* in G: {cert.gstar_index}; g swaps the halves: "
               f"{cert.g_swaps_halves}")
     print(f"standard double cover verdict: {cert.double_cover_verdict}")
-    if not lc.all_conditions:
-        raise AssertionError("certificate conditions failed: "
-                             f"{lc}")
+    check(lc.all_conditions, f"certificate conditions failed: {lc}")
 
 
 def _run_construct(config: RunConfig) -> int:
@@ -308,14 +306,14 @@ _BODIES = {
 
 
 def run(config: RunConfig) -> int:
-    if config.seed is not None:
-        permgrp.DEFAULT_SEED = config.seed
+    # set on every call so that one call's --seed never leaks into the next
+    permgrp.DEFAULT_SEED = 0 if config.seed is None else config.seed
     try:
         return _BODIES[config.command](config)
     except ValueError as err:
         print(f"rejected: {err}", file=sys.stderr)
         return EXIT_REJECTED
-    except AssertionError as err:
+    except VerificationError as err:
         print(f"FAILED: {err}", file=sys.stderr)
         return EXIT_FAILED
     except (KeyError, json.JSONDecodeError, OSError) as err:

@@ -19,17 +19,16 @@ from .eqcode import (
     build_shift_matrix,
     charpoly,
     decompose_invariant,
-    mat_order,
-    rref,
     vec_mat,
 )
 from .gf import GF, make_field
-from .numth import is_prime
+from .numth import VerificationError, check
 from .permgrp import (
     DirectPower,
     Perm,
     PermGroup,
     filtered_intersection_with_product,
+    order_with_hint,
     pconj,
     pid,
     pinv,
@@ -88,10 +87,6 @@ def wpow(a: WreathElement, e: int) -> WreathElement:
     return out
 
 
-def wconj(a: WreathElement, g: WreathElement) -> WreathElement:
-    return wmul(wmul(winv(g), a), g)
-
-
 def flatten(w: WreathElement, d: int) -> Perm:
     n = w.n
     img = [0] * (n * d)
@@ -136,11 +131,6 @@ def product_generators(T: PermGroup, n: int) -> list[Perm]:
     return list(DirectPower(T, n).gens)
 
 
-def _check(cond: bool, message: str) -> None:
-    if not cond:
-        raise AssertionError(f"construction verification failed: {message}")
-
-
 # -- the twisting element ----------------------------------------------
 
 
@@ -180,20 +170,20 @@ def build_theta(seed: AlmostSimpleSeed, reading: str = "primary") -> WreathEleme
         comps[1] = seed.b
     theta = WreathElement(tuple(comps), 1)
     flat = flatten(theta, d)
-    _check(porder(flat) == q * q - 1,
-           f"theta has order {porder(flat)}, expected {q * q - 1}")
+    check(porder(flat) == q * q - 1,
+          f"theta has order {porder(flat)}, expected {q * q - 1}")
     if reading == "primary":
         c = seed.c if seed.c is not None else ident
         head = pmul(ppow(seed.b, 2), c)
-        _check(wpow(theta, n) == WreathElement((head,) * n, 0),
-               "theta^n is not the constant tuple b^2*c")
+        check(wpow(theta, n) == WreathElement((head,) * n, 0),
+              "theta^n is not the constant tuple b^2*c")
         power = PermGroup([flatten(wpow(theta, n), d)], degree=n * d)
         bb = flatten(WreathElement((ppow(seed.b, 2),) * n, 0), d)
         cc = flatten(WreathElement((c,) * n, 0), d)
         span = PermGroup([bb, cc], degree=n * d)
-        _check(power.order() == span.order() and power.contains(bb)
-               and power.contains(cc),
-               "<theta^n> is not <b^2> x <c>")
+        check(power.order() == span.order() and power.contains(bb)
+              and power.contains(cc),
+              "<theta^n> is not <b^2> x <c>")
     return theta
 
 
@@ -209,8 +199,8 @@ def verify_product_intersection_with_cycle(seed: AlmostSimpleSeed,
         power = wmul(power, theta)
         inside = power.shift == 0 and all(
             seed.T.contains(c) for c in power.components)
-        _check(inside == (e % step == 0),
-               f"theta^{e} membership in T^n contradicts the divisor rule")
+        check(inside == (e % step == 0),
+              f"theta^{e} membership in T^n contradicts the divisor rule")
 
 
 # -- the measured conjugation action on F^n -----------------------------
@@ -225,8 +215,7 @@ def _coefficient_table(seed: AlmostSimpleSeed) -> dict[Perm, tuple[int, ...]]:
         el = pid(seed.degree)
         for g, e in zip(seed.F, coeffs):
             el = pmul(el, ppow(g, e))
-        if el in table:
-            raise AssertionError("F generators are not independent")
+        check(el not in table, "F generators are not independent")
         table[el] = coeffs
     return table
 
@@ -283,9 +272,9 @@ def verify_code_model_similarity(seed: AlmostSimpleSeed, conj) -> None:
     k = make_field(seed.q)
     prime = GF(k.p, 1)
     model = _blowup_over_prime(k, build_shift_matrix(k).rows())
-    _check(charpoly(prime, [list(r) for r in model])
-           == charpoly(prime, [list(r) for r in conj]),
-           "measured conjugation is not similar to the shift-matrix model")
+    check(charpoly(prime, [list(r) for r in model])
+          == charpoly(prime, [list(r) for r in conj]),
+          "measured conjugation is not similar to the shift-matrix model")
 
 
 # -- E, H, and G --------------------------------------------------------
@@ -321,19 +310,6 @@ def _vector_to_wreath(seed: AlmostSimpleSeed, vec, n: int) -> WreathElement:
     return WreathElement(tuple(comps), 0)
 
 
-def _component_span(prime: GF, basis):
-    """All vectors in the row span, including zero."""
-    vecs = []
-    for coeffs in itertools.product(range(prime.p), repeat=len(basis)):
-        v = [0] * len(basis[0])
-        for c, row in zip(coeffs, basis):
-            if c:
-                for idx, x in enumerate(row):
-                    v[idx] = prime.add(v[idx], prime.mul(c, x))
-        vecs.append(tuple(v))
-    return vecs
-
-
 def _is_regular_component(prime: GF, basis, mat) -> bool:
     """The matrix action on the span sweeps every nonzero vector from
     the first basis vector."""
@@ -366,35 +342,35 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
             continue
         if _is_regular_component(prime, comp.code.basis, conj):
             qualifying.append(comp)
-    if not qualifying:
-        raise AssertionError("no regular component of dimension 2f found")
+    check(bool(qualifying), "no regular component of dimension 2f found")
     if component_index >= len(qualifying):
         raise ValueError(
             f"component index {component_index} out of range: only "
             f"{len(qualifying)} components qualify")
-    witness = qualifying[component_index].code.basis
+    code = qualifying[component_index].code
+    witness = code.basis
     E = tuple(flatten(_vector_to_wreath(seed, v, n), d) for v in witness)
     theta_flat = flatten(theta, d)
 
     # elementary abelian of order q^2
     Egrp = PermGroup(E, degree=n * d)
-    _check(Egrp.order() == q * q, "E does not have order q^2")
+    check(Egrp.order() == q * q, "E does not have order q^2")
     for g in E:
-        _check(ppow(g, prime.p) == pid(n * d), "E is not elementary abelian")
+        check(ppow(g, prime.p) == pid(n * d), "E is not elementary abelian")
         for h in E:
-            _check(pmul(g, h) == pmul(h, g), "E is not abelian")
+            check(pmul(g, h) == pmul(h, g), "E is not abelian")
 
     # theta-conjugation is transitive on the nonidentity elements
-    span = _component_span(prime, witness)
+    span = list(code.codewords())
     all_elements = {flatten(_vector_to_wreath(seed, v, n), d) for v in span}
     orbit = set()
     x = E[0]
     for _ in range(q * q - 1):
         orbit.add(x)
         x = pconj(x, theta_flat)
-    _check(x == E[0] and len(orbit) == q * q - 1
-           and orbit == all_elements - {pid(n * d)},
-           "theta-conjugation is not transitive on E minus identity")
+    check(x == E[0] and len(orbit) == q * q - 1
+          and orbit == all_elements - {pid(n * d)},
+          "theta-conjugation is not transitive on E minus identity")
 
     # projections and coordinate kernels; only the classical family with
     # n = q + 1 projects onto all of F with pairwise distinct kernels
@@ -410,26 +386,26 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
             if w.components[i] == pid(d):
                 kern.add(v)
         if classical:
-            _check(proj == f_set,
-                   f"projection of E to coordinate {i} is not F")
+            check(proj == f_set,
+                  f"projection of E to coordinate {i} is not F")
         else:
-            _check(1 < len(proj) < len(f_set),
-                   f"projection of E to coordinate {i} is not proper")
-        _check(len(kern) > 1, f"coordinate kernel {i} of E is trivial")
+            check(1 < len(proj) < len(f_set),
+                  f"projection of E to coordinate {i} is not proper")
+        check(len(kern) > 1, f"coordinate kernel {i} of E is trivial")
         kernels.append(frozenset(kern))
     if classical:
-        _check(len(set(kernels)) == n,
-               "coordinate kernels of E are not distinct")
+        check(len(set(kernels)) == n,
+              "coordinate kernels of E are not distinct")
 
     H = PermGroup(list(E) + [theta_flat], degree=n * d)
-    _check(H.order() == q * q * (q * q - 1),
-           "H does not have the affine order q^2(q^2-1)")
+    check(H.order() == q * q * (q * q - 1),
+          "H does not have the affine order q^2(q^2-1)")
     from .permgrp import action_report, coset_action
     theta_grp = PermGroup([theta_flat], degree=n * d)
     ca = coset_action(H, theta_grp)
-    _check(ca.group.degree == q * q, "coset space of <theta> in H is not q^2")
-    _check(action_report(ca.group).two_transitive,
-           "H is not 2-transitive on the cosets of <theta>")
+    check(ca.group.degree == q * q, "coset space of <theta> in H is not q^2")
+    check(action_report(ca.group).two_transitive,
+          "H is not 2-transitive on the cosets of <theta>")
 
     o_flat = None
     if seed.o is not None:
@@ -448,12 +424,12 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
     expected = T.order()**n * n * seed.index_XT
     gens = product_generators(T, n) + [pa.theta_perm]
     G = PermGroup(gens, degree=n * d, known_order=expected)
-    _check(G.order() == expected, "G has the wrong order")
+    check(G.order() == expected, "G has the wrong order")
     M = DirectPower(T, n)
     meet = filtered_intersection_with_product(pa.H, M)
     # socle transitivity: |T^n| * |H| = |G| * |T^n meet H|
-    _check(T.order()**n * pa.H.order() == G.order() * meet.order(),
-           "T^n is not transitive on the coset space")
+    check(T.order()**n * pa.H.order() == G.order() * meet.order(),
+          "T^n is not transitive on the coset space")
     # subdirect: the classical family projects T^n meet H onto R meet T
     # in every coordinate; otherwise a proper nontrivial subgroup of T,
     # the same one in every coordinate
@@ -467,18 +443,18 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
         projections.append(proj)
     if seed.family != "psl28-gamma":
         for i, proj in enumerate(projections):
-            _check(proj == rt_set,
-                   f"projection {i} of T^n meet H is not R meet T")
+            check(proj == rt_set,
+                  f"projection {i} of T^n meet H is not R meet T")
     else:
         for i, proj in enumerate(projections):
-            _check(1 < len(proj) < T.order(),
-                   f"projection {i} of T^n meet H is not proper nontrivial")
-            _check(proj == projections[0],
-                   f"projection {i} of T^n meet H varies by coordinate")
+            check(1 < len(proj) < T.order(),
+                  f"projection {i} of T^n meet H is not proper nontrivial")
+            check(proj == projections[0],
+                  f"projection {i} of T^n meet H varies by coordinate")
     # non-diagonal: the first-coordinate kernel is nontrivial
     kernel = [x for x in elements if x[:d] == tuple(range(d))]
     non_diagonal = len(kernel) > 1
-    _check(non_diagonal, "T^n meet H projects injectively, diagonal type")
+    check(non_diagonal, "T^n meet H projects injectively, diagonal type")
     return replace(pa, G=G, socle_transitive=True, non_diagonal=non_diagonal)
 
 
@@ -603,31 +579,26 @@ def valency64_construction(component_index: int = 0,
     pa = assemble_G(pa)
     tc = twisted_centralizer(seed.T, theta)
     cent = tc.by_exponent[1]
-    _check(tc.centralizer.order() == 6, "C_M(theta) does not have order 6")
-    _check(not all(pmul(x, y) == pmul(y, x)
-                   for x in cent for y in cent),
-           "C_M(theta) is abelian, expected S_3")
-    _check(len(_two_elements(cent)) == 3,
-           "C_M(theta) does not have three involutions")
-    _check(set(_two_elements(cent))
-           == set(_two_elements(tc.normalizer_elements)),
-           "normalizer has 2-elements outside the centralizer")
+    check(tc.centralizer.order() == 6, "C_M(theta) does not have order 6")
+    check(not all(pmul(x, y) == pmul(y, x)
+                  for x in cent for y in cent),
+          "C_M(theta) is abelian, expected S_3")
+    check(len(_two_elements(cent)) == 3,
+          "C_M(theta) does not have three involutions")
+    check(set(_two_elements(cent))
+          == set(_two_elements(tc.normalizer_elements)),
+          "normalizer has 2-elements outside the centralizer")
     # candidate edge elements: nontrivial 2-elements joining H up to G
     degree = pa.n * pa.block_degree
     candidates = []
     h_normalizers = []
     for x in _two_elements(tc.normalizer_elements):
-        gens = list(pa.H.gens) + [x]
-        try:
-            joined = PermGroup(gens, degree=degree, known_order=pa.G.order())
-            joined.order()
-        except AssertionError:
-            joined = PermGroup(gens, degree=degree)
-        if joined.order() == pa.G.order():
+        joined = order_with_hint(list(pa.H.gens) + [x], degree, pa.G.order())
+        if joined == pa.G.order():
             candidates.append(x)
-        elif joined.order() == 2 * pa.H.order():
+        elif joined == 2 * pa.H.order():
             h_normalizers.append(x)
-    _check(bool(candidates), "no 2-element of N_M(<theta>) joins H up to G")
+    check(bool(candidates), "no 2-element of N_M(<theta>) joins H up to G")
     classes = []
     for x in candidates:
         if not any(_same_double_coset(pa.H, x, y) for y in classes):
@@ -638,10 +609,10 @@ def valency64_construction(component_index: int = 0,
         h_norm = h_normalizers[0]
         if _same_double_coset(pa.H, pconj(classes[0], h_norm), classes[1]):
             reduced = 1
-    _check(reduced == 1,
-           f"expected a unique edge class up to conjugation by the "
-           f"H-normalizing involution, got {len(classes)} double cosets "
-           f"and {reduced} after reduction")
+    check(reduced == 1,
+          f"expected a unique edge class up to conjugation by the "
+          f"H-normalizing involution, got {len(classes)} double cosets "
+          f"and {reduced} after reduction")
     return Valency64Construction(pa, tc, classes[0], len(classes), reduced,
                                  h_norm, reading)
 
@@ -665,7 +636,7 @@ def theta_reading_counts(reading: str) -> ReadingReport:
     seed = seed_psl28_gamma()
     try:
         theta = build_theta(seed, reading)
-    except AssertionError as err:
+    except VerificationError as err:
         return ReadingReport(reading, None, str(err))
     conj, prime = conjugation_matrix(seed, theta)
     dec = decompose_invariant([list(r) for r in conj], prime)
@@ -688,7 +659,7 @@ def compare_theta_readings() -> tuple[ReadingReport, ...]:
     loud failure carrying both reports."""
     reports = tuple(theta_reading_counts(r) for r in THETA_READINGS)
     viable = [r for r in reports if r.rejected is None]
-    _check(len(viable) >= 1, "no viable reading of the twist pattern")
+    check(len(viable) >= 1, "no viable reading of the twist pattern")
     first = viable[0]
     for other in viable[1:]:
         same = (first.component_count == other.component_count
@@ -697,7 +668,7 @@ def compare_theta_readings() -> tuple[ReadingReport, ...]:
                 and first.centralizer_order == other.centralizer_order
                 and first.normalizer_order == other.normalizer_order
                 and first.involutions == other.involutions)
-        _check(same, f"twist-pattern readings disagree: {first} vs {other}")
+        check(same, f"twist-pattern readings disagree: {first} vs {other}")
     return reports
 
 
@@ -740,37 +711,37 @@ def bipartite_construction(p: int, family: str = "symmetric") -> BipartiteConstr
     o = flatten(o_w, d)
     binv = flatten(WreathElement((pinv(seed.b),) * n, 0), d)
     # the three displayed relations
-    _check(pconj(o, tau) == pmul(binv, o), "o^tau is not b^-1 * o")
-    _check(pconj(bold_b, o) == binv, "b^o is not b^-1")
-    _check(pconj(tau, o) == pmul(binv, tau), "tau^o is not b^-1 * tau")
-    _check(pmul(o, o) == pid(n * d), "o is not an involution")
+    check(pconj(o, tau) == pmul(binv, o), "o^tau is not b^-1 * o")
+    check(pconj(bold_b, o) == binv, "b^o is not b^-1")
+    check(pconj(tau, o) == pmul(binv, tau), "tau^o is not b^-1 * tau")
+    check(pmul(o, o) == pid(n * d), "o is not an involution")
 
     T = seed.T
     tn = T.order()**n
     Gstar = PermGroup(product_generators(T, n) + [bold_b, tau],
                       degree=n * d, known_order=tn * n * 2)
-    _check(not Gstar.contains(o), "o lies in Gstar")
+    check(not Gstar.contains(o), "o lies in Gstar")
     G = PermGroup(list(Gstar.gens) + [o], degree=n * d,
                   known_order=tn * n * 4)
-    _check(G.order() == 2 * Gstar.order(), "Gstar does not have index 2")
+    check(G.order() == 2 * Gstar.order(), "Gstar does not have index 2")
     H = PermGroup([bold_a, bold_b, tau], degree=n * d,
                   known_order=p * (p - 1)**2)
     K = PermGroup([bold_b, tau], degree=n * d, known_order=(p - 1)**2)
-    _check(H.order() // K.order() == p, "K does not have index p in H")
+    check(H.order() // K.order() == p, "K does not have index p in H")
     for g in H.gens:
-        _check(Gstar.contains(g), "H is not inside Gstar")
+        check(Gstar.contains(g), "H is not inside Gstar")
     # T^(p-1) meet H is the diagonal <a, b^2>
     M = DirectPower(T, n)
     meet = filtered_intersection_with_product(H, M)
     expected = PermGroup([bold_a, ppow(bold_b, 2)], degree=n * d)
-    _check(meet.order() == expected.order() == p * (p - 1) // 2,
-           "T^(p-1) meet H is not <a, b^2>")
+    check(meet.order() == expected.order() == p * (p - 1) // 2,
+          "T^(p-1) meet H is not <a, b^2>")
     for g in expected.gens:
-        _check(meet.contains(g), "T^(p-1) meet H mismatch")
+        check(meet.contains(g), "T^(p-1) meet H mismatch")
     elements = meet.elements()
     for i in range(n):
         proj = {x[i * d:(i + 1) * d] for x in elements}
-        _check(len(proj) == len(elements),
-               f"projection {i} of T^(p-1) meet H is not injective")
+        check(len(proj) == len(elements),
+              f"projection {i} of T^(p-1) meet H is not injective")
     return BipartiteConstruction(p, seed, n, d, bold_a, bold_b, tau, o,
                                  Gstar, G, H, K, meet)

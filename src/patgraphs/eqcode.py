@@ -12,96 +12,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf import GF
-from .numth import factorize, validate_parameters
+from .gf import (
+    GF,
+    Poly,
+    poly_add,
+    poly_divmod,
+    poly_gcd,
+    poly_monic,
+    poly_mul,
+    poly_mulmod,
+    poly_powmod,
+    poly_scale,
+    poly_sub,
+    poly_trim,
+)
+from .numth import VerificationError, check, factorize, validate_parameters
 
-Poly = tuple[int, ...]  # coefficients over GF(q), constant term first
 Vec = tuple[int, ...]
 Mat = list[list[int]]
 
-# -- polynomial arithmetic over GF(q) ----------------------------------------
-
-
-def poly_trim(c) -> Poly:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_add(k: GF, a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim([k.add(a[i] if i < len(a) else 0,
-                            b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def poly_sub(k: GF, a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim([k.sub(a[i] if i < len(a) else 0,
-                            b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def poly_scale(k: GF, a: Poly, c: int) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(k.mul(c, x) for x in a)
-
-
-def poly_mul(k: GF, a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = k.add(out[i + j], k.mul(ai, bj))
-    return poly_trim(out)
-
-
-def poly_monic(k: GF, a: Poly) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    inv = k.inv(a[-1])
-    return tuple(k.mul(inv, c) for c in a)
-
-
-def poly_divmod(k: GF, a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = k.inv(b[-1])
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if c:
-            c = k.mul(c, inv_lead)
-            quo[i] = c
-            for j, bj in enumerate(b):
-                if bj:
-                    a[i + j] = k.sub(a[i + j], k.mul(c, bj))
-    return poly_trim(quo), poly_trim(a)
-
-
-def poly_gcd(k: GF, a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, poly_divmod(k, a, b)[1]
-    return poly_monic(k, a)
-
-
-def poly_mulmod(k: GF, a: Poly, b: Poly, m: Poly) -> Poly:
-    return poly_divmod(k, poly_mul(k, a, b), m)[1]
-
-
-def poly_powmod(k: GF, a: Poly, e: int, m: Poly) -> Poly:
-    out: Poly = (1,)
-    a = poly_divmod(k, a, m)[1]
-    while e:
-        if e & 1:
-            out = poly_mulmod(k, out, a, m)
-        a = poly_mulmod(k, a, a, m)
-        e >>= 1
-    return out
+# -- factoring over GF(q) ----------------------------------------------------
 
 
 def poly_deriv(k: GF, a: Poly) -> Poly:
@@ -128,7 +58,7 @@ def _pth_root(k: GF, a: Poly) -> Poly:
     out = []
     for i in range(0, len(a), k.p):
         out.append(k.pow(a[i], k.q // k.p) if a[i] else 0)
-    assert all(c == 0 for i, c in enumerate(a) if i % k.p), "not a p-th power"
+    check(all(c == 0 for i, c in enumerate(a) if i % k.p), "not a p-th power")
     return poly_trim(out)
 
 
@@ -200,7 +130,7 @@ def _equal_degree(k: GF, g: Poly, d: int) -> list[Poly]:
         if 1 < len(w) < len(g):
             rest = poly_divmod(k, g, w)[0]
             return _equal_degree(k, w, d) + _equal_degree(k, rest, d)
-    raise AssertionError("equal-degree trial sequence exhausted")
+    raise VerificationError("equal-degree trial sequence exhausted")
 
 
 def irreducible_factors(k: GF, g: Poly) -> list[tuple[Poly, int]]:
@@ -222,7 +152,8 @@ def irreducible_factors(k: GF, g: Poly) -> list[tuple[Poly, int]]:
             m += 1
             rest = quo
         out.append((f, m))
-    assert sum((len(f) - 1) * m for f, m in out) == len(g) - 1
+    check(sum((len(f) - 1) * m for f, m in out) == len(g) - 1,
+          "factor degrees do not add up to the degree")
     return out
 
 
@@ -408,7 +339,7 @@ def charpoly(k: GF, a: Mat) -> Poly:
                 pm = poly_sub(k, pm, poly_scale(k, polys[i], coef))
         polys.append(pm)
     cp = polys[n]
-    assert len(cp) == n + 1
+    check(len(cp) == n + 1, "characteristic polynomial has the wrong degree")
     return cp
 
 
@@ -522,12 +453,11 @@ def build_shift_matrix(field: GF) -> ShiftMatrix:
         a[i][i + 1] = diag[i]
     a[n - 1][0] = diag[n - 1]
     scalar = field.mul(eta, field.mul(lam, lam))
-    if mat_pow(field, a, n) != mat_scalar(n, scalar):
-        raise AssertionError("shift matrix power identity failed")
+    check(mat_pow(field, a, n) == mat_scalar(n, scalar),
+          "shift matrix power identity failed")
     order = mat_order(field, a, n * (q - 1))
-    if order != n * (q - 1):
-        raise AssertionError(
-            f"shift matrix order {order} != n(q-1) = {n * (q - 1)}")
+    check(order == n * (q - 1),
+          f"shift matrix order {order} != n(q-1) = {n * (q - 1)}")
     return ShiftMatrix(field, n, tuple(diag), tuple(tuple(r) for r in a),
                        order, scalar)
 
@@ -558,7 +488,7 @@ def _spin(k: GF, v: Vec, a: Mat, d: int) -> tuple[Vec, ...]:
     for _ in range(d - 1):
         rows.append(vec_mat(k, rows[-1], a))
     out = rref(k, rows)
-    assert len(out) == d, "cyclic vector spun to the wrong dimension"
+    check(len(out) == d, "cyclic vector spun to the wrong dimension")
     return out
 
 
@@ -604,19 +534,19 @@ def decompose_invariant(mat, field: GF) -> InvariantDecomposition:
                 span = rref(field, list(span) + list(comp))
                 if len(bases) == mult:
                     break
-            assert len(bases) == mult, "isotypic splitting came up short"
+            check(len(bases) == mult, "isotypic splitting came up short")
         for basis in bases:
             for row in basis:
                 img = vec_mat(field, row, a)
-                assert not any(vec_reduce(field, img, basis)), \
-                    "component is not invariant"
+                check(not any(vec_reduce(field, img, basis)),
+                      "component is not invariant")
             ko = full_order // orders[f]
             components.append(Component(Code(field, n, basis), f,
                                         orders[f], ko, ko == 1))
     components.sort(key=lambda c: c.code.basis)
     cob = [list(r) for c in components for r in c.code.basis]
-    assert len(cob) == n and len(rref(field, cob)) == n, \
-        "components do not sum directly to the full space"
+    check(len(cob) == n and len(rref(field, cob)) == n,
+          "components do not sum directly to the full space")
     return InvariantDecomposition(field, full_order, tuple(components),
                                   full_order == 1,
                                   tuple(tuple(r) for r in cob))
@@ -645,7 +575,8 @@ def equidistant_code_pipeline(q: int) -> EqcodeResult:
     for comp in dec.components:
         if comp.faithful and comp.code.dim == 2:
             return EqcodeResult(field, shift, dec, comp.code)
-    raise AssertionError(f"no faithful 2-dimensional component for q = {q}")
+    raise VerificationError(
+        f"no faithful 2-dimensional component for q = {q}")
 
 
 def find_faithful_irreducible_code(q: int) -> Code:
@@ -662,8 +593,7 @@ def is_regular_on_nonzero(code: Code, shift: ShiftMatrix) -> bool:
     v = start
     for _ in range(target - 1):
         v = vec_mat(k, v, shift.rows())
-        if not code.contains(v):
-            raise AssertionError("code is not invariant under the shift")
+        check(code.contains(v), "code is not invariant under the shift")
         if v in seen:
             break
         seen.add(v)

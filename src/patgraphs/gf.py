@@ -7,87 +7,18 @@ under the same digit encoding, so independent runs agree on every
 element label.  Multiplication runs off exp/log tables built from the
 least primitive element; the fields in play never exceed a few thousand
 elements, so the tables are cheap.
+
+The module also owns the one polynomial arithmetic over any GF(q); the
+field itself uses it over GF(p) to find its modulus and fill its tables.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numth import factorize, is_prime
+from .numth import VerificationError, check, factorize, is_prime, prime_power
 
-# polynomials over Z_p: tuples of ints, constant term first, no trailing zeros
-
-
-def _ptrim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, m, p):
-    a = list(a)
-    inv_lead = pow(m[-1], -1, p)
-    for i in range(len(a) - len(m), -1, -1):
-        c = a[i + len(m) - 1] % p
-        if c:
-            c = c * inv_lead % p
-            for j, mj in enumerate(m):
-                a[i + j] = (a[i + j] - c * mj) % p
-    return _ptrim(a)
-
-
-def _pmulmod(a, b, m, p):
-    return _pmod(_pmul(a, b, p), m, p)
-
-
-def _ppowmod(a, e, m, p):
-    out = (1,)
-    while e:
-        if e & 1:
-            out = _pmulmod(out, a, m, p)
-        a = _pmulmod(a, a, m, p)
-        e >>= 1
-    return out
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0)
-                    - (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
-def _is_irreducible(m, p):
-    """Rabin test: m of degree f is irreducible over Z_p iff
-    x**(p**f) = x mod m and gcd(x**(p**(f/l)) - x, m) = 1 for primes l | f."""
-    f = len(m) - 1
-    x = (0, 1)
-    if _ppowmod(x, p**f, m, p) != _pmod(x, m, p):
-        return False
-    for ell in factorize(f):
-        h = _ppowmod(x, p ** (f // ell), m, p)
-        if len(_pgcd(_psub(h, x, p), m, p)) != 1:
-            return False
-    return True
+Poly = tuple[int, ...]  # coefficients over a GF, constant term first
 
 
 class UnitGenerators(NamedTuple):
@@ -108,18 +39,19 @@ class GF:
         self.p = p
         self.f = f
         self.q = p**f
+        # GF(p, f > 1) builds its tables with arithmetic over GF(p, 1)
+        self._prime = GF(p, 1) if f > 1 else None
         self.modulus = self._find_modulus()
         self._build_tables()
 
-    def _find_modulus(self) -> tuple[int, ...]:
-        p, f = self.p, self.f
-        if f == 1:
+    def _find_modulus(self) -> Poly:
+        if self.f == 1:
             return (0, 1)
         for code in range(self.q):
             cand = tuple(self.digits(code)) + (1,)
-            if _is_irreducible(cand, p):
+            if _is_irreducible(self._prime, cand):
                 return cand
-        raise AssertionError("no irreducible modulus found")
+        raise VerificationError("no irreducible modulus found")
 
     def _build_tables(self):
         q = self.q
@@ -131,8 +63,7 @@ class GF:
             exp[i] = acc
             log[acc] = i
             acc = self._raw_mul(acc, self.generator)
-        if acc != 1:
-            raise AssertionError("primitive element table did not close")
+        check(acc == 1, "primitive element table did not close")
         self._exp = exp
         self._log = log
 
@@ -143,7 +74,7 @@ class GF:
         for g in range(2, self.q):
             if all(self._raw_pow(g, (self.q - 1) // ell) != 1 for ell in primes):
                 return g
-        raise AssertionError("no primitive element found")
+        raise VerificationError("no primitive element found")
 
     # -- encoding -----------------------------------------------------------
 
@@ -173,9 +104,8 @@ class GF:
     def _raw_mul(self, a: int, b: int) -> int:
         if self.f == 1:
             return a * b % self.p
-        prod = _pmulmod(tuple(self.digits(a)), tuple(self.digits(b)),
-                        self.modulus, self.p)
-        return self.undigits(list(prod) + [0] * self.f)
+        return self.undigits(poly_mulmod(self._prime, tuple(self.digits(a)),
+                                         tuple(self.digits(b)), self.modulus))
 
     def _raw_pow(self, a: int, e: int) -> int:
         out = 1
@@ -269,9 +199,106 @@ class GF:
 
 def make_field(q: int) -> GF:
     """GF(q) for a prime power q."""
-    from .numth import prime_power
-
     pf = prime_power(q)
     if pf is None:
         raise ValueError(f"q = {q} is not a prime power")
     return GF(*pf)
+
+
+# -- polynomial arithmetic over GF(q) ----------------------------------------
+
+
+def poly_trim(c) -> Poly:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def poly_add(k: GF, a: Poly, b: Poly) -> Poly:
+    n = max(len(a), len(b))
+    return poly_trim([k.add(a[i] if i < len(a) else 0,
+                            b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def poly_sub(k: GF, a: Poly, b: Poly) -> Poly:
+    n = max(len(a), len(b))
+    return poly_trim([k.sub(a[i] if i < len(a) else 0,
+                            b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def poly_scale(k: GF, a: Poly, c: int) -> Poly:
+    if c == 0:
+        return ()
+    return tuple(k.mul(c, x) for x in a)
+
+
+def poly_mul(k: GF, a: Poly, b: Poly) -> Poly:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = k.add(out[i + j], k.mul(ai, bj))
+    return poly_trim(out)
+
+
+def poly_monic(k: GF, a: Poly) -> Poly:
+    if not a or a[-1] == 1:
+        return a
+    inv = k.inv(a[-1])
+    return tuple(k.mul(inv, c) for c in a)
+
+
+def poly_divmod(k: GF, a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = k.inv(b[-1])
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        if c:
+            c = k.mul(c, inv_lead)
+            quo[i] = c
+            for j, bj in enumerate(b):
+                if bj:
+                    a[i + j] = k.sub(a[i + j], k.mul(c, bj))
+    return poly_trim(quo), poly_trim(a)
+
+
+def poly_gcd(k: GF, a: Poly, b: Poly) -> Poly:
+    while b:
+        a, b = b, poly_divmod(k, a, b)[1]
+    return poly_monic(k, a)
+
+
+def poly_mulmod(k: GF, a: Poly, b: Poly, m: Poly) -> Poly:
+    return poly_divmod(k, poly_mul(k, a, b), m)[1]
+
+
+def poly_powmod(k: GF, a: Poly, e: int, m: Poly) -> Poly:
+    out: Poly = (1,)
+    a = poly_divmod(k, a, m)[1]
+    while e:
+        if e & 1:
+            out = poly_mulmod(k, out, a, m)
+        a = poly_mulmod(k, a, a, m)
+        e >>= 1
+    return out
+
+
+def _is_irreducible(k: GF, m: Poly) -> bool:
+    """Rabin test: m of degree f is irreducible over the field k iff
+    x**(q**f) = x mod m and gcd(x**(q**(f/l)) - x, m) = 1 for primes l | f."""
+    f = len(m) - 1
+    x: Poly = (0, 1)
+    if poly_powmod(k, x, k.q**f, m) != poly_divmod(k, x, m)[1]:
+        return False
+    for ell in factorize(f):
+        h = poly_powmod(k, x, k.q ** (f // ell), m)
+        if len(poly_gcd(k, poly_sub(k, h, x), m)) != 1:
+            return False
+    return True

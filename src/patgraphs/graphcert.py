@@ -20,6 +20,7 @@ from .permgrp import (
     PermGroup,
     action_report,
     coset_action,
+    order_with_hint,
     pid,
     pinv,
     pmul,
@@ -172,21 +173,12 @@ def edge_stabilizer(H: PermGroup, g: Perm) -> PermGroup:
     return PermGroup(kept, degree=H.degree, known_order=len(kept))
 
 
-def _joined_order(H: PermGroup, g: Perm, hint: int) -> int:
-    gens = list(H.gens) + [g]
-    try:
-        joined = PermGroup(gens, degree=H.degree, known_order=hint)
-        return joined.order()
-    except AssertionError:
-        return PermGroup(gens, degree=H.degree).order()
-
-
 def local_certificate(G_order: int, H: PermGroup, g: Perm) -> LocalCertificate:
     meet = edge_stabilizer(H, g)
     valency = H.order() // meet.order()
     ca = coset_action(H, meet)
     report = action_report(ca.group)
-    joined = _joined_order(H, g, G_order)
+    joined = order_with_hint(list(H.gens) + [g], H.degree, G_order)
     return LocalCertificate(
         group_order=G_order,
         stabilizer_order=H.order(),
@@ -438,13 +430,8 @@ def verify_certificate(payload: dict) -> VerificationReport:
     g = tuple(gens["g"])
     H = PermGroup([tuple(x) for x in gens["H"]], degree=degree)
     claimed_G = int(payload["orders"]["G"])
-    try:
-        G = PermGroup([tuple(x) for x in gens["G"]], degree=degree,
-                      known_order=claimed_G)
-        G_order = G.order()
-    except AssertionError:
-        G_order = PermGroup([tuple(x) for x in gens["G"]],
-                            degree=degree).order()
+    G_order = order_with_hint([tuple(x) for x in gens["G"]], degree,
+                              claimed_G)
     expect("order of G", claimed_G, G_order)
     expect("order of H", int(payload["orders"]["H"]), H.order())
     local = local_certificate(G_order, H, g)

@@ -10,6 +10,18 @@ import math
 from dataclasses import dataclass
 
 
+class VerificationError(Exception):
+    """A mathematical check failed: the one failure type for every
+    verified claim, distinct from rejected input and from program bugs."""
+
+
+def check(cond: bool, message: str) -> None:
+    """Raise VerificationError with the message unless cond holds.
+    Unlike assert, this survives python -O."""
+    if not cond:
+        raise VerificationError(message)
+
+
 def is_prime(n: int) -> bool:
     """Trial-division primality test."""
     if n < 2:

@@ -10,8 +10,10 @@ derived reports are exact, never Monte Carlo.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
+
+from .numth import VerificationError, check
 
 Perm = tuple[int, ...]
 
@@ -294,10 +296,9 @@ class PermGroup:
         if not (target is not None and self._orbit_product() == target):
             self._verify(ident)
         self._order = self._orbit_product()
-        if target is not None and self._order != target:
-            raise AssertionError(
-                f"group order {self._order} does not match the supplied "
-                f"known order {target}")
+        check(target is None or self._order == target,
+              f"group order {self._order} does not match the supplied "
+              f"known order {target}")
 
     # -- queries ------------------------------------------------------
 
@@ -359,6 +360,17 @@ class PermGroup:
         return y
 
 
+def order_with_hint(gens, degree: int, hint: int) -> int:
+    """The order of <gens>, sifting toward a hinted order first.  The
+    hint only saves work: a chain that misses it has already passed the
+    full Schreier check, so its verified order is returned instead."""
+    group = PermGroup(gens, degree=degree, known_order=hint)
+    try:
+        return group.order()
+    except VerificationError:
+        return group._order
+
+
 class DirectPower(PermGroup):
     """The direct power of a group acting on disjoint copies of its
     domain, with componentwise membership and a closed-form order."""
@@ -405,14 +417,6 @@ class ActionReport:
     regular: bool
     orbits: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, ...], ...] | None
-
-
-def group_order(group: PermGroup) -> int:
-    return group.order()
-
-
-def contains(group: PermGroup, x) -> bool:
-    return group.contains(x)
 
 
 def _stabilizer_gens(group: PermGroup, point: int) -> list[Perm]:
@@ -505,13 +509,13 @@ class CosetAction:
     representatives: tuple[Perm, ...]
     parent: PermGroup
     subgroup: PermGroup
+    labels: dict[Perm, int] = field(repr=False, compare=False)
 
     def index_of(self, x) -> int:
-        rep = self.subgroup.canonical_coset_rep(x)
-        try:
-            return self.representatives.index(rep)
-        except ValueError:
-            raise ValueError("element is not in any labeled coset") from None
+        label = self.labels.get(self.subgroup.canonical_coset_rep(x))
+        if label is None:
+            raise ValueError("element is not in any labeled coset")
+        return label
 
 
 def coset_action(group: PermGroup, subgroup: PermGroup,
@@ -542,10 +546,9 @@ def coset_action(group: PermGroup, subgroup: PermGroup,
                 labels[nxt] = lab
                 reps.append(nxt)
             images[gi].append(lab)
-    if len(reps) != index:
-        raise AssertionError("coset enumeration did not reach the full index")
+    check(len(reps) == index, "coset enumeration did not reach the full index")
     action = PermGroup([tuple(img) for img in images], degree=index)
-    return CosetAction(action, tuple(reps), group, subgroup)
+    return CosetAction(action, tuple(reps), group, subgroup, labels)
 
 
 def filtered_intersection_with_product(small: PermGroup, big: PermGroup,
@@ -553,29 +556,26 @@ def filtered_intersection_with_product(small: PermGroup, big: PermGroup,
     """The subgroup of elements of the small group lying in the big one,
     by full enumeration of the small side."""
     kept = [x for x in small.elements(limit) if big.contains(x)]
-    kept.sort()
-    gens: list[Perm] = []
-    grp = PermGroup([], degree=small.degree)
-    for x in kept:
-        if not grp.contains(x):
-            gens.append(x)
-            grp = PermGroup(gens, degree=small.degree)
-    return PermGroup(gens, degree=small.degree, known_order=len(kept))
+    return _group_of_elements(kept, small.degree)
 
 
 def normalizer_by_enumeration(group: PermGroup, target: PermGroup,
                               limit: int = ELEMENT_LIMIT) -> PermGroup:
     """The normalizer of the target subgroup inside the (enumerable)
     ambient group."""
-    kept = []
-    for x in group.elements(limit):
-        if all(target.contains(pconj(t, x)) for t in target.gens):
-            kept.append(x)
+    kept = [x for x in group.elements(limit)
+            if all(target.contains(pconj(t, x)) for t in target.gens)]
+    return _group_of_elements(kept, group.degree)
+
+
+def _group_of_elements(kept: list[Perm], degree: int) -> PermGroup:
+    """The group whose elements are exactly the given list, generated by
+    the least elements (in sorted order) not already generated."""
     kept.sort()
     gens: list[Perm] = []
-    grp = PermGroup([], degree=group.degree)
+    grp = PermGroup([], degree=degree)
     for x in kept:
         if not grp.contains(x):
             gens.append(x)
-            grp = PermGroup(gens, degree=group.degree)
-    return PermGroup(gens, degree=group.degree, known_order=len(kept))
+            grp = PermGroup(gens, degree=degree)
+    return PermGroup(gens, degree=degree, known_order=len(kept))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from patgraphs import cli, permgrp
 from patgraphs.cli import main, parse_generators, parse_permutation
 
 
@@ -40,12 +41,20 @@ def test_construct_q4_certificate_roundtrip(tmp_path, capsys):
     assert "certificate OK" in capsys.readouterr().out
 
 
-def test_construct_is_deterministic(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert main(["construct", "--q", "4", "--out", str(a)]) == 0
-    assert main(["construct", "--q", "4", "--out", str(b), "--seed", "0"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_construct_is_deterministic(tmp_path, monkeypatch):
+    # the sift seed changes only speed: certificates are byte-identical
+    monkeypatch.setattr(permgrp, "DEFAULT_SEED", 0)
+    for command in (["construct", "--q", "4"], ["bipartite", "--p", "5"]):
+        certs = []
+        for seed in (0, 1, 2, 3):
+            out = tmp_path / f"{command[0]}-{seed}.json"
+            assert main(command + ["--out", str(out),
+                                   "--seed", str(seed)]) == 0
+            certs.append(out.read_bytes())
+        assert len(set(certs)) == 1
+    # a call without --seed runs under the default, not the last seed
+    assert main(["edc", "--q", "3"]) == 0
+    assert permgrp.DEFAULT_SEED == 0
 
 
 def test_bipartite_certificate_roundtrip(tmp_path, capsys):
@@ -68,6 +77,15 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "FAILED" in err and "connected" in err
+
+
+def test_bug_is_a_traceback_not_a_failed_check(monkeypatch):
+    def broken(config):
+        raise AssertionError("a bug, not a failed check")
+
+    monkeypatch.setitem(cli._BODIES, "edc", broken)
+    with pytest.raises(AssertionError, match="a bug"):
+        main(["edc", "--q", "7"])
 
 
 def test_verify_rejects_unreadable_input(tmp_path, capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from patgraphs.atlas import seed_pgl2, seed_psl28_gamma, seed_symmetric
+from patgraphs.numth import VerificationError
 from patgraphs.construct import (
     WreathElement,
     bipartite_construction,
@@ -21,7 +22,6 @@ from patgraphs.construct import (
     unflatten,
     verify_code_model_similarity,
     verify_product_intersection_with_cycle,
-    wconj,
     wid,
     winv,
     wmul,
@@ -64,7 +64,8 @@ def test_conjugation_by_tau_rotates_components():
     rng = random.Random(12)
     n, d = 5, 4
     x = WreathElement(random_wreath(rng, n, d).components, 0)
-    rotated = wconj(x, wtau(n, d))
+    tau = wtau(n, d)
+    rotated = wmul(wmul(winv(tau), x), tau)
     assert rotated.components == (x.components[-1],) + x.components[:-1]
     assert rotated.shift == 0
 
@@ -96,7 +97,7 @@ def test_theta_orders_and_lengths():
 
 def test_trailing_square_reading_is_rejected_by_order():
     seed = seed_psl28_gamma()
-    with pytest.raises(AssertionError, match="order 21"):
+    with pytest.raises(VerificationError, match="order 21"):
         build_theta(seed, "trailing-square")
 
 

@@ -19,14 +19,13 @@ from patgraphs.eqcode import (
     mat_mul,
     mat_pow,
     mat_scalar,
-    poly_mul,
     poly_order,
     rref,
     vec_mat,
     weight,
     weight_profile,
 )
-from patgraphs.gf import GF, make_field
+from patgraphs.gf import GF, make_field, poly_mul
 from patgraphs.numth import validate_parameters
 
 

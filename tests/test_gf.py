@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from patgraphs.gf import GF, make_field
+from patgraphs.gf import GF, make_field, poly_mul
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
           (13, 1), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6), (3, 4),
@@ -34,8 +34,9 @@ def test_modulus_is_irreducible_by_brute_force():
         if f == 4:
             quads = [(c0, c1, 1) for c0 in range(p) for c1 in range(p)
                      if all(val((c0, c1, 1), x) != 0 for x in range(p))]
-            from patgraphs.gf import _pmul
-            assert all(_pmul(u, v, p) != m for u in quads for v in quads)
+            prime = GF(p, 1)
+            assert all(poly_mul(prime, u, v) != m
+                       for u in quads for v in quads)
 
 
 def test_field_axioms_random_triples():

@@ -4,17 +4,17 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from patgraphs.gf import GF
+from patgraphs.numth import VerificationError
 from patgraphs.permgrp import (
     DirectPower,
     PermGroup,
     action_report,
     coset_action,
-    contains,
     cycles,
     filtered_intersection_with_product,
-    group_order,
     normalizer_by_enumeration,
     orbit_partition,
+    order_with_hint,
     pconj,
     perm_from_cycles,
     pid,
@@ -89,11 +89,11 @@ def test_perm_helpers():
 def test_symmetric_and_alternating_orders():
     s5 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3, 4)]),
                     perm_from_cycles(5, [(0, 1)])])
-    assert group_order(s5) == 120
+    assert s5.order() == 120
     a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
                     perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
     assert a5.order() == 60
-    assert not contains(a5, perm_from_cycles(5, [(0, 1)]))
+    assert not a5.contains(perm_from_cycles(5, [(0, 1)]))
     assert a5.contains(perm_from_cycles(5, [(0, 1), (2, 3)]))
     assert a5.contains(pid(5))
     with pytest.raises(ValueError):
@@ -231,10 +231,14 @@ def test_arbitrary_precision_orders():
 def test_known_order_mismatch_raises():
     a5_gens = [perm_from_cycles(5, [(0, 1, 2)]),
                perm_from_cycles(5, [(0, 1, 2, 3, 4)])]
-    with pytest.raises(AssertionError):
+    with pytest.raises(VerificationError):
         PermGroup(a5_gens, known_order=30).order()
-    with pytest.raises(AssertionError):
+    with pytest.raises(VerificationError):
         PermGroup(a5_gens, known_order=120).order()
+    # a missed hint falls back to the verified order, never to the hint
+    assert order_with_hint(a5_gens, 5, 30) == 60
+    assert order_with_hint(a5_gens, 5, 120) == 60
+    assert order_with_hint(a5_gens, 5, 60) == 60
 
 
 def test_order_stable_across_base_and_seed():
