@@ -2,7 +2,7 @@
 
 Here the seed is PSL(2,8) extended by its field automorphism b of
 order 3, and the twist pattern places b on every coordinate except
-index 1.  The full run takes about a minute.
+index 1.  The full run takes about ten seconds.
 
 The stated twist pattern admits more than one reading, so all of them
 are computed: any reading that survives the order check must agree

@@ -30,10 +30,11 @@ from .permgrp import (
 
 @dataclass(frozen=True)
 class AlmostSimpleSeed:
-    """A verified seed (X, T, R = F:(<b> x <c>)) with its distinguished
-    elements; `a` and `o` may be absent depending on the family."""
+    """A verified seed (X, T, R = F:(<b> x <c>)) over GF(q) with its
+    distinguished elements; `a` and `o` may be absent by family."""
     family: str
     q: int
+    field: GF
     degree: int
     X: PermGroup
     T: PermGroup
@@ -224,8 +225,8 @@ def seed_pgl2(q: int, bipartite: bool = False) -> AlmostSimpleSeed:
                 c = cand
                 break
         check(c is not None, "no reflection avoids the socle condition")
-        R = PermGroup([a, b], degree=degree, known_order=q * (q - 1))
-        seed = AlmostSimpleSeed("pgl2-bipartite", q, degree, X, T, R,
+        R = PermGroup([a, b], degree=degree)
+        seed = AlmostSimpleSeed("pgl2-bipartite", q, k, degree, X, T, R,
                                 two, F, a, b, c, None)
         _verify_bipartite_pair(seed)
         return seed
@@ -241,7 +242,8 @@ def seed_pgl2(q: int, bipartite: bool = False) -> AlmostSimpleSeed:
     check(o is not None, "no inversion map lands in the socle")
     check(pconj(a, o) == pinv(a), "o does not invert a")
     R = PermGroup(list(F) + [b, c], degree=degree)
-    seed = AlmostSimpleSeed("pgl2", q, degree, X, T, R, two, F, a, b, c, o)
+    seed = AlmostSimpleSeed("pgl2", q, k, degree, X, T, R, two, F, a, b, c,
+                            o)
     _verify_affine_pair(seed)
     return seed
 
@@ -265,9 +267,9 @@ def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
         if not ps.valid:
             raise ValueError(f"p = {p} rejected: {ps.violation}")
     degree = p
-    g = make_field(p).generator
+    k = make_field(p)
     trans = residue_translation(p)
-    a_scale = residue_scaling(p, g)
+    a_scale = residue_scaling(p, k.generator)
     pcycle = trans
     X = PermGroup([pcycle, (1, 0) + tuple(range(2, p))])
     T = PermGroup([pcycle, (1, 2, 0) + tuple(range(3, p))])
@@ -286,8 +288,8 @@ def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
                 c = cand
                 break
         check(c is not None, "no reflection avoids the socle condition")
-        R = PermGroup([a, b], degree=degree, known_order=p * (p - 1))
-        seed = AlmostSimpleSeed("symmetric-bipartite", p, degree, X, T, R,
+        R = PermGroup([a, b], degree=degree)
+        seed = AlmostSimpleSeed("symmetric-bipartite", p, k, degree, X, T, R,
                                 2, F, a, b, c, None)
         _verify_bipartite_pair(seed)
         return seed
@@ -302,7 +304,8 @@ def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
           "<a, d> is not dihedral of order 2(p-1)")
     check(pmul(c, d) == pmul(d, c), "c is not central in <a, d>")
     R = PermGroup(list(F) + [b, c], degree=degree)
-    seed = AlmostSimpleSeed("symmetric", p, degree, X, T, R, 2, F, a, b, c, o)
+    seed = AlmostSimpleSeed("symmetric", p, k, degree, X, T, R, 2, F, a, b, c,
+                            o)
     _verify_affine_pair(seed)
     check(PermGroup(list(F) + [b, o], degree=degree).order() == T.order(),
           "<F, b, o> is not all of the socle")
@@ -333,5 +336,5 @@ def seed_psl28_gamma() -> AlmostSimpleSeed:
           "N_X(F) has the wrong order")
     R = PermGroup(list(F) + [sigma], degree=degree)
     check(R.order() == 24, "F:<b> has the wrong order")
-    return AlmostSimpleSeed("psl28-gamma", 8, degree, X, T, R,
+    return AlmostSimpleSeed("psl28-gamma", 8, k, degree, X, T, R,
                             3, F, None, sigma, None, None)

@@ -21,20 +21,20 @@ from .eqcode import (
     decompose_invariant,
     vec_mat,
 )
-from .gf import GF, make_field
+from .gf import GF
 from .numth import VerificationError, check
 from .permgrp import (
     DirectPower,
     Perm,
     PermGroup,
     filtered_intersection_with_product,
-    order_with_hint,
     pconj,
     pid,
     pinv,
     pmul,
     porder,
     ppow,
+    socle_bound,
 )
 
 # -- wreath elements ----------------------------------------------------
@@ -126,11 +126,6 @@ def embed_block(g: Perm, i: int, n: int) -> WreathElement:
     return WreathElement(tuple(comps), 0)
 
 
-def product_generators(T: PermGroup, n: int) -> list[Perm]:
-    """Generators of T^n on n disjoint blocks, flattened."""
-    return list(DirectPower(T, n).gens)
-
-
 # -- the twisting element ----------------------------------------------
 
 
@@ -208,7 +203,7 @@ def verify_product_intersection_with_cycle(seed: AlmostSimpleSeed,
 
 def _coefficient_table(seed: AlmostSimpleSeed) -> dict[Perm, tuple[int, ...]]:
     """Every element of F written in coordinates over the generators."""
-    p = make_field(seed.q).p
+    p = seed.field.p
     f = len(seed.F)
     table = {}
     for coeffs in itertools.product(range(p), repeat=f):
@@ -227,8 +222,7 @@ def conjugation_matrix(seed: AlmostSimpleSeed, theta: WreathElement):
     d = seed.degree
     n = theta.n
     f = len(seed.F)
-    k = make_field(seed.q)
-    prime = GF(k.p, 1)
+    prime = seed.field.prime_field
     table = _coefficient_table(seed)
     theta_flat = flatten(theta, d)
     rows = []
@@ -269,8 +263,8 @@ def verify_code_model_similarity(seed: AlmostSimpleSeed, conj) -> None:
     """The measured action is similar over GF(p) to the shift matrix
     from the code construction, confirming that some GF(q)-structure on
     F^n makes the conjugation GF(q)-linear."""
-    k = make_field(seed.q)
-    prime = GF(k.p, 1)
+    k = seed.field
+    prime = k.prime_field
     model = _blowup_over_prime(k, build_shift_matrix(k).rows())
     check(charpoly(prime, [list(r) for r in model])
           == charpoly(prime, [list(r) for r in conj]),
@@ -332,8 +326,7 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     d = seed.degree
     n = theta.n
     q = seed.q
-    k = make_field(q)
-    f = k.f
+    f = seed.field.f
     conj, prime = conjugation_matrix(seed, theta)
     dec = decompose_invariant([list(r) for r in conj], prime)
     qualifying = []
@@ -421,11 +414,11 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
     n = pa.n
     d = pa.block_degree
     T = seed.T
-    expected = T.order()**n * n * seed.index_XT
-    gens = product_generators(T, n) + [pa.theta_perm]
-    G = PermGroup(gens, degree=n * d, known_order=expected)
-    check(G.order() == expected, "G has the wrong order")
     M = DirectPower(T, n)
+    gens = list(M.gens) + [pa.theta_perm]
+    G = PermGroup(gens, degree=n * d, upper_bound=socle_bound(gens, M))
+    check(G.order() == T.order()**n * n * seed.index_XT,
+          "G has the wrong order")
     meet = filtered_intersection_with_product(pa.H, M)
     # socle transitivity: |T^n| * |H| = |G| * |T^n meet H|
     check(T.order()**n * pa.H.order() == G.order() * meet.order(),
@@ -525,8 +518,8 @@ def twisted_centralizer(T: PermGroup, theta: WreathElement) -> TwistedCentralize
             by_exponent[j] = tuple(found)
             all_flat.extend(found)
     cent = by_exponent.get(1, ())
-    centralizer = PermGroup(list(cent), degree=n * d, known_order=len(cent))
-    normalizer = PermGroup(all_flat, degree=n * d, known_order=len(all_flat))
+    centralizer = PermGroup(list(cent), degree=n * d, upper_bound=len(cent))
+    normalizer = PermGroup(all_flat, degree=n * d, upper_bound=len(all_flat))
     return TwistedCentralizer(centralizer, normalizer, by_exponent)
 
 
@@ -589,11 +582,13 @@ def valency64_construction(component_index: int = 0,
           == set(_two_elements(tc.normalizer_elements)),
           "normalizer has 2-elements outside the centralizer")
     # candidate edge elements: nontrivial 2-elements joining H up to G
-    degree = pa.n * pa.block_degree
+    M = DirectPower(seed.T, pa.n)
     candidates = []
     h_normalizers = []
     for x in _two_elements(tc.normalizer_elements):
-        joined = order_with_hint(list(pa.H.gens) + [x], degree, pa.G.order())
+        gens = list(pa.H.gens) + [x]
+        joined = PermGroup(gens, degree=M.degree,
+                           upper_bound=socle_bound(gens, M)).order()
         if joined == pa.G.order():
             candidates.append(x)
         elif joined == 2 * pa.H.order():
@@ -717,21 +712,22 @@ def bipartite_construction(p: int, family: str = "symmetric") -> BipartiteConstr
     check(pmul(o, o) == pid(n * d), "o is not an involution")
 
     T = seed.T
-    tn = T.order()**n
-    Gstar = PermGroup(product_generators(T, n) + [bold_b, tau],
-                      degree=n * d, known_order=tn * n * 2)
+    M = DirectPower(T, n)
+    star_gens = list(M.gens) + [bold_b, tau]
+    Gstar = PermGroup(star_gens, degree=n * d,
+                      upper_bound=socle_bound(star_gens, M))
+    check(Gstar.order() == T.order()**n * n * 2, "Gstar has the wrong order")
     check(not Gstar.contains(o), "o lies in Gstar")
-    G = PermGroup(list(Gstar.gens) + [o], degree=n * d,
-                  known_order=tn * n * 4)
+    gens = list(Gstar.gens) + [o]
+    G = PermGroup(gens, degree=n * d, upper_bound=socle_bound(gens, M))
     check(G.order() == 2 * Gstar.order(), "Gstar does not have index 2")
-    H = PermGroup([bold_a, bold_b, tau], degree=n * d,
-                  known_order=p * (p - 1)**2)
-    K = PermGroup([bold_b, tau], degree=n * d, known_order=(p - 1)**2)
-    check(H.order() // K.order() == p, "K does not have index p in H")
+    H = PermGroup([bold_a, bold_b, tau], degree=n * d)
+    K = PermGroup([bold_b, tau], degree=n * d)
+    check(H.order() == p * (p - 1)**2 and K.order() == (p - 1)**2,
+          "H or K has the wrong order")
     for g in H.gens:
         check(Gstar.contains(g), "H is not inside Gstar")
     # T^(p-1) meet H is the diagonal <a, b^2>
-    M = DirectPower(T, n)
     meet = filtered_intersection_with_product(H, M)
     expected = PermGroup([bold_a, ppow(bold_b, 2)], degree=n * d)
     check(meet.order() == expected.order() == p * (p - 1) // 2,

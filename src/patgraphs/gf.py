@@ -76,6 +76,10 @@ class GF:
                 return g
         raise VerificationError("no primitive element found")
 
+    @property
+    def prime_field(self) -> GF:
+        return self._prime or self
+
     # -- encoding -----------------------------------------------------------
 
     def digits(self, a: int) -> list[int]:

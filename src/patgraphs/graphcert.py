@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construct import BipartiteConstruction, PAConstruction, Valency64Construction
-from .gf import make_field
 from .numth import classify_valency_case
 from .permgrp import (
     DirectPower,
@@ -20,11 +19,11 @@ from .permgrp import (
     PermGroup,
     action_report,
     coset_action,
-    order_with_hint,
     pid,
     pinv,
     pmul,
     porder,
+    socle_bound,
 )
 
 ENUMERATION_LIMIT = 10**6
@@ -170,15 +169,20 @@ def edge_stabilizer(H: PermGroup, g: Perm) -> PermGroup:
     ginv = pinv(g)
     kept = [x for x in H.elements()
             if H.contains(pmul(pmul(g, x), ginv))]
-    return PermGroup(kept, degree=H.degree, known_order=len(kept))
+    return PermGroup(kept, degree=H.degree, upper_bound=len(kept))
 
 
-def local_certificate(G_order: int, H: PermGroup, g: Perm) -> LocalCertificate:
+def local_certificate(G_order: int, H: PermGroup, g: Perm,
+                      M: DirectPower | None = None) -> LocalCertificate:
+    """With M, a direct power normalized by H and g, the order of
+    <H, g> is sifted to its socle bound."""
     meet = edge_stabilizer(H, g)
     valency = H.order() // meet.order()
     ca = coset_action(H, meet)
     report = action_report(ca.group)
-    joined = order_with_hint(list(H.gens) + [g], H.degree, G_order)
+    gens = list(H.gens) + [g]
+    joined = PermGroup(gens, degree=H.degree,
+                       upper_bound=M and socle_bound(gens, M)).order()
     return LocalCertificate(
         group_order=G_order,
         stabilizer_order=H.order(),
@@ -237,9 +241,10 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
             raise ValueError("no edge element available for this seed")
         if pa.G is None:
             raise ValueError("construction is missing the assembled G")
-        local = local_certificate(pa.G.order(), pa.H, g)
+        local = local_certificate(pa.G.order(), pa.H, g,
+                                  DirectPower(pa.seed.T, pa.n))
         q = pa.seed.q
-        field = make_field(q)
+        field = pa.seed.field
         case = classify_valency_case(field.p, 2 * field.f, pa.n)
         socle = pa.seed.T.order() ** pa.n
         vertex_count = pa.G.order() // pa.H.order()
@@ -260,7 +265,8 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
         bc = construction
         if g is None:
             g = bc.o
-        local = local_certificate(bc.G.order(), bc.H, g)
+        local = local_certificate(bc.G.order(), bc.H, g,
+                                  DirectPower(bc.seed.T, bc.n))
         socle = bc.seed.T.order() ** bc.n
         half_vertices = bc.Gstar.order() // bc.H.order()
         h_inside = all(bc.Gstar.contains(x) for x in bc.H.gens)
@@ -429,12 +435,19 @@ def verify_certificate(payload: dict) -> VerificationReport:
     gens = payload["generators"]
     g = tuple(gens["g"])
     H = PermGroup([tuple(x) for x in gens["H"]], degree=degree)
-    claimed_G = int(payload["orders"]["G"])
-    G_order = order_with_hint([tuple(x) for x in gens["G"]], degree,
-                              claimed_G)
-    expect("order of G", claimed_G, G_order)
+    n = payload["blocks"]
+    d = payload["block_degree"]
+    T = PermGroup([tuple(x) for x in gens["socle_factor"]], degree=d)
+    expect("socle factor order", int(payload["orders"]["socle_factor"]),
+           T.order())
+    M = DirectPower(T, n)
+    # orders are proven from the generators; the payload's are only compared
+    G_gens = [tuple(x) for x in gens["G"]]
+    G_order = PermGroup(G_gens, degree=degree,
+                        upper_bound=socle_bound(G_gens, M)).order()
+    expect("order of G", int(payload["orders"]["G"]), G_order)
     expect("order of H", int(payload["orders"]["H"]), H.order())
-    local = local_certificate(G_order, H, g)
+    local = local_certificate(G_order, H, g, M)
     expect("intersection order", int(payload["orders"]["intersection"]),
            local.intersection_order)
     expect("valency", payload["valency"], local.valency)
@@ -445,16 +458,13 @@ def verify_certificate(payload: dict) -> VerificationReport:
     expect("g_square_in_H", checks["g_square_in_H"], local.g_square_in_H)
     expect("g_outside_H", checks["g_outside_H"], local.g_outside_H)
 
-    n = payload["blocks"]
-    d = payload["block_degree"]
-    T = PermGroup([tuple(x) for x in gens["socle_factor"]], degree=d)
-    expect("socle factor order", int(payload["orders"]["socle_factor"]),
-           T.order())
-    M = DirectPower(T, n)
     meet = [x for x in H.elements() if M.contains(x)]
     if payload["kind"] == "bipartite":
-        gstar = PermGroup([tuple(x) for x in gens["gstar"]], degree=degree,
-                          known_order=int(payload["orders"]["Gstar"]))
+        star_gens = [tuple(x) for x in gens["gstar"]]
+        gstar = PermGroup(star_gens, degree=degree,
+                          upper_bound=socle_bound(star_gens, M))
+        expect("order of Gstar", int(payload["orders"]["Gstar"]),
+               gstar.order())
         expect("index of Gstar", payload["gstar_index"],
                G_order // gstar.order())
         expect("g_swaps_halves", payload["g_swaps_halves"],

@@ -2,9 +2,10 @@
 
 Permutations are image tuples on the domain {0, ..., d-1}, and products
 apply the left factor first: pmul(a, b)[i] = b[a[i]].  PermGroup builds
-a base and strong generating set by random Schreier sifting followed by
-a deterministic verification pass, so orders, membership tests, and the
-derived reports are exact, never Monte Carlo.
+a base and strong generating set by random Schreier sifting, certified
+by a proven upper bound on the order (see socle_bound) or by the full
+Schreier check, so orders, membership tests, and the derived reports
+are exact, never Monte Carlo.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ INDEX_LIMIT = 10**6
 # default seed for the randomized sifting phase; results never depend on
 # it because chains are certified afterwards, so it only affects speed
 DEFAULT_SEED = 0
+
+# consecutive quiet sift steps a chain allows below its upper bound
+# (without one, 16); the longest quiet run measured before progress was 510
+BOUND_QUIET_CAP = 2000
 
 
 def pid(d: int) -> Perm:
@@ -149,16 +154,17 @@ class _Level:
 class PermGroup:
     """Group generated by image-tuple permutations of a common domain.
 
-    The stabilizer chain is built lazily: a seeded random sifting phase
-    proposes strong generators, then either the product of the orbit
-    lengths matches a caller-supplied known order (which certifies the
-    chain by Lagrange's theorem) or every Schreier generator is checked
-    to sift to the identity, bottom level first.
+    The stabilizer chain is built lazily by seeded random sifting.  The
+    orbit product is a lower bound on the order, so meeting a proven
+    upper_bound proves the order (certified_by "bound"), and exceeding
+    it fails on every query.  Otherwise every Schreier generator is
+    checked to sift to the identity, bottom level first (certified_by
+    "schreier"); the exact order may then lie below the bound.
     """
 
     def __init__(self, gens, degree: int | None = None,
-                 known_order: int | None = None, seed: int | None = None,
-                 base_hint=None):
+                 upper_bound: int | None = None, seed: int | None = None,
+                 base_hint=None, *, known_order: int | None = None):
         gens = [tuple(g) for g in gens]
         if degree is None:
             if not gens:
@@ -173,11 +179,13 @@ class PermGroup:
         for g in gens:
             if g != ident and g not in self.gens:
                 self.gens.append(g)
-        self._known_order = known_order
+        # known_order is upper_bound's former name, which perfbench still uses
+        self._upper_bound = known_order if upper_bound is None else upper_bound
         self._seed = DEFAULT_SEED if seed is None else seed
         self._base_hint = list(base_hint) if base_hint else []
         self._levels: list[_Level] | None = None
         self._order: int | None = None
+        self.certified_by: str | None = None
 
     # -- chain construction ------------------------------------------
 
@@ -264,21 +272,23 @@ class PermGroup:
         ident = pid(self.degree)
         if not self.gens:
             self._order = 1
+            self.certified_by = "schreier"
             return
         for g in self.gens:
             if not self._levels:
                 self._new_level(g)
             self._levels[0].extend(g)
             self._update(g, ident)
-        target = self._known_order
+        bound = self._upper_bound
+        cap = 16 if bound is None else BOUND_QUIET_CAP
         rng = random.Random(self._seed)
         pool = list(self.gens)
         while len(pool) < 8:
             pool.append(pool[len(pool) % len(self.gens)])
         acc = ident
         quiet = 0
-        while quiet < 16:
-            if target is not None and self._orbit_product() == target:
+        while quiet < cap:
+            if bound is not None and self._orbit_product() >= bound:
                 break
             i = rng.randrange(len(pool))
             j = rng.randrange(len(pool))
@@ -293,12 +303,16 @@ class PermGroup:
                 quiet = 0
             else:
                 quiet += 1
-        if not (target is not None and self._orbit_product() == target):
+        self.certified_by = "bound"
+        if bound is None or self._orbit_product() < bound:
             self._verify(ident)
+            self.certified_by = "schreier"
         self._order = self._orbit_product()
-        check(target is None or self._order == target,
-              f"group order {self._order} does not match the supplied "
-              f"known order {target}")
+        if bound is not None and self._order > bound:
+            # dropping the chain makes every later query fail the same way
+            self._levels = None
+            raise VerificationError(f"group order is at least {self._order},"
+                                    f" above the upper bound {bound}")
 
     # -- queries ------------------------------------------------------
 
@@ -360,17 +374,6 @@ class PermGroup:
         return y
 
 
-def order_with_hint(gens, degree: int, hint: int) -> int:
-    """The order of <gens>, sifting toward a hinted order first.  The
-    hint only saves work: a chain that misses it has already passed the
-    full Schreier check, so its verified order is returned instead."""
-    group = PermGroup(gens, degree=degree, known_order=hint)
-    try:
-        return group.order()
-    except VerificationError:
-        return group._order
-
-
 class DirectPower(PermGroup):
     """The direct power of a group acting on disjoint copies of its
     domain, with componentwise membership and a closed-form order."""
@@ -388,7 +391,9 @@ class DirectPower(PermGroup):
                     img[off + x] = off + g[x]
                 gens.append(tuple(img))
         super().__init__(gens, degree=d * copies,
-                         known_order=factor.order() ** copies)
+                         upper_bound=factor.order() ** copies)
+        # membership of each block's piece in the factor, as tested
+        self._pieces: dict[Perm, bool] = {}
 
     def order(self) -> int:
         return self.factor.order() ** self.copies
@@ -400,12 +405,42 @@ class DirectPower(PermGroup):
         d = self.factor.degree
         for i in range(self.copies):
             off = i * d
-            piece = tuple(x[off + t] - off for t in range(d))
-            if any(v < 0 or v >= d for v in piece):
+            piece = tuple(v - off for v in x[off:off + d])
+            if min(piece) < 0 or max(piece) >= d:
                 return False
-            if not self.factor.contains(piece):
+            inside = self._pieces.get(piece)
+            if inside is None:
+                inside = self._pieces[piece] = self.factor.contains(piece)
+            if not inside:
                 return False
         return True
+
+
+def socle_bound(gens, M: DirectPower) -> int | None:
+    """|M| * |<gens>M : M|, an upper bound on |<gens>| (equal to it when
+    <gens> contains M), or None if some generator does not normalize M.
+    The index is found by enumerating the right cosets of M under the
+    generators outside M; those inside act trivially on them."""
+    outside = [tuple(g) for g in gens if not M.contains(g)]
+    if not all(M.contains(pconj(m, g)) for g in outside for m in M.gens):
+        return None
+    d = M.factor.degree
+
+    def blocks_hit(x: Perm) -> tuple[frozenset[int], ...]:
+        # the blocks each block of points lands in, the same across Mx
+        return tuple(frozenset(x[p] // d for p in range(i, i + d))
+                     for i in range(0, M.degree, d))
+
+    reps = [pid(M.degree)]
+    inverses = {blocks_hit(reps[0]): [reps[0]]}
+    for x in reps:
+        for g in outside:
+            y = pmul(x, g)
+            near = inverses.setdefault(blocks_hit(y), [])
+            if not any(M.contains(pmul(y, r)) for r in near):
+                reps.append(y)
+                near.append(pinv(y))
+    return M.order() * len(reps)
 
 
 @dataclass(frozen=True)
@@ -578,4 +613,4 @@ def _group_of_elements(kept: list[Perm], degree: int) -> PermGroup:
         if not grp.contains(x):
             gens.append(x)
             grp = PermGroup(gens, degree=degree)
-    return PermGroup(gens, degree=degree, known_order=len(kept))
+    return PermGroup(gens, degree=degree, upper_bound=len(kept))

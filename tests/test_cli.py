@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from patgraphs import cli, permgrp
+from patgraphs import cli, gf, permgrp
 from patgraphs.cli import main, parse_generators, parse_permutation
 
 
@@ -77,6 +77,36 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "FAILED" in err and "connected" in err
+
+
+def test_forged_order_is_rejected_under_every_seed(tmp_path, capsys):
+    # a partial orbit product as |G|, with the verdicts it implies
+    cert = tmp_path / "c4.json"
+    assert main(["construct", "--q", "4", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    payload["orders"]["G"] = "1296000000"
+    payload["checks"]["socle_transitive"] = False
+    payload["arc_regular_socle"] = False
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(payload))
+    capsys.readouterr()
+    for seed in (0, 1, 2, 3):
+        assert main(["verify", "--seed", str(seed), str(forged)]) == 3
+        assert "order of G" in capsys.readouterr().err
+
+
+def test_construct_builds_its_field_once(monkeypatch):
+    built = []
+    init = gf.GF.__init__
+
+    def counting(self, p, f):
+        built.append((p, f))
+        init(self, p, f)
+
+    monkeypatch.setattr(gf.GF, "__init__", counting)
+    assert main(["construct", "--q", "8"]) == 0
+    # GF(8) and the prime field it builds its tables with
+    assert built == [(2, 3), (2, 1)]
 
 
 def test_bug_is_a_traceback_not_a_failed_check(monkeypatch):

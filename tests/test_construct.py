@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from patgraphs import permgrp
 from patgraphs.atlas import seed_pgl2, seed_psl28_gamma, seed_symmetric
 from patgraphs.numth import VerificationError
 from patgraphs.construct import (
@@ -175,6 +176,15 @@ def test_assembled_G_q7(pa7):
         proj = {x[i * d:(i + 1) * d] for x in elements}
         assert len(proj) == 21
     assert pa7.non_diagonal
+
+
+def test_G_is_certified_by_its_socle_bound(monkeypatch):
+    # every sift seed reaches the socle bound, so no G chain falls back
+    # to the full Schreier check
+    for seed in (0, 1, 2, 3):
+        monkeypatch.setattr(permgrp, "DEFAULT_SEED", seed)
+        for q in (4, 8):
+            assert product_action_construction(q).G.certified_by == "bound"
 
 
 def test_symmetric_family_pipeline():

@@ -14,7 +14,6 @@ from patgraphs.permgrp import (
     filtered_intersection_with_product,
     normalizer_by_enumeration,
     orbit_partition,
-    order_with_hint,
     pconj,
     perm_from_cycles,
     pid,
@@ -22,6 +21,7 @@ from patgraphs.permgrp import (
     pmul,
     porder,
     ppow,
+    socle_bound,
 )
 
 
@@ -209,13 +209,15 @@ def test_direct_power():
     assert chain.order() == 60**5
     inside = list(range(25))
     inside[10], inside[11], inside[12] = 11, 12, 10
-    assert dp.contains(tuple(inside))
     odd = list(range(25))
     odd[0], odd[1] = 1, 0
-    assert not dp.contains(tuple(odd))
     crossing = list(range(25))
     crossing[0], crossing[5] = 5, 0
-    assert not dp.contains(tuple(crossing))
+    # the second round answers from the per-piece memo
+    for _ in range(2):
+        assert dp.contains(tuple(inside))
+        assert not dp.contains(tuple(odd))
+        assert not dp.contains(tuple(crossing))
 
 
 def test_arbitrary_precision_orders():
@@ -224,21 +226,52 @@ def test_arbitrary_precision_orders():
     assert dp.order() == 504**21
     assert dp.order() * 63 == 504**21 * 63
     big = DirectPower(mobius_psl2(7), 8)
-    chain = PermGroup(big.gens, degree=64, known_order=168**8)
+    chain = PermGroup(big.gens, degree=64, upper_bound=168**8)
     assert chain.order() == 168**8
+    assert chain.certified_by == "bound"
 
 
 def test_known_order_mismatch_raises():
     a5_gens = [perm_from_cycles(5, [(0, 1, 2)]),
                perm_from_cycles(5, [(0, 1, 2, 3, 4)])]
-    with pytest.raises(VerificationError):
-        PermGroup(a5_gens, known_order=30).order()
-    with pytest.raises(VerificationError):
-        PermGroup(a5_gens, known_order=120).order()
-    # a missed hint falls back to the verified order, never to the hint
-    assert order_with_hint(a5_gens, 5, 30) == 60
-    assert order_with_hint(a5_gens, 5, 120) == 60
-    assert order_with_hint(a5_gens, 5, 60) == 60
+    # an upper bound below the order fails on every query, not just the
+    # first, and under the former keyword too
+    for bounded in (PermGroup(a5_gens, upper_bound=30),
+                    PermGroup(a5_gens, known_order=30)):
+        for _ in range(2):
+            with pytest.raises(VerificationError):
+                bounded.order()
+        with pytest.raises(VerificationError):
+            bounded.contains(pid(5))
+    # a bound above the order falls back to the Schreier check, which
+    # returns the exact order, never the bound
+    loose = PermGroup(a5_gens, upper_bound=120)
+    assert loose.order() == 60 and loose.certified_by == "schreier"
+    tight = PermGroup(a5_gens, upper_bound=60)
+    assert tight.order() == 60 and tight.certified_by == "bound"
+    assert PermGroup(a5_gens).certified_by is None
+    assert PermGroup(a5_gens).order() == 60
+
+
+def test_socle_bound():
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    M = DirectPower(a5, 3)
+    tau = tuple((x + 5) % 15 for x in range(15))
+    swap = perm_from_cycles(15, [(0, 1)])
+    # <M, tau, swap> = S5 wr C3 and <M, tau> = A5 wr C3
+    gens = list(M.gens) + [tau, swap]
+    assert socle_bound(gens, M) == 60**3 * 24 == 120**3 * 3
+    wreath = PermGroup(gens, degree=15, upper_bound=socle_bound(gens, M))
+    assert wreath.order() == PermGroup(gens, degree=15).order() == 120**3 * 3
+    assert wreath.certified_by == "bound"
+    assert socle_bound(list(M.gens) + [tau], M) == 60**3 * 3
+    # without M among the generators the bound is only an upper bound:
+    # <tau> has order 3, proven by the Schreier check
+    cyclic = PermGroup([tau], degree=15, upper_bound=socle_bound([tau], M))
+    assert cyclic.order() == 3 and cyclic.certified_by == "schreier"
+    # a generator that does not normalize M gives no bound
+    assert socle_bound([perm_from_cycles(15, [(0, 5)])], M) is None
 
 
 def test_order_stable_across_base_and_seed():
