@@ -19,6 +19,7 @@ from .construct import (
     build_theta,
     compare_theta_readings,
     product_action_construction,
+    regular_components,
     valency64_construction,
 )
 from .atlas import seed_psl28_gamma
@@ -187,13 +188,15 @@ def _run_example_2_6(config: RunConfig) -> int:
 
     seed = seed_psl28_gamma()
     theta = build_theta(seed, config.reading)
+    components = regular_components(seed, theta)
     orders = []
     for index in range(6):
-        candidate = build_E_and_H(seed, theta, index)
+        candidate = build_E_and_H(seed, theta, index, components)
         orders.append(candidate.H.order())
     print(f"H candidates from the 6 regular components, orders {orders}")
 
-    v64 = valency64_construction(config.component_index, config.reading)
+    v64 = valency64_construction(config.component_index, config.reading,
+                                 components)
     tc = v64.tc
     print(f"centralizer of theta in the socle: order "
           f"{tc.centralizer.order()} (S_3: non-abelian, three involutions)")

@@ -16,10 +16,12 @@ from math import gcd
 
 from .atlas import AlmostSimpleSeed, seed_pgl2, seed_psl28_gamma, seed_symmetric
 from .eqcode import (
+    Code,
+    InvariantDecomposition,
     build_shift_matrix,
     charpoly,
     decompose_invariant,
-    vec_mat,
+    is_regular_span,
 )
 from .gf import GF
 from .numth import VerificationError, check
@@ -304,43 +306,49 @@ def _vector_to_wreath(seed: AlmostSimpleSeed, vec, n: int) -> WreathElement:
     return WreathElement(tuple(comps), 0)
 
 
-def _is_regular_component(prime: GF, basis, mat) -> bool:
-    """The matrix action on the span sweeps every nonzero vector from
-    the first basis vector."""
-    target = prime.p ** len(basis) - 1
-    start = tuple(basis[0])
-    seen = {start}
-    v = start
-    for _ in range(target - 1):
-        v = vec_mat(prime, v, mat)
-        if v in seen:
-            return False
-        seen.add(v)
-    return vec_mat(prime, v, mat) == start
+@dataclass(frozen=True)
+class RegularComponents:
+    """The invariant decomposition of theta's conjugation matrix, and the
+    components of dimension 2f and order q^2 - 1 on whose nonzero vectors
+    the action is regular: the candidates for E."""
+    theta: WreathElement
+    conj: tuple[tuple[int, ...], ...]
+    decomposition: InvariantDecomposition
+    codes: tuple[Code, ...]
+
+
+def regular_components(seed: AlmostSimpleSeed,
+                       theta: WreathElement) -> RegularComponents:
+    q = seed.q
+    conj, prime = conjugation_matrix(seed, theta)
+    dec = decompose_invariant([list(r) for r in conj], prime)
+    codes = tuple(c.code for c in dec.components
+                  if c.code.dim == 2 * seed.field.f and c.order == q * q - 1
+                  and is_regular_span(prime, c.code.basis, conj))
+    return RegularComponents(theta, conj, dec, codes)
 
 
 def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
-                  component_index: int = 0) -> PAConstruction:
+                  component_index: int = 0,
+                  components: RegularComponents | None = None) -> PAConstruction:
     """Cut E out of F^n via the invariant decomposition of the measured
-    conjugation matrix, then verify the affine structure of H = E:<theta>."""
+    conjugation matrix, then verify the affine structure of H = E:<theta>.
+    `components` is regular_components(seed, theta), computed here when
+    not given."""
     d = seed.degree
     n = theta.n
     q = seed.q
-    f = seed.field.f
-    conj, prime = conjugation_matrix(seed, theta)
-    dec = decompose_invariant([list(r) for r in conj], prime)
-    qualifying = []
-    for comp in dec.components:
-        if comp.code.dim != 2 * f or comp.order != q * q - 1:
-            continue
-        if _is_regular_component(prime, comp.code.basis, conj):
-            qualifying.append(comp)
+    if components is None:
+        components = regular_components(seed, theta)
+    check(components.theta == theta,
+          "regular components were computed for another theta")
+    qualifying = components.codes
     check(bool(qualifying), "no regular component of dimension 2f found")
     if component_index >= len(qualifying):
         raise ValueError(
             f"component index {component_index} out of range: only "
             f"{len(qualifying)} components qualify")
-    code = qualifying[component_index].code
+    code = qualifying[component_index]
     witness = code.basis
     E = tuple(flatten(_vector_to_wreath(seed, v, n), d) for v in witness)
     theta_flat = flatten(theta, d)
@@ -349,7 +357,7 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     Egrp = PermGroup(E, degree=n * d)
     check(Egrp.order() == q * q, "E does not have order q^2")
     for g in E:
-        check(ppow(g, prime.p) == pid(n * d), "E is not elementary abelian")
+        check(ppow(g, seed.field.p) == pid(n * d), "E is not elementary abelian")
         for h in E:
             check(pmul(g, h) == pmul(h, g), "E is not abelian")
 
@@ -404,7 +412,7 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     if seed.o is not None:
         o_flat = flatten(WreathElement((seed.o,) * n, 0), d)
     return PAConstruction(seed, n, d, theta, theta_flat, E, H, o_flat,
-                          witness, conj, len(qualifying))
+                          witness, components.conj, len(qualifying))
 
 
 def assemble_G(pa: PAConstruction) -> PAConstruction:
@@ -553,7 +561,9 @@ def _two_elements(elements) -> list[Perm]:
 
 
 def valency64_construction(component_index: int = 0,
-                           reading: str = "primary") -> Valency64Construction:
+                           reading: str = "primary",
+                           components: RegularComponents | None = None,
+                           ) -> Valency64Construction:
     """The valency-64 family: PSL(2,8)^21 twisted by the order-63
     element, with the edge element g found among the 2-elements of
     N_M(<theta>).
@@ -564,11 +574,12 @@ def valency64_construction(component_index: int = 0,
     involutions, exactly one normalizes H; the other two generate G
     with H, and conjugation by the first swaps their double cosets, so
     the edge class is unique up to that explicit graph isomorphism.
+    `components` is passed on to build_E_and_H.
     """
     seed = seed_psl28_gamma()
     theta = build_theta(seed, reading)
     verify_product_intersection_with_cycle(seed, theta)
-    pa = build_E_and_H(seed, theta, component_index)
+    pa = build_E_and_H(seed, theta, component_index, components)
     pa = assemble_G(pa)
     tc = twisted_centralizer(seed.T, theta)
     cent = tc.by_exponent[1]
@@ -633,17 +644,12 @@ def theta_reading_counts(reading: str) -> ReadingReport:
         theta = build_theta(seed, reading)
     except VerificationError as err:
         return ReadingReport(reading, None, str(err))
-    conj, prime = conjugation_matrix(seed, theta)
-    dec = decompose_invariant([list(r) for r in conj], prime)
-    dims = tuple(sorted(c.code.dim for c in dec.components))
+    rc = regular_components(seed, theta)
+    dims = tuple(sorted(c.code.dim for c in rc.decomposition.components))
     q = seed.q
-    f = 3
-    regular = sum(1 for c in dec.components
-                  if c.code.dim == 2 * f and c.order == q * q - 1
-                  and _is_regular_component(prime, c.code.basis, conj))
     tc = twisted_centralizer(seed.T, theta)
     return ReadingReport(
-        reading, q * q - 1, None, len(dec.components), dims, regular,
+        reading, q * q - 1, None, len(dims), dims, len(rc.codes),
         tc.centralizer.order(), tc.normalizer.order(),
         len(_two_elements(tc.normalizer_elements)))
 

@@ -586,14 +586,33 @@ def find_faithful_irreducible_code(q: int) -> Code:
 def is_regular_on_nonzero(code: Code, shift: ShiftMatrix) -> bool:
     """True when the shift powers sweep out every nonzero codeword from
     the first basis vector, i.e. the cyclic action is regular."""
-    k = code.field
-    target = k.q**code.dim - 1
-    start = code.basis[0]
+    return is_regular_span(code.field, code.basis, shift.mat)
+
+
+def is_regular_span(k: GF, basis, mat) -> bool:
+    """True when the powers of mat sweep out every nonzero vector of the
+    span of an RREF basis from its first row.
+
+    The span must be invariant, else VerificationError: each basis row's
+    image lies in the span, which by linearity is the whole check.  The
+    orbit is then walked in coordinates, whose entries are read off the
+    pivot columns, so a step costs dim**2 field operations, not n**2.
+    """
+    pivots = [next(j for j, c in enumerate(row) if c) for row in basis]
+    check(all(row[j] == (r == s) for r, row in enumerate(basis)
+              for s, j in enumerate(pivots)), "basis is not in RREF")
+    restricted = []
+    for row in basis:
+        img = vec_mat(k, row, mat)
+        check(not any(vec_reduce(k, img, basis)),
+              "span is not invariant under the matrix")
+        restricted.append([img[j] for j in pivots])
+    target = k.q ** len(basis) - 1
+    start = (1,) + (0,) * (len(basis) - 1)
     seen = {start}
     v = start
     for _ in range(target - 1):
-        v = vec_mat(k, v, shift.rows())
-        check(code.contains(v), "code is not invariant under the shift")
+        v = vec_mat(k, v, restricted)
         if v in seen:
             break
         seen.add(v)

@@ -8,6 +8,13 @@ element label.  Multiplication runs off exp/log tables built from the
 least primitive element; the fields in play never exceed a few thousand
 elements, so the tables are cheap.
 
+Addition in GF(p) is integer addition mod p and in GF(2**f) it is xor.
+In an odd composite field it runs off a Zech-logarithm table, built
+once from the digit arithmetic: zech[i] = log(1 + g**i), or None where
+1 + g**i = 0, so g**i + g**j = g**(i + zech[j - i]); negation adds
+(q - 1)/2 to the logarithm, since -1 = g**((q - 1)/2).  The digit
+encoding then serves only to label elements and to build the tables.
+
 The module also owns the one polynomial arithmetic over any GF(q); the
 field itself uses it over GF(p) to find its modulus and fill its tables.
 """
@@ -66,6 +73,17 @@ class GF:
         check(acc == 1, "primitive element table did not close")
         self._exp = exp
         self._log = log
+        self._zech = None
+        if self.p != 2 and self.f > 1:
+            # 1 + g**i from the digits: the constant term is digit 0
+            zech = []
+            for a in exp:
+                s = a - a % self.p + (a + 1) % self.p
+                zech.append(log[s] if s else None)
+            half = (q - 1) // 2
+            check(zech[half] is None and zech.count(None) == 1,
+                  "Zech logarithm table does not single out -1")
+            self._zech = zech
 
     def _least_primitive(self) -> int:
         if self.q == 2:
@@ -121,32 +139,42 @@ class GF:
         return out
 
     def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+        q = self.q
+        if not (0 <= a < q and 0 <= b < q):
+            self._check(a)
+            self._check(b)
         if self.f == 1:
-            return (a + b) % self.p
+            return (a + b) % q
         if self.p == 2:
             return a ^ b
-        return self.undigits([x + y for x, y in
-                              zip(self.digits(a), self.digits(b))])
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self._log
+        i = log[a]
+        z = self._zech[(log[b] - i) % (q - 1)]
+        return 0 if z is None else self._exp[(i + z) % (q - 1)]
 
     def neg(self, a: int) -> int:
         self._check(a)
         if self.f == 1:
             return -a % self.p
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        return self.undigits([-x for x in self.digits(a)])
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+        q = self.q
+        if not (0 <= a < q and 0 <= b < q):
+            self._check(a)
+            self._check(b)
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[(self._log[a] + self._log[b]) % (q - 1)]
 
     def inv(self, a: int) -> int:
         self._check(a)

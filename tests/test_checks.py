@@ -22,6 +22,12 @@ def test_package_has_no_assert_and_no_assertion_error():
     assert offenders == []
 
 
+def _run_optimized(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_check_survives_optimize_flag():
     code = ("from patgraphs.eqcode import _pth_root\n"
             "from patgraphs.gf import GF\n"
@@ -31,7 +37,29 @@ def test_check_survives_optimize_flag():
             "except VerificationError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('x^2 + x + 1 passed as a square')\n")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_range_and_invariance_checks_survive_optimize_flag():
+    code = ("from patgraphs.eqcode import build_shift_matrix, "
+            "is_regular_on_nonzero, make_code\n"
+            "from patgraphs.gf import GF\n"
+            "from patgraphs.numth import VerificationError\n"
+            "k = GF(3, 2)\n"
+            "for bad in (-1, 9):\n"
+            "    for op in (k.add, k.sub, k.mul):\n"
+            "        try:\n"
+            "            op(bad, 1)\n"
+            "        except ValueError:\n"
+            "            continue\n"
+            "        raise SystemExit(f'{op.__name__}({bad}, 1) passed')\n"
+            "k4 = GF(2, 2)\n"
+            "span = make_code(k4, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])\n"
+            "try:\n"
+            "    is_regular_on_nonzero(span, build_shift_matrix(k4))\n"
+            "except VerificationError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('a non-invariant span passed')\n")
+    proc = _run_optimized(code)
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,9 @@
 """Command-line plumbing: exit codes, reports, certificate round-trips,
 and end-to-end determinism on the fast pipelines."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,20 @@ def test_edc_q7_report(capsys):
     assert "4 faithful" in out
     assert "{7: 48}" in out
     assert "order 48" in out
+
+
+def test_edc_outputs_match_benchmark_golden(tmp_path):
+    # the benchmark's frozen sha256 of every edc output it runs
+    golden_file = Path(__file__).parent.parent / "perfbench" / "golden.json"
+    golden = json.loads(golden_file.read_text())
+    qs = sorted(int(key[len("edc_q"):]) for key in golden
+                if key.startswith("edc_q"))
+    assert qs == [3, 4, 7, 8, 11, 16, 19, 23, 27, 31, 43, 47]
+    for q in qs:
+        out = tmp_path / f"edc_q{q}.json"
+        assert main(["edc", "--q", str(q), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == golden[f"edc_q{q}"], f"edc --q {q} output changed"
 
 
 def test_edc_rejects_bad_q(capsys):

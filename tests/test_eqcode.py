@@ -14,6 +14,7 @@ from patgraphs.eqcode import (
     irreducible_factors,
     is_equidistant,
     is_regular_on_nonzero,
+    is_regular_span,
     make_code,
     mat_identity,
     mat_mul,
@@ -26,7 +27,7 @@ from patgraphs.eqcode import (
     weight_profile,
 )
 from patgraphs.gf import GF, make_field, poly_mul
-from patgraphs.numth import validate_parameters
+from patgraphs.numth import VerificationError, validate_parameters
 
 
 def test_charpoly_against_sympy():
@@ -188,6 +189,29 @@ def test_codes_sweep_all_valid_q():
         kers = coordinate_kernels(res.code)
         assert all(len(b) == 1 for b in kers)
         assert len(set(kers)) == res.code.n
+        assert is_regular_on_nonzero(res.code, res.shift)
+
+
+def test_regularity_needs_an_invariant_span():
+    k = make_field(4)
+    shift = build_shift_matrix(k)
+    code = make_code(k, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
+    with pytest.raises(VerificationError):
+        is_regular_on_nonzero(code, shift)
+
+
+def test_regularity_false_on_non_regular_invariant_spans():
+    k = make_field(3)
+    assert not is_regular_span(k, rref(k, mat_identity(2)), mat_identity(2))
+    # q = 8: one 2-dimensional component has kernel order 3, so its
+    # 63 nonzero vectors fall into three orbits of 21
+    res = equidistant_code_pipeline(8)
+    unfaithful = [c for c in res.decomposition.components
+                  if c.code.dim == 2 and not c.faithful]
+    assert len(unfaithful) == 1 and unfaithful[0].order == 21
+    assert not is_regular_on_nonzero(unfaithful[0].code, res.shift)
+    faithful = [c for c in res.decomposition.components if c.faithful]
+    assert all(is_regular_on_nonzero(c.code, res.shift) for c in faithful)
 
 
 def test_find_faithful_rejects_invalid_q():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from patgraphs.gf import GF, make_field, poly_mul
+from patgraphs.gf import GF, make_field, poly_add, poly_mul, poly_mulmod, poly_sub
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
           (13, 1), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6), (3, 4),
@@ -133,3 +133,34 @@ def test_make_field_and_errors():
         k.add(3, 0)
     with pytest.raises(ZeroDivisionError):
         k.inv(0)
+
+
+def test_odd_composite_fields_match_digit_polynomials():
+    # every ordered pair, against the digit-polynomial arithmetic the
+    # Zech-logarithm tables were built from
+    for q in (9, 25, 27, 49, 81, 125):
+        k = make_field(q)
+        prime = k.prime_field
+        polys = [tuple(k.digits(a)) for a in range(q)]
+        for a in range(q):
+            assert k.neg(a) == k.undigits(poly_sub(prime, (), polys[a]))
+            for b in range(q):
+                u, v = polys[a], polys[b]
+                assert k.add(a, b) == k.undigits(poly_add(prime, u, v))
+                assert k.sub(a, b) == k.undigits(poly_sub(prime, u, v))
+                assert k.mul(a, b) == k.undigits(
+                    poly_mulmod(prime, u, v, k.modulus))
+
+
+def test_operands_out_of_range_raise():
+    # a negative operand would otherwise index the tables from the end
+    for q in (3, 8, 9, 25, 27, 49, 81, 125):
+        k = make_field(q)
+        for bad in (-1, q):
+            for op in (k.add, k.sub, k.mul):
+                with pytest.raises(ValueError):
+                    op(bad, 1)
+                with pytest.raises(ValueError):
+                    op(1, bad)
+            with pytest.raises(ValueError):
+                k.neg(bad)
