@@ -16,10 +16,8 @@ from . import permgrp
 from .construct import (
     bipartite_construction,
     build_E_and_H,
-    build_theta,
     compare_theta_readings,
     product_action_construction,
-    regular_components,
     valency64_construction,
 )
 from .atlas import seed_psl28_gamma
@@ -186,17 +184,19 @@ def _run_example_2_6(config: RunConfig) -> int:
                   f"{rep.normalizer_order}, {rep.involutions} involutions")
     print("viable readings agree on every count")
 
+    chosen = next(r for r in reports if r.reading == config.reading)
+    if chosen.rejected is not None:
+        raise VerificationError(chosen.rejected)
     seed = seed_psl28_gamma()
-    theta = build_theta(seed, config.reading)
-    components = regular_components(seed, theta)
+    components = chosen.components
     orders = []
     for index in range(6):
-        candidate = build_E_and_H(seed, theta, index, components)
+        candidate = build_E_and_H(seed, components.theta, index, components)
         orders.append(candidate.H.order())
     print(f"H candidates from the 6 regular components, orders {orders}")
 
     v64 = valency64_construction(config.component_index, config.reading,
-                                 components)
+                                 components, chosen.tc)
     tc = v64.tc
     print(f"centralizer of theta in the socle: order "
           f"{tc.centralizer.order()} (S_3: non-abelian, three involutions)")

@@ -11,7 +11,7 @@ a returned construction doubles as a certificate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .atlas import AlmostSimpleSeed, seed_pgl2, seed_psl28_gamma, seed_symmetric
@@ -36,6 +36,7 @@ from .permgrp import (
     pmul,
     porder,
     ppow,
+    same_double_coset,
     socle_bound,
 )
 
@@ -542,15 +543,6 @@ class Valency64Construction:
     reading: str
 
 
-def _same_double_coset(H: PermGroup, x: Perm, y: Perm) -> bool:
-    """x and y lie in the same double coset HxH."""
-    target = H.canonical_coset_rep(y)
-    for h in H.elements():
-        if H.canonical_coset_rep(pmul(x, h)) == target:
-            return True
-    return False
-
-
 def _two_elements(elements) -> list[Perm]:
     out = []
     for x in elements:
@@ -563,6 +555,7 @@ def _two_elements(elements) -> list[Perm]:
 def valency64_construction(component_index: int = 0,
                            reading: str = "primary",
                            components: RegularComponents | None = None,
+                           tc: TwistedCentralizer | None = None,
                            ) -> Valency64Construction:
     """The valency-64 family: PSL(2,8)^21 twisted by the order-63
     element, with the edge element g found among the 2-elements of
@@ -574,14 +567,16 @@ def valency64_construction(component_index: int = 0,
     involutions, exactly one normalizes H; the other two generate G
     with H, and conjugation by the first swaps their double cosets, so
     the edge class is unique up to that explicit graph isomorphism.
-    `components` is passed on to build_E_and_H.
+    `components` is passed on to build_E_and_H; `tc` is
+    twisted_centralizer(T, theta), computed here when not given.
     """
     seed = seed_psl28_gamma()
     theta = build_theta(seed, reading)
     verify_product_intersection_with_cycle(seed, theta)
     pa = build_E_and_H(seed, theta, component_index, components)
     pa = assemble_G(pa)
-    tc = twisted_centralizer(seed.T, theta)
+    if tc is None:
+        tc = twisted_centralizer(seed.T, theta)
     cent = tc.by_exponent[1]
     check(tc.centralizer.order() == 6, "C_M(theta) does not have order 6")
     check(not all(pmul(x, y) == pmul(y, x)
@@ -607,13 +602,13 @@ def valency64_construction(component_index: int = 0,
     check(bool(candidates), "no 2-element of N_M(<theta>) joins H up to G")
     classes = []
     for x in candidates:
-        if not any(_same_double_coset(pa.H, x, y) for y in classes):
+        if not any(same_double_coset(pa.H, x, y) for y in classes):
             classes.append(x)
     reduced = len(classes)
     h_norm = None
     if len(classes) == 2 and len(h_normalizers) == 1:
         h_norm = h_normalizers[0]
-        if _same_double_coset(pa.H, pconj(classes[0], h_norm), classes[1]):
+        if same_double_coset(pa.H, pconj(classes[0], h_norm), classes[1]):
             reduced = 1
     check(reduced == 1,
           f"expected a unique edge class up to conjugation by the "
@@ -625,7 +620,9 @@ def valency64_construction(component_index: int = 0,
 
 @dataclass(frozen=True)
 class ReadingReport:
-    """Counts produced by one reading of the twist pattern."""
+    """Counts produced by one reading of the twist pattern, with the
+    regular components and twisted centralizer they were read from, for
+    the caller that goes on to build the reading."""
     reading: str
     theta_order: int | None
     rejected: str | None
@@ -635,6 +632,10 @@ class ReadingReport:
     centralizer_order: int | None = None
     normalizer_order: int | None = None
     involutions: int | None = None
+    components: RegularComponents | None = field(default=None, repr=False,
+                                                 compare=False)
+    tc: TwistedCentralizer | None = field(default=None, repr=False,
+                                          compare=False)
 
 
 def theta_reading_counts(reading: str) -> ReadingReport:
@@ -651,7 +652,7 @@ def theta_reading_counts(reading: str) -> ReadingReport:
     return ReadingReport(
         reading, q * q - 1, None, len(dims), dims, len(rc.codes),
         tc.centralizer.order(), tc.normalizer.order(),
-        len(_two_elements(tc.normalizer_elements)))
+        len(_two_elements(tc.normalizer_elements)), rc, tc)
 
 
 def compare_theta_readings() -> tuple[ReadingReport, ...]:

@@ -165,7 +165,24 @@ class GF:
         return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        q = self.q
+        if not (0 <= a < q and 0 <= b < q):
+            self._check(a)
+            self._check(b)
+        if self.f == 1:
+            return (a - b) % q
+        if self.p == 2:
+            return a ^ b
+        if b == 0:
+            return a
+        # -b has logarithm log(b) + (q - 1)/2, then add as in add
+        log = self._log
+        nb = (log[b] + (q - 1) // 2) % (q - 1)
+        if a == 0:
+            return self._exp[nb]
+        i = log[a]
+        z = self._zech[(nb - i) % (q - 1)]
+        return 0 if z is None else self._exp[(i + z) % (q - 1)]
 
     def mul(self, a: int, b: int) -> int:
         q = self.q

@@ -19,8 +19,9 @@ from .permgrp import (
     PermGroup,
     action_report,
     coset_action,
+    coset_stabilizer,
+    filtered_intersection_with_product,
     pid,
-    pinv,
     pmul,
     porder,
     socle_bound,
@@ -164,22 +165,21 @@ class LocalCertificate:
 
 
 def edge_stabilizer(H: PermGroup, g: Perm) -> PermGroup:
-    """H meet H^g by filtering the elements of H against membership in
-    the conjugate."""
-    ginv = pinv(g)
-    kept = [x for x in H.elements()
-            if H.contains(pmul(pmul(g, x), ginv))]
-    return PermGroup(kept, degree=H.degree, upper_bound=len(kept))
+    """H meet H^g, the stabilizer of the coset Hg under right
+    multiplication by H: x lies in H^g exactly when Hgx = Hg.  Its orbit
+    is the q^2 neighbours of the vertex H, not the elements of H."""
+    return coset_stabilizer(H, H, g)[0]
 
 
 def local_certificate(G_order: int, H: PermGroup, g: Perm,
                       M: DirectPower | None = None) -> LocalCertificate:
-    """With M, a direct power normalized by H and g, the order of
-    <H, g> is sifted to its socle bound."""
-    meet = edge_stabilizer(H, g)
-    valency = H.order() // meet.order()
-    ca = coset_action(H, meet)
-    report = action_report(ca.group)
+    """The valency is the length of the orbit of Hg under H, and local
+    2-transitivity is read off H's action on that orbit, both from the
+    walk that gives edge_stabilizer.  With M, a direct power normalized
+    by H and g, the order of <H, g> is sifted to its socle bound."""
+    meet, neighbours = coset_stabilizer(H, H, g)
+    valency = neighbours.degree
+    report = action_report(neighbours)
     gens = list(H.gens) + [g]
     joined = PermGroup(gens, degree=H.degree,
                        upper_bound=M and socle_bound(gens, M)).order()
@@ -458,7 +458,7 @@ def verify_certificate(payload: dict) -> VerificationReport:
     expect("g_square_in_H", checks["g_square_in_H"], local.g_square_in_H)
     expect("g_outside_H", checks["g_outside_H"], local.g_outside_H)
 
-    meet = [x for x in H.elements() if M.contains(x)]
+    meet = filtered_intersection_with_product(H, M).elements()
     if payload["kind"] == "bipartite":
         star_gens = [tuple(x) for x in gens["gstar"]]
         gstar = PermGroup(star_gens, degree=degree,

@@ -5,7 +5,9 @@ apply the left factor first: pmul(a, b)[i] = b[a[i]].  PermGroup builds
 a base and strong generating set by random Schreier sifting, certified
 by a proven upper bound on the order (see socle_bound) or by the full
 Schreier check, so orders, membership tests, and the derived reports
-are exact, never Monte Carlo.
+are exact, never Monte Carlo.  Intersections and stabilizers of right
+cosets come from walking the orbit of a coset (orbit-stabilizer and
+Schreier generators), not from enumerating the group.
 """
 
 from __future__ import annotations
@@ -236,6 +238,14 @@ class PermGroup:
         self._add_residue(r, j)
         return True
 
+    def _add_generator(self, g: Perm, ident: Perm) -> None:
+        # every generator joins the first level, so that the levels below
+        # hold only elements of the group the first level generates
+        if not self._levels:
+            self._new_level(g)
+        self._levels[0].extend(g)
+        self._update(g, ident)
+
     def _verify(self, ident: Perm) -> None:
         i = len(self._levels) - 1
         while i >= 0:
@@ -275,19 +285,22 @@ class PermGroup:
             self.certified_by = "schreier"
             return
         for g in self.gens:
-            if not self._levels:
-                self._new_level(g)
-            self._levels[0].extend(g)
-            self._update(g, ident)
+            self._add_generator(g, ident)
+        self._complete(ident)
+
+    def _complete(self, ident: Perm) -> None:
+        """Sift random elements into the chain of the generators until
+        the orbit product meets the upper bound or the sift runs quiet,
+        then run the Schreier check if the bound was not met."""
         bound = self._upper_bound
         cap = 16 if bound is None else BOUND_QUIET_CAP
         rng = random.Random(self._seed)
         pool = list(self.gens)
-        while len(pool) < 8:
+        while pool and len(pool) < 8:
             pool.append(pool[len(pool) % len(self.gens)])
         acc = ident
         quiet = 0
-        while quiet < cap:
+        while pool and quiet < cap:
             if bound is not None and self._orbit_product() >= bound:
                 break
             i = rng.randrange(len(pool))
@@ -373,6 +386,10 @@ class PermGroup:
             y = pmul(lvl.transversal[pick], y)
         return y
 
+    def _coset_labeler(self) -> _CanonicalCosets:
+        """A fresh labeling of this group's right cosets, for _coset_walk."""
+        return _CanonicalCosets(self)
+
 
 class DirectPower(PermGroup):
     """The direct power of a group acting on disjoint copies of its
@@ -415,32 +432,164 @@ class DirectPower(PermGroup):
                 return False
         return True
 
+    def _coset_labeler(self) -> _PowerCosets:
+        return _PowerCosets(self)
+
+
+class _CanonicalCosets:
+    """Labels right cosets of a group by their canonical representatives;
+    labels are handed out in order of first sight."""
+
+    def __init__(self, group: PermGroup):
+        self.group = group
+        self.labels: dict[Perm, int] = {}
+
+    def __call__(self, y: Perm) -> int:
+        rep = self.group.canonical_coset_rep(y)
+        return self.labels.setdefault(rep, len(self.labels))
+
+
+class _PowerCosets:
+    """Labels right cosets of a direct power M without building a chain
+    for M: which blocks each block of points lands in is the same across
+    a coset My, and My = Mr exactly when y*r^-1 lies in M."""
+
+    def __init__(self, M: DirectPower):
+        self.M = M
+        self.count = 0
+        self.buckets: dict[tuple[frozenset[int], ...],
+                           list[tuple[int, Perm]]] = {}
+
+    def __call__(self, y: Perm) -> int:
+        d = self.M.factor.degree
+        key = tuple(frozenset(y[p] // d for p in range(i, i + d))
+                    for i in range(0, len(y), d))
+        near = self.buckets.setdefault(key, [])
+        for label, rinv in near:
+            if self.M.contains(pmul(y, rinv)):
+                return label
+        near.append((self.count, pinv(y)))
+        self.count += 1
+        return self.count - 1
+
+
+@dataclass(frozen=True)
+class _CosetOrbit:
+    """An orbit of right cosets under right multiplication by <gens>:
+    transversal[i] carries the starting coset to coset i, and action[k]
+    is gens[k] acting on the coset labels."""
+    gens: tuple[Perm, ...]
+    transversal: tuple[Perm, ...]
+    action: tuple[Perm, ...]
+
+    def schreier_generators(self):
+        """Each nontrivial u_i * g * u_(i^g)^-1 once, lazily.  By
+        Schreier's lemma they generate the stabilizer of the starting
+        coset in <gens>."""
+        inverses = [pinv(u) for u in self.transversal]
+        ident = self.transversal[0]
+        seen = set()
+        for i, u in enumerate(self.transversal):
+            for g, img in zip(self.gens, self.action):
+                s = pmul(pmul(u, g), inverses[img[i]])
+                if s != ident and s not in seen:
+                    seen.add(s)
+                    yield s
+
+
+def _coset_walk(gens, start: Perm, locate,
+                limit: int = INDEX_LIMIT) -> _CosetOrbit:
+    """The orbit of the right coset K*start under right multiplication by
+    <gens>, breadth first (Seress 2003, section 4.1).  locate(y) labels the
+    coset K*y; it must be fresh, giving each coset it has not seen the
+    next free label."""
+    gens = tuple(gens)
+    ident = pid(len(start))
+    locate(start)
+    points = [start]
+    # the points start*u are the transversal itself when start is 1
+    transversal = points if start == ident else [ident]
+    images: list[list[int]] = [[] for _ in gens]
+    k = 0
+    while k < len(points):
+        for img, g in zip(images, gens):
+            y = pmul(points[k], g)
+            label = locate(y)
+            if label == len(points):
+                if label >= limit:
+                    raise ValueError(f"coset orbit exceeds the limit {limit}")
+                points.append(y)
+                if transversal is not points:
+                    transversal.append(pmul(transversal[k], g))
+            img.append(label)
+        k += 1
+    return _CosetOrbit(gens, tuple(transversal),
+                       tuple(tuple(img) for img in images))
+
+
+def _subgroup_of_order(candidates, degree: int, order: int) -> PermGroup:
+    """The group the candidates generate, given a proven upper bound on
+    its order that it meets.  A candidate that sifts through the chain of
+    those kept before it lies in their group and is dropped, and no more
+    are drawn once the orbit product reaches the order; the chain is then
+    completed like any other, by random sifting to the bound or else the
+    Schreier check."""
+    grp = PermGroup([], degree=degree, upper_bound=order)
+    grp._levels = []
+    ident = pid(degree)
+    for s in candidates:
+        if grp._orbit_product() >= order:
+            break
+        if grp._strip(s)[0] != ident:
+            grp.gens.append(s)
+            grp._add_generator(s, ident)
+    grp._complete(ident)
+    check(grp.order() == order, f"stabilizer has order {grp.order()}, "
+          f"orbit-stabilizer gives {order}")
+    return grp
+
+
+def coset_stabilizer(group: PermGroup, sub: PermGroup, start,
+                     limit: int = INDEX_LIMIT) -> tuple[PermGroup, PermGroup]:
+    """The stabilizer in the group of the right coset sub*start under
+    right multiplication, and the group's action on that coset's orbit,
+    from one coset walk.  The stabilizer's order is |group| / orbit
+    length, with |group| proven by the group's own chain; by Schreier's
+    lemma the walk's Schreier generators generate the whole stabilizer,
+    so that order is the proven bound its chain is sifted to."""
+    start = tuple(start)
+    if sorted(start) != list(range(group.degree)):
+        raise ValueError("start is not a permutation of the domain")
+    if sub.degree != group.degree:
+        raise ValueError("domain mismatch")
+    walk = _coset_walk(group.gens, start, sub._coset_labeler(), limit)
+    index = len(walk.transversal)
+    check(group.order() % index == 0,
+          f"coset orbit of length {index} does not divide the group order")
+    stab = _subgroup_of_order(walk.schreier_generators(), group.degree,
+                              group.order() // index)
+    return stab, PermGroup(walk.action, degree=index)
+
+
+def same_double_coset(group: PermGroup, x, y) -> bool:
+    """y lies in the double coset group*x*group: the right coset group*y
+    is in the orbit of group*x under right multiplication by the group,
+    which has |group : group meet group^x| cosets."""
+    locate = group._coset_labeler()
+    orbit = len(_coset_walk(group.gens, tuple(x), locate).transversal)
+    return locate(tuple(y)) < orbit
+
 
 def socle_bound(gens, M: DirectPower) -> int | None:
     """|M| * |<gens>M : M|, an upper bound on |<gens>| (equal to it when
     <gens> contains M), or None if some generator does not normalize M.
-    The index is found by enumerating the right cosets of M under the
-    generators outside M; those inside act trivially on them."""
+    The index is the length of the orbit of the coset M under the
+    generators outside M; those inside act trivially on the cosets."""
     outside = [tuple(g) for g in gens if not M.contains(g)]
     if not all(M.contains(pconj(m, g)) for g in outside for m in M.gens):
         return None
-    d = M.factor.degree
-
-    def blocks_hit(x: Perm) -> tuple[frozenset[int], ...]:
-        # the blocks each block of points lands in, the same across Mx
-        return tuple(frozenset(x[p] // d for p in range(i, i + d))
-                     for i in range(0, M.degree, d))
-
-    reps = [pid(M.degree)]
-    inverses = {blocks_hit(reps[0]): [reps[0]]}
-    for x in reps:
-        for g in outside:
-            y = pmul(x, g)
-            near = inverses.setdefault(blocks_hit(y), [])
-            if not any(M.contains(pmul(y, r)) for r in near):
-                reps.append(y)
-                near.append(pinv(y))
-    return M.order() * len(reps)
+    walk = _coset_walk(outside, pid(M.degree), M._coset_labeler())
+    return M.order() * len(walk.transversal)
 
 
 @dataclass(frozen=True)
@@ -526,7 +675,8 @@ def action_report(group: PermGroup) -> ActionReport:
         rest = orbit_partition(stab, d)
         two_transitive = len(rest) == 2 and (0,) in rest
         primitive = True
-        for omega in range(1, d):
+        # a 2-transitive group is primitive, so only the others are searched
+        for omega in range(1, 1 if two_transitive else d):
             system = _minimal_blocks(group.gens, d, omega)
             if len(system) > 1:
                 primitive = False
@@ -565,33 +715,21 @@ def coset_action(group: PermGroup, subgroup: PermGroup,
     index = group.order() // subgroup.order()
     if index > limit:
         raise ValueError(f"coset index {index} exceeds the limit {limit}")
-    start = subgroup.canonical_coset_rep(pid(group.degree))
-    labels = {start: 0}
-    reps = [start]
-    images: list[list[int]] = [[] for _ in group.gens]
-    k = 0
-    while k < len(reps):
-        rep = reps[k]
-        k += 1
-        for gi, g in enumerate(group.gens):
-            nxt = subgroup.canonical_coset_rep(pmul(rep, g))
-            lab = labels.get(nxt)
-            if lab is None:
-                lab = len(reps)
-                labels[nxt] = lab
-                reps.append(nxt)
-            images[gi].append(lab)
-    check(len(reps) == index, "coset enumeration did not reach the full index")
-    action = PermGroup([tuple(img) for img in images], degree=index)
-    return CosetAction(action, tuple(reps), group, subgroup, labels)
+    locate = _CanonicalCosets(subgroup)
+    walk = _coset_walk(group.gens, pid(group.degree), locate, limit)
+    check(len(walk.transversal) == index,
+          "coset enumeration did not reach the full index")
+    action = PermGroup(walk.action, degree=index)
+    return CosetAction(action, tuple(locate.labels), group, subgroup,
+                       locate.labels)
 
 
 def filtered_intersection_with_product(small: PermGroup, big: PermGroup,
                                        limit: int = ELEMENT_LIMIT) -> PermGroup:
-    """The subgroup of elements of the small group lying in the big one,
-    by full enumeration of the small side."""
-    kept = [x for x in small.elements(limit) if big.contains(x)]
-    return _group_of_elements(kept, small.degree)
+    """The subgroup of elements of the small group lying in the big one:
+    the stabilizer of the coset big*1 under right multiplication by the
+    small group (see coset_stabilizer), walking at most `limit` cosets."""
+    return coset_stabilizer(small, big, pid(small.degree), limit)[0]
 
 
 def normalizer_by_enumeration(group: PermGroup, target: PermGroup,

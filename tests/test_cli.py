@@ -125,6 +125,23 @@ def test_construct_builds_its_field_once(monkeypatch):
     assert built == [(2, 3), (2, 1)]
 
 
+def test_construct_and_verify_never_enumerate_H(tmp_path, monkeypatch):
+    # the edge stabilizer, T^n meet H and the socle bound walk cosets;
+    # only groups smaller than H, |H| = q^2(q^2 - 1), are enumerated
+    enumerated = []
+    elements = permgrp.PermGroup.elements
+
+    def recording(self, limit=permgrp.ELEMENT_LIMIT):
+        enumerated.append(self.order())
+        return elements(self, limit)
+
+    monkeypatch.setattr(permgrp.PermGroup, "elements", recording)
+    cert = tmp_path / "c7.json"
+    assert main(["construct", "--q", "7", "--out", str(cert)]) == 0
+    assert main(["verify", str(cert)]) == 0
+    assert enumerated and max(enumerated) < 7**2 * (7**2 - 1)
+
+
 def test_bug_is_a_traceback_not_a_failed_check(monkeypatch):
     def broken(config):
         raise AssertionError("a bug, not a failed check")

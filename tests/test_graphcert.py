@@ -25,9 +25,12 @@ from patgraphs.graphcert import (
     verify_certificate,
 )
 from patgraphs.permgrp import (
+    DirectPower,
     PermGroup,
     coset_action,
+    filtered_intersection_with_product,
     perm_from_cycles,
+    pinv,
     pmul,
     ppow,
 )
@@ -127,6 +130,30 @@ def test_edge_stabilizer_orders(k4_setup, petersen_setup):
     assert edge_stabilizer(H4, g4).order() == 2
     G5, H5, g5 = petersen_setup
     assert edge_stabilizer(H5, g5).order() == 4
+
+
+def test_edge_stabilizer_matches_filtering(k4_setup, petersen_setup, pa4,
+                                           pa7):
+    # the coset walk against the filtering it replaced
+    cases = [(H, g) for _, H, g in (k4_setup, petersen_setup)]
+    cases += [(pa.H, pa.o) for pa in (pa4, pa7)]
+    for H, g in cases:
+        meet = edge_stabilizer(H, g)
+        brute = {x for x in H.elements()
+                 if H.contains(pmul(pmul(g, x), pinv(g)))}
+        assert meet.order() == len(brute)
+        assert set(meet.elements()) == brute
+        assert meet.certified_by == "bound"
+
+
+def test_socle_meet_matches_filtering(pa4, pa7):
+    for pa, order in ((pa4, 48), (pa7, 147)):
+        M = DirectPower(pa.seed.T, pa.n)
+        meet = filtered_intersection_with_product(pa.H, M)
+        brute = {x for x in pa.H.elements() if M.contains(x)}
+        assert meet.order() == len(brute) == order
+        assert set(meet.elements()) == brute
+        assert meet.certified_by == "bound"
 
 
 # -- double covers --------------------------------------------------------
@@ -287,7 +314,6 @@ def test_toy_graph_matches_its_own_coset_recipe(k4_setup):
     ca = coset_action(G, H)
     hg = {pmul(pmul(h1, g), h2)
           for h1 in H.elements() for h2 in H.elements()}
-    from patgraphs.permgrp import pinv
     for u in range(sg.vertices):
         for v in range(sg.vertices):
             in_hgh = pmul(ca.representatives[v],

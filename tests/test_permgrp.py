@@ -366,6 +366,32 @@ def test_filtered_intersection():
     assert filtered_intersection_with_product(s4, a4).order() == 12
 
 
+def _filtered(small, big):
+    return {x for x in small.elements() if big.contains(x)}
+
+
+def test_intersection_matches_filtering():
+    # the coset walk against the filtering it replaced
+    s4 = PermGroup([perm_from_cycles(4, [(0, 1, 2, 3)]),
+                    perm_from_cycles(4, [(0, 1)])])
+    a4 = PermGroup([perm_from_cycles(4, [(0, 1, 2)]),
+                    perm_from_cycles(4, [(0, 1), (2, 3)])])
+    s5 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3, 4)]),
+                    perm_from_cycles(5, [(0, 1)])])
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    d10 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3, 4)]),
+                     perm_from_cycles(5, [(1, 4), (2, 3)])])
+    s4_in_s5 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3)]),
+                          perm_from_cycles(5, [(0, 1)])])
+    for small, big, order in ((s4, a4, 12), (a4, s4, 12), (s5, a5, 60),
+                              (a5, s4_in_s5, 12), (s5, d10, 10)):
+        meet = filtered_intersection_with_product(small, big)
+        assert meet.order() == order
+        assert set(meet.elements()) == _filtered(small, big)
+        assert meet.certified_by == "bound"
+
+
 def test_normalizers():
     s4 = PermGroup([perm_from_cycles(4, [(0, 1, 2, 3)]),
                     perm_from_cycles(4, [(0, 1)])])
