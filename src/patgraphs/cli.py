@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ from .numth import VerificationError, check, validate_parameters
 from .permgrp import PermGroup, coset_action, perm_from_cycles
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_REJECTED = 2
 EXIT_FAILED = 3
 
@@ -67,12 +69,14 @@ class RunConfig:
 
 
 def _emit(path: str | None, payload: dict) -> None:
-    if path is None:
-        return
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _emit_certificate(path: str | None, cert, construction, g) -> None:
+    """Write a certificate whose conditions hold, before any printing."""
+    check(cert.local.all_conditions,
+          f"certificate conditions failed: {cert.local}")
+    _emit(path, certificate_payload(cert, construction, g))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -98,6 +102,19 @@ def _run_edc(config: RunConfig) -> int:
     regular = is_regular_on_nonzero(code, res.shift)
     dims = [c.code.dim for c in res.decomposition.components]
     faithful = sum(1 for c in res.decomposition.components if c.faithful)
+    equidistant = set(profile) == {q} and profile[q] == q * q - 1
+    if equidistant and regular:
+        _emit(config.out, {
+            "q": q,
+            "n": q + 1,
+            "basis": [list(r) for r in code.basis],
+            "weights": {str(w): c for w, c in profile.items()},
+            "shift": [list(r) for r in res.shift.mat],
+            "shift_order": res.shift.order,
+            "components": [{"dim": c.code.dim, "faithful": c.faithful,
+                            "order": c.order}
+                           for c in res.decomposition.components],
+        })
     print(f"q = {q}: [{q + 1},2]_{q} code, basis {list(code.basis)}")
     print(f"shift matrix order {res.shift.order} = n(q-1); "
           f"A^n = scalar {res.shift.power_scalar}")
@@ -106,23 +123,12 @@ def _run_edc(config: RunConfig) -> int:
           f"{regular}")
     print(f"decomposition: {len(dims)} components, dimensions {dims}, "
           f"{faithful} faithful")
-    if set(profile) != {q} or profile[q] != q * q - 1:
+    if not equidistant:
         print("FAILED: code is not equidistant of weight q", file=sys.stderr)
         return EXIT_FAILED
     if not regular:
         print("FAILED: shift orbit is not regular", file=sys.stderr)
         return EXIT_FAILED
-    _emit(config.out, {
-        "q": q,
-        "n": q + 1,
-        "basis": [list(r) for r in code.basis],
-        "weights": {str(w): c for w, c in profile.items()},
-        "shift": [list(r) for r in res.shift.mat],
-        "shift_order": res.shift.order,
-        "components": [{"dim": c.code.dim, "faithful": c.faithful,
-                        "order": c.order}
-                       for c in res.decomposition.components],
-    })
     return EXIT_OK
 
 
@@ -145,34 +151,44 @@ def _print_certificate(cert) -> None:
         print(f"index of G* in G: {cert.gstar_index}; g swaps the halves: "
               f"{cert.g_swaps_halves}")
     print(f"standard double cover verdict: {cert.double_cover_verdict}")
-    check(lc.all_conditions, f"certificate conditions failed: {lc}")
 
 
 def _run_construct(config: RunConfig) -> int:
     pa = product_action_construction(config.q, config.family,
                                      config.component_index)
     cert = certify(pa)
+    _emit_certificate(config.out, cert, pa, pa.o)
     print(f"product-action construction, family {config.family}, "
           f"q = {config.q}, {pa.n} blocks of degree {pa.block_degree}")
     _print_certificate(cert)
-    _emit(config.out, certificate_payload(cert, pa, pa.o))
     return EXIT_OK
 
 
 def _run_bipartite(config: RunConfig) -> int:
     bc = bipartite_construction(config.p, config.family)
     cert = certify(bc)
+    _emit_certificate(config.out, cert, bc, bc.o)
     print(f"bipartite construction, family {config.family}, p = {config.p}, "
           f"{bc.n} blocks of degree {bc.block_degree}")
     print(f"|H| = {bc.H.order()}, |K| = {bc.K.order()}, "
           f"|H:K| = {bc.H.order() // bc.K.order()}")
     _print_certificate(cert)
-    _emit(config.out, certificate_payload(cert, bc, bc.o))
     return EXIT_OK
 
 
 def _run_example_2_6(config: RunConfig) -> int:
     reports = compare_theta_readings()
+    chosen = next(r for r in reports if r.reading == config.reading)
+    if chosen.rejected is not None:
+        raise VerificationError(chosen.rejected)
+    seed = seed_psl28_gamma()
+    components = chosen.components
+    orders = [build_E_and_H(seed, components.theta, i, components).H.order()
+              for i in range(6)]
+    v64 = valency64_construction(config.component_index, config.reading,
+                                 components, chosen.tc)
+    cert = certify(v64)
+    _emit_certificate(config.out, cert, v64, v64.g)
     for rep in reports:
         if rep.rejected is not None:
             print(f"reading {rep.reading}: rejected ({rep.rejected})")
@@ -183,20 +199,7 @@ def _run_example_2_6(config: RunConfig) -> int:
                   f"{rep.centralizer_order}, normalizer order "
                   f"{rep.normalizer_order}, {rep.involutions} involutions")
     print("viable readings agree on every count")
-
-    chosen = next(r for r in reports if r.reading == config.reading)
-    if chosen.rejected is not None:
-        raise VerificationError(chosen.rejected)
-    seed = seed_psl28_gamma()
-    components = chosen.components
-    orders = []
-    for index in range(6):
-        candidate = build_E_and_H(seed, components.theta, index, components)
-        orders.append(candidate.H.order())
     print(f"H candidates from the 6 regular components, orders {orders}")
-
-    v64 = valency64_construction(config.component_index, config.reading,
-                                 components, chosen.tc)
     tc = v64.tc
     print(f"centralizer of theta in the socle: order "
           f"{tc.centralizer.order()} (S_3: non-abelian, three involutions)")
@@ -205,13 +208,11 @@ def _run_example_2_6(config: RunConfig) -> int:
     print(f"edge involutions joining to G: {v64.double_coset_classes} double "
           f"cosets, {v64.classes_up_to_normalizer} class up to the "
           f"H-normalizing involution")
-    cert = certify(v64)
     _print_certificate(cert)
     vertices = cert.local.group_order // cert.local.stabilizer_order
     print(f"|G:H| = 2^57 * 3^42 * 7^21 exactly: "
           f"{vertices == 2**57 * 3**42 * 7**21}")
     print(f"|M| = |V| * 2^6 (socle arc-regular): {cert.arc_regular_socle}")
-    _emit(config.out, certificate_payload(cert, v64, v64.g))
     return EXIT_OK
 
 
@@ -266,6 +267,11 @@ def _run_toy(config: RunConfig) -> int:
     ca = coset_action(G, H)
     orbits = two_arc_orbit_count(sg, list(ca.group.gens))
     degrees = sorted({sg.degree(v) for v in range(sg.vertices)})
+    agree = (degrees == [cert.valency]
+             and cert.connected == graph_is_connected(sg)
+             and cert.locally_2transitive == (orbits == 1))
+    if agree:
+        _write_text(config.out, edge_list_text(sg))
     print(f"{sg.vertices} vertices, degrees {degrees}, girth "
           f"{graph_girth(sg)}, connected {graph_is_connected(sg)}, "
           f"bipartite {graph_is_bipartite(sg)}")
@@ -273,15 +279,11 @@ def _run_toy(config: RunConfig) -> int:
           f"{cert.intersection_order}, locally 2-transitive "
           f"{cert.locally_2transitive}, connected {cert.connected}")
     print(f"2-arc orbits under G: {orbits}")
-    agree = (degrees == [cert.valency]
-             and cert.connected == graph_is_connected(sg)
-             and cert.locally_2transitive == (orbits == 1))
     print(f"certificate agrees with enumeration: {agree}")
     if not agree:
         print("FAILED: local certificate disagrees with the enumerated "
               "graph", file=sys.stderr)
         return EXIT_FAILED
-    _write_text(config.out, edge_list_text(sg))
     return EXIT_OK
 
 
@@ -312,7 +314,15 @@ def run(config: RunConfig) -> int:
     # set on every call so that one call's --seed never leaks into the next
     permgrp.DEFAULT_SEED = 0 if config.seed is None else config.seed
     try:
-        return _BODIES[config.command](config)
+        code = _BODIES[config.command](config)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # a closed stdout (say `| head`) is not bad input; as the Python
+        # docs advise, devnull takes its place for the final flush
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ValueError as err:
         print(f"rejected: {err}", file=sys.stderr)
         return EXIT_REJECTED

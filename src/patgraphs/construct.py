@@ -295,18 +295,6 @@ class PAConstruction:
     non_diagonal: bool | None = None
 
 
-def _vector_to_wreath(seed: AlmostSimpleSeed, vec, n: int) -> WreathElement:
-    f = len(seed.F)
-    d = seed.degree
-    comps = []
-    for i in range(n):
-        el = pid(d)
-        for g, e in zip(seed.F, vec[i * f:(i + 1) * f]):
-            el = pmul(el, ppow(g, e))
-        comps.append(el)
-    return WreathElement(tuple(comps), 0)
-
-
 @dataclass(frozen=True)
 class RegularComponents:
     """The invariant decomposition of theta's conjugation matrix, and the
@@ -351,7 +339,12 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
             f"{len(qualifying)} components qualify")
     code = qualifying[component_index]
     witness = code.basis
-    E = tuple(flatten(_vector_to_wreath(seed, v, n), d) for v in witness)
+    table = _coefficient_table(seed)
+    element = {coeffs: el for el, coeffs in table.items()}
+    f = len(seed.F)
+    words = {v: tuple(element[v[i * f:(i + 1) * f]] for i in range(n))
+             for v in code.codewords()}
+    E = tuple(flatten(WreathElement(words[tuple(v)], 0), d) for v in witness)
     theta_flat = flatten(theta, d)
 
     # elementary abelian of order q^2
@@ -363,8 +356,7 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
             check(pmul(g, h) == pmul(h, g), "E is not abelian")
 
     # theta-conjugation is transitive on the nonidentity elements
-    span = list(code.codewords())
-    all_elements = {flatten(_vector_to_wreath(seed, v, n), d) for v in span}
+    all_elements = {flatten(WreathElement(w, 0), d) for w in words.values()}
     orbit = set()
     x = E[0]
     for _ in range(q * q - 1):
@@ -376,22 +368,17 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
 
     # projections and coordinate kernels; only the classical family with
     # n = q + 1 projects onto all of F with pairwise distinct kernels
-    f_set = set(_coefficient_table(seed))
     classical = seed.family != "psl28-gamma"
+    ident = pid(d)
     kernels = []
     for i in range(n):
-        proj = set()
-        kern = set()
-        for v in span:
-            w = _vector_to_wreath(seed, v, n)
-            proj.add(w.components[i])
-            if w.components[i] == pid(d):
-                kern.add(v)
+        proj = {w[i] for w in words.values()}
+        kern = {v for v, w in words.items() if w[i] == ident}
         if classical:
-            check(proj == f_set,
+            check(proj == table.keys(),
                   f"projection of E to coordinate {i} is not F")
         else:
-            check(1 < len(proj) < len(f_set),
+            check(1 < len(proj) < len(table),
                   f"projection of E to coordinate {i} is not proper")
         check(len(kern) > 1, f"coordinate kernel {i} of E is trivial")
         kernels.append(frozenset(kern))

@@ -1,13 +1,15 @@
 """Exact permutation-group computations.
 
 Permutations are image tuples on the domain {0, ..., d-1}, and products
-apply the left factor first: pmul(a, b)[i] = b[a[i]].  PermGroup builds
-a base and strong generating set by random Schreier sifting, certified
-by a proven upper bound on the order (see socle_bound) or by the full
-Schreier check, so orders, membership tests, and the derived reports
-are exact, never Monte Carlo.  Intersections and stabilizers of right
-cosets come from walking the orbit of a coset (orbit-stabilizer and
-Schreier generators), not from enumerating the group.
+apply the left factor first: pmul(a, b)[i] = b[a[i]], one itemgetter
+call.  PermGroup builds a base and strong generating set by random
+Schreier sifting, certified by a proven upper bound on the order (see
+socle_bound) or by the full Schreier check, so orders, membership
+tests, and the derived reports are exact, never Monte Carlo.
+Intersections and stabilizers of right cosets come from walking the
+orbit of a coset (orbit-stabilizer and Schreier generators), not from
+enumerating the group.  A transversal entry t_p*h gets its inverse by
+one product, h^-1 * t_p^-1.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 
 from .numth import VerificationError, check
 
@@ -38,6 +41,9 @@ def pid(d: int) -> Perm:
 
 def pmul(a: Perm, b: Perm) -> Perm:
     """Product applying a first, then b."""
+    if len(a) > 1:
+        return itemgetter(*a)(b)
+    # itemgetter returns a bare item for one index and fails for none
     return tuple(b[i] for i in a)
 
 
@@ -132,24 +138,27 @@ class _Level:
     def extend(self, g: Perm) -> None:
         """Add one generator and grow the orbit and transversal."""
         self.gens.append(g)
+        invs: list[Perm | None] = [None] * len(self.gens)
         fresh = []
         for p in list(self.transversal):
             q = g[p]
             if q not in self.transversal:
-                u = pmul(self.transversal[p], g)
-                self.transversal[q] = u
-                self.inverse[q] = pinv(u)
+                if invs[-1] is None:
+                    invs[-1] = pinv(g)
+                self.transversal[q] = pmul(self.transversal[p], g)
+                self.inverse[q] = pmul(invs[-1], self.inverse[p])
                 fresh.append(q)
         k = 0
         while k < len(fresh):
             p = fresh[k]
             k += 1
-            for h in self.gens:
+            for i, h in enumerate(self.gens):
                 q = h[p]
                 if q not in self.transversal:
-                    u = pmul(self.transversal[p], h)
-                    self.transversal[q] = u
-                    self.inverse[q] = pinv(u)
+                    if invs[i] is None:
+                        invs[i] = pinv(h)
+                    self.transversal[q] = pmul(self.transversal[p], h)
+                    self.inverse[q] = pmul(invs[i], self.inverse[p])
                     fresh.append(q)
 
 
@@ -486,12 +495,15 @@ class _CosetOrbit:
         """Each nontrivial u_i * g * u_(i^g)^-1 once, lazily.  By
         Schreier's lemma they generate the stabilizer of the starting
         coset in <gens>."""
-        inverses = [pinv(u) for u in self.transversal]
+        inverses: list[Perm | None] = [None] * len(self.transversal)
         ident = self.transversal[0]
         seen = set()
         for i, u in enumerate(self.transversal):
             for g, img in zip(self.gens, self.action):
-                s = pmul(pmul(u, g), inverses[img[i]])
+                j = img[i]
+                if inverses[j] is None:
+                    inverses[j] = pinv(self.transversal[j])
+                s = pmul(pmul(u, g), inverses[j])
                 if s != ident and s not in seen:
                     seen.add(s)
                     yield s
@@ -617,12 +629,13 @@ def _stabilizer_gens(group: PermGroup, point: int) -> list[Perm]:
             if q not in transversal:
                 transversal[q] = pmul(transversal[p], g)
                 queue.append(q)
+    inverse = {p: pinv(u) for p, u in transversal.items()}
     out = []
     seen = set()
     for p in queue:
         u = transversal[p]
         for g in group.gens:
-            s = pmul(pmul(u, g), pinv(transversal[g[p]]))
+            s = pmul(pmul(u, g), inverse[g[p]])
             if s != ident and s not in seen:
                 seen.add(s)
                 out.append(s)

@@ -34,6 +34,55 @@ def test_edc_outputs_match_benchmark_golden(tmp_path):
         assert digest == golden[f"edc_q{q}"], f"edc --q {q} output changed"
 
 
+def test_certificates_match_benchmark_golden(tmp_path):
+    # the benchmark's frozen sha256 of every certificate it emits; q = 7
+    # and q = 8 also under several sift seeds, which must not matter
+    golden_file = Path(__file__).parent.parent / "perfbench" / "golden.json"
+    golden = json.loads(golden_file.read_text())
+    runs = [("construct", "--q", q, seeds)
+            for q, seeds in ((4, [0]), (7, range(4)), (8, range(4)),
+                             (11, [0]))]
+    runs += [("bipartite", "--p", p, [0]) for p in (5, 11, 13)]
+    for command, flag, value, seeds in runs:
+        key = f"{flag[2]}{value}"
+        for seed in seeds:
+            out = tmp_path / f"{key}_{seed}.json"
+            assert main([command, flag, str(value), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == golden[key], f"{key} under seed {seed} changed"
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone away, as under `| head`."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_is_not_bad_input(tmp_path, monkeypatch, capsys):
+    normal = tmp_path / "normal.json"
+    assert main(["bipartite", "--p", "5", "--out", str(normal)]) == 0
+    capsys.readouterr()
+    cert = tmp_path / "closed.json"
+    with open(tmp_path / "stdout.txt", "w") as sink:
+        monkeypatch.setattr("sys.stdout", _ClosedStdout(sink.fileno()))
+        code = main(["bipartite", "--p", "5", "--out", str(cert)])
+        monkeypatch.undo()
+    assert code == cli.EXIT_CLOSED_STDOUT == 1
+    assert cert.read_bytes() == normal.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 def test_edc_rejects_bad_q(capsys):
     assert main(["edc", "--q", "6"]) == 2
     assert "rejected" in capsys.readouterr().err

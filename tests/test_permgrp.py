@@ -3,6 +3,7 @@ import random
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from patgraphs import permgrp
 from patgraphs.gf import GF
 from patgraphs.numth import VerificationError
 from patgraphs.permgrp import (
@@ -422,3 +423,118 @@ def test_affine_group_primitive():
     assert sub.order() == 16 * 5
     rep = action_report(sub)
     assert rep.primitive and not rep.two_transitive
+
+
+# -- the product kernels against the plain generator-expression forms --
+
+
+def _ref_mul(a, b):
+    return tuple(b[i] for i in a)
+
+
+def _ref_inv(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _ref_pow(a, e):
+    if e < 0:
+        a, e = _ref_inv(a), -e
+    out = tuple(range(len(a)))
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 64, 156])
+def test_kernels_match_reference(degree):
+    rng = random.Random(degree)
+    for _ in range(20):
+        a = tuple(rng.sample(range(degree), degree))
+        b = tuple(rng.sample(range(degree), degree))
+        assert pmul(a, b) == _ref_mul(a, b)
+        assert type(pmul(a, b)) is tuple
+        assert pinv(a) == _ref_inv(a)
+        for e in (-3, -1, 0, 1, 2, 5):
+            assert ppow(a, e) == _ref_pow(a, e)
+
+
+def _wreath_s5_c3():
+    # S5 wr C3 on three blocks of five points
+    gens = [perm_from_cycles(15, [(0, 1)]),
+            perm_from_cycles(15, [(0, 1, 2, 3, 4)]),
+            perm_from_cycles(15, [(0, 5, 10), (1, 6, 11), (2, 7, 12),
+                                  (3, 8, 13), (4, 9, 14)])]
+    return PermGroup(gens)
+
+
+def _assert_transversal_inverses_of(lvl):
+    assert set(lvl.inverse) == set(lvl.transversal)
+    for q, u in lvl.transversal.items():
+        assert u[lvl.beta] == q
+        assert lvl.inverse[q] == pinv(u)
+
+
+def test_level_extend_inverts_by_one_product():
+    # extend alone, with no sift around it: after each generator, every
+    # stored inverse is the inverse of its transversal element
+    a5 = [perm_from_cycles(5, [(0, 1, 2)]), perm_from_cycles(5, [(2, 3, 4)])]
+    for gens in (a5, list(_wreath_s5_c3().gens)):
+        lvl = permgrp._Level(0)
+        lvl.transversal[0] = lvl.inverse[0] = pid(len(gens[0]))
+        for g in gens:
+            lvl.extend(g)
+            _assert_transversal_inverses_of(lvl)
+
+
+def test_chain_inverses_are_transversal_inverses():
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    wreath = _wreath_s5_c3()
+    assert a5.order() == 60
+    assert wreath.order() == 120**3 * 3
+    for group in (a5, wreath):
+        for lvl in group._levels:
+            _assert_transversal_inverses_of(lvl)
+
+
+def test_chain_inverses_of_q7_H(pa7):
+    assert pa7.H.order() == 49 * 48
+    for lvl in pa7.H._levels:
+        _assert_transversal_inverses_of(lvl)
+
+
+def test_schreier_generators_use_transversal_inverses(pa7):
+    # each generator is u_i * g * u_(i^g)^-1 with the true inverse, in the
+    # order the walk yields them, and lies in the subgroup
+    s5 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3, 4)]),
+                    perm_from_cycles(5, [(0, 1)])])
+    a4 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1), (2, 3)])])
+    theta = PermGroup([pa7.theta_perm])
+    for group, sub in ((s5, a4), (_wreath_s5_c3(), DirectPower(s5, 3)),
+                       (pa7.H, theta)):
+        walk = permgrp._coset_walk(group.gens, pid(group.degree),
+                                   sub._coset_labeler())
+        ident = pid(group.degree)
+        expected = []
+        for i, u in enumerate(walk.transversal):
+            for g, img in zip(walk.gens, walk.action):
+                s = _ref_mul(_ref_mul(u, g),
+                             _ref_inv(walk.transversal[img[i]]))
+                if s != ident and s not in expected:
+                    expected.append(s)
+        got = list(walk.schreier_generators())
+        assert got == expected
+        assert all(sub.contains(s) for s in got)
+
+
+def test_stabilizer_gens_fix_the_point(pa7):
+    s5 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3, 4)]),
+                    perm_from_cycles(5, [(0, 1)])])
+    for group in (s5, _wreath_s5_c3(), pa7.H):
+        orbit = next(o for o in orbit_partition(group.gens, group.degree)
+                     if 0 in o)
+        gens = permgrp._stabilizer_gens(group, 0)
+        assert gens and all(s[0] == 0 for s in gens)
+        stab = PermGroup(gens, degree=group.degree)
+        assert stab.order() * len(orbit) == group.order()
