@@ -29,7 +29,9 @@ from .permgrp import (
     DirectPower,
     Perm,
     PermGroup,
+    coset_action,
     filtered_intersection_with_product,
+    is_two_transitive,
     pconj,
     pid,
     pinv,
@@ -38,6 +40,7 @@ from .permgrp import (
     ppow,
     same_double_coset,
     socle_bound,
+    socle_extension,
 )
 
 # -- wreath elements ----------------------------------------------------
@@ -389,11 +392,10 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     H = PermGroup(list(E) + [theta_flat], degree=n * d)
     check(H.order() == q * q * (q * q - 1),
           "H does not have the affine order q^2(q^2-1)")
-    from .permgrp import action_report, coset_action
     theta_grp = PermGroup([theta_flat], degree=n * d)
     ca = coset_action(H, theta_grp)
     check(ca.group.degree == q * q, "coset space of <theta> in H is not q^2")
-    check(action_report(ca.group).two_transitive,
+    check(is_two_transitive(ca.group),
           "H is not 2-transitive on the cosets of <theta>")
 
     o_flat = None
@@ -412,7 +414,8 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
     T = seed.T
     M = DirectPower(T, n)
     gens = list(M.gens) + [pa.theta_perm]
-    G = PermGroup(gens, degree=n * d, upper_bound=socle_bound(gens, M))
+    G = socle_extension(gens, M)
+    check(G is not None, "theta does not normalize T^n")
     check(G.order() == T.order()**n * n * seed.index_XT,
           "G has the wrong order")
     meet = filtered_intersection_with_product(pa.H, M)
@@ -708,12 +711,13 @@ def bipartite_construction(p: int, family: str = "symmetric") -> BipartiteConstr
     T = seed.T
     M = DirectPower(T, n)
     star_gens = list(M.gens) + [bold_b, tau]
-    Gstar = PermGroup(star_gens, degree=n * d,
-                      upper_bound=socle_bound(star_gens, M))
+    Gstar = socle_extension(star_gens, M)
+    check(Gstar is not None, "b or tau does not normalize T^(p-1)")
     check(Gstar.order() == T.order()**n * n * 2, "Gstar has the wrong order")
     check(not Gstar.contains(o), "o lies in Gstar")
     gens = list(Gstar.gens) + [o]
-    G = PermGroup(gens, degree=n * d, upper_bound=socle_bound(gens, M))
+    G = socle_extension(gens, M)
+    check(G is not None, "o does not normalize T^(p-1)")
     check(G.order() == 2 * Gstar.order(), "Gstar does not have index 2")
     H = PermGroup([bold_a, bold_b, tau], degree=n * d)
     K = PermGroup([bold_b, tau], degree=n * d)

@@ -12,22 +12,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construct import BipartiteConstruction, PAConstruction, Valency64Construction
-from .numth import classify_valency_case
+from .numth import check, classify_valency_case
 from .permgrp import (
     DirectPower,
     Perm,
     PermGroup,
-    action_report,
     coset_action,
     coset_stabilizer,
     filtered_intersection_with_product,
+    is_two_transitive,
     pid,
     pmul,
     porder,
     socle_bound,
+    socle_extension,
 )
 
 ENUMERATION_LIMIT = 10**6
+
+CERTIFICATE_FORMAT = "patgraphs-certificate-1"
+
+# the keys verify_certificate reads, for every kind and for each kind
+_COMMON_KEYS = (
+    "degree", "blocks", "block_degree", "valency", "double_cover_verdict",
+    "generators.G", "generators.H", "generators.g", "generators.socle_factor",
+    "orders.G", "orders.H", "orders.intersection", "orders.socle_factor",
+    "checks.connected", "checks.locally_2transitive", "checks.g_square_in_H",
+    "checks.g_outside_H", "checks.socle_transitive", "checks.diagonal_type",
+)
+_KIND_KEYS = {
+    "product-action": ("arc_regular_socle",),
+    "bipartite": ("parameter", "gstar_index", "g_swaps_halves",
+                  "generators.gstar", "orders.Gstar"),
+}
 
 
 # -- small graphs --------------------------------------------------------
@@ -179,7 +196,6 @@ def local_certificate(G_order: int, H: PermGroup, g: Perm,
     by H and g, the order of <H, g> is sifted to its socle bound."""
     meet, neighbours = coset_stabilizer(H, H, g)
     valency = neighbours.degree
-    report = action_report(neighbours)
     gens = list(H.gens) + [g]
     joined = PermGroup(gens, degree=H.degree,
                        upper_bound=M and socle_bound(gens, M)).order()
@@ -189,7 +205,7 @@ def local_certificate(G_order: int, H: PermGroup, g: Perm,
         intersection_order=meet.order(),
         valency=valency,
         connected=joined == G_order,
-        locally_2transitive=report.two_transitive,
+        locally_2transitive=is_two_transitive(neighbours),
         g_square_in_H=H.contains(pmul(g, g)),
         g_outside_H=not H.contains(g),
     )
@@ -368,7 +384,7 @@ def certificate_payload(cert: CosetGraphCertificate,
         big = bc.G
         extra = {"gstar": _perm_list(bc.Gstar.gens)}
     payload = {
-        "format": "patgraphs-certificate-1",
+        "format": CERTIFICATE_FORMAT,
         "kind": cert.kind,
         "family": cert.family,
         "parameter": cert.parameter,
@@ -431,6 +447,11 @@ def verify_certificate(payload: dict) -> VerificationReport:
             failures.append(f"{name}: stated {stated!r}, recomputed "
                             f"{recomputed!r}")
 
+    _check_shape(payload)
+    if payload["kind"] == "product-action":
+        verdict = payload["double_cover_verdict"]
+        check(verdict == "untested", f"double_cover_verdict: stated "
+              f"{verdict!r}, a product-action certificate is 'untested'")
     degree = payload["degree"]
     gens = payload["generators"]
     g = tuple(gens["g"])
@@ -442,9 +463,7 @@ def verify_certificate(payload: dict) -> VerificationReport:
            T.order())
     M = DirectPower(T, n)
     # orders are proven from the generators; the payload's are only compared
-    G_gens = [tuple(x) for x in gens["G"]]
-    G_order = PermGroup(G_gens, degree=degree,
-                        upper_bound=socle_bound(G_gens, M)).order()
+    G_order = _socle_group(gens["G"], M).order()
     expect("order of G", int(payload["orders"]["G"]), G_order)
     expect("order of H", int(payload["orders"]["H"]), H.order())
     local = local_certificate(G_order, H, g, M)
@@ -460,9 +479,7 @@ def verify_certificate(payload: dict) -> VerificationReport:
 
     meet = filtered_intersection_with_product(H, M).elements()
     if payload["kind"] == "bipartite":
-        star_gens = [tuple(x) for x in gens["gstar"]]
-        gstar = PermGroup(star_gens, degree=degree,
-                          upper_bound=socle_bound(star_gens, M))
+        gstar = _socle_group(gens["gstar"], M)
         expect("order of Gstar", int(payload["orders"]["Gstar"]),
                gstar.order())
         expect("index of Gstar", payload["gstar_index"],
@@ -492,6 +509,38 @@ def verify_certificate(payload: dict) -> VerificationReport:
         "valency": local.valency,
     }
     return VerificationReport(not failures, tuple(failures), recomputed)
+
+
+def _check_shape(payload) -> None:
+    """The certificate's format and kind are known and every key that
+    verify_certificate reads is present; ValueError otherwise."""
+    if not isinstance(payload, dict):
+        raise ValueError("certificate is not a JSON object")
+    fmt = payload.get("format")
+    if fmt != CERTIFICATE_FORMAT:
+        raise ValueError(f"unknown certificate format {fmt!r}")
+    kind = payload.get("kind")
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    for path in _COMMON_KEYS + _KIND_KEYS[kind]:
+        node = payload
+        for key in path.split("."):
+            if not isinstance(node, dict) or key not in node:
+                raise ValueError(f"{kind} certificate lacks {path}")
+            node = node[key]
+
+
+def _socle_group(gens, M: DirectPower) -> PermGroup:
+    """<gens> ordered and tested through the socle M when the list holds
+    every generator of M and normalizes M (socle_extension); otherwise
+    sifted to socle_bound, or by the Schreier check when some generator
+    does not normalize M."""
+    gens = [tuple(x) for x in gens]
+    group = socle_extension(gens, M)
+    if group is None:
+        group = PermGroup(gens, degree=M.degree,
+                          upper_bound=socle_bound(gens, M))
+    return group
 
 
 def _bipartite_verdict_from_payload(payload: dict, M: PermGroup) -> str:

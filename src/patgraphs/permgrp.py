@@ -5,7 +5,10 @@ apply the left factor first: pmul(a, b)[i] = b[a[i]], one itemgetter
 call.  PermGroup builds a base and strong generating set by random
 Schreier sifting, certified by a proven upper bound on the order (see
 socle_bound) or by the full Schreier check, so orders, membership
-tests, and the derived reports are exact, never Monte Carlo.
+tests, and the derived reports are exact, never Monte Carlo.  A group
+generated by a direct power M and elements normalizing it meets that
+bound by containment: its order and membership tests come from the
+walk over M's cosets, with no chain (socle_extension).
 Intersections and stabilizers of right cosets come from walking the
 orbit of a coset (orbit-stabilizer and Schreier generators), not from
 enumerating the group.  A transversal entry t_p*h gets its inverse by
@@ -37,6 +40,11 @@ BOUND_QUIET_CAP = 2000
 
 def pid(d: int) -> Perm:
     return tuple(range(d))
+
+
+def _is_permutation(x, degree: int) -> bool:
+    """x lists the images of a permutation of {0, ..., degree-1}."""
+    return len(x) == degree and sorted(x) == list(range(degree))
 
 
 def pmul(a: Perm, b: Perm) -> Perm:
@@ -170,7 +178,9 @@ class PermGroup:
     upper_bound proves the order (certified_by "bound"), and exceeding
     it fails on every query.  Otherwise every Schreier generator is
     checked to sift to the identity, bottom level first (certified_by
-    "schreier"); the exact order may then lie below the bound.
+    "schreier"); the exact order may then lie below the bound.  The
+    bound can also be met by containment, with no sift: see
+    socle_extension.
     """
 
     def __init__(self, gens, degree: int | None = None,
@@ -181,10 +191,10 @@ class PermGroup:
             if not gens:
                 raise ValueError("degree is required without generators")
             degree = len(gens[0])
-        ident = pid(degree)
         for g in gens:
-            if len(g) != degree or sorted(g) != list(ident):
+            if not _is_permutation(g, degree):
                 raise ValueError("generator is not a permutation of the domain")
+        ident = pid(degree)
         self.degree = degree
         self.gens = []
         for g in gens:
@@ -570,7 +580,7 @@ def coset_stabilizer(group: PermGroup, sub: PermGroup, start,
     lemma the walk's Schreier generators generate the whole stabilizer,
     so that order is the proven bound its chain is sifted to."""
     start = tuple(start)
-    if sorted(start) != list(range(group.degree)):
+    if not _is_permutation(start, group.degree):
         raise ValueError("start is not a permutation of the domain")
     if sub.degree != group.degree:
         raise ValueError("domain mismatch")
@@ -592,16 +602,64 @@ def same_double_coset(group: PermGroup, x, y) -> bool:
     return locate(tuple(y)) < orbit
 
 
-def socle_bound(gens, M: DirectPower) -> int | None:
-    """|M| * |<gens>M : M|, an upper bound on |<gens>| (equal to it when
-    <gens> contains M), or None if some generator does not normalize M.
-    The index is the length of the orbit of the coset M under the
-    generators outside M; those inside act trivially on the cosets."""
-    outside = [tuple(g) for g in gens if not M.contains(g)]
+def _socle_walk(gens, M: DirectPower) -> tuple[_PowerCosets, int] | None:
+    """The labeler of M's right cosets after walking the orbit of the
+    coset M under <gens>, and that orbit's length |<gens>M : M|; None if
+    some generator does not normalize M.  Only the generators outside M
+    are walked: those inside act trivially on the cosets."""
+    gens = [tuple(g) for g in gens]
+    for g in gens:
+        if not _is_permutation(g, M.degree):
+            raise ValueError("generator is not a permutation of the domain")
+    outside = [g for g in gens if not M.contains(g)]
     if not all(M.contains(pconj(m, g)) for g in outside for m in M.gens):
         return None
-    walk = _coset_walk(outside, pid(M.degree), M._coset_labeler())
-    return M.order() * len(walk.transversal)
+    locate = M._coset_labeler()
+    return locate, len(_coset_walk(outside, pid(M.degree), locate).transversal)
+
+
+def socle_bound(gens, M: DirectPower) -> int | None:
+    """|M| * |<gens>M : M|, an upper bound on |<gens>| (equal to it when
+    <gens> contains M), or None if some generator does not normalize M."""
+    walked = _socle_walk(gens, M)
+    return None if walked is None else M.order() * walked[1]
+
+
+class _SocleExtension(PermGroup):
+    """<gens> for generators that normalize a direct power M and include
+    all of M's generators.  Then M is normal in <gens>, so the order is
+    |M| times the length of the orbit of the coset M, and x lies in the
+    group exactly when the coset Mx is in that orbit: the order meets its
+    proven bound by containment, with no chain.  Any other query builds
+    the chain, sifted to that order."""
+
+    def __init__(self, gens, M: DirectPower, locate: _PowerCosets,
+                 index: int):
+        super().__init__(gens, degree=M.degree, upper_bound=M.order() * index)
+        self._locate = locate
+        self._index = index
+        self.certified_by = "bound"
+
+    def order(self) -> int:
+        return self._upper_bound
+
+    def contains(self, x) -> bool:
+        x = tuple(x)
+        if not _is_permutation(x, self.degree):
+            raise ValueError("not a permutation of the domain")
+        # a coset outside the orbit gets a fresh label, index or above
+        return self._locate(x) < self._index
+
+
+def socle_extension(gens, M: DirectPower) -> PermGroup | None:
+    """<gens> ordered and tested through M without a chain (see
+    _SocleExtension), or None unless every generator of M occurs in gens
+    and every generator normalizes M."""
+    gens = [tuple(g) for g in gens]
+    if not set(M.gens) <= set(gens):
+        return None
+    walked = _socle_walk(gens, M)
+    return None if walked is None else _SocleExtension(gens, M, *walked)
 
 
 @dataclass(frozen=True)
@@ -619,17 +677,22 @@ def _stabilizer_gens(group: PermGroup, point: int) -> list[Perm]:
     """Schreier generators for the stabilizer of a point."""
     ident = pid(group.degree)
     transversal = {point: ident}
+    # t_p*g has the inverse g^-1 * t_p^-1, one product per point
+    inverse = {point: ident}
+    invs: list[Perm | None] = [None] * len(group.gens)
     queue = [point]
     k = 0
     while k < len(queue):
         p = queue[k]
         k += 1
-        for g in group.gens:
+        for i, g in enumerate(group.gens):
             q = g[p]
             if q not in transversal:
+                if invs[i] is None:
+                    invs[i] = pinv(g)
                 transversal[q] = pmul(transversal[p], g)
+                inverse[q] = pmul(invs[i], inverse[p])
                 queue.append(q)
-    inverse = {p: pinv(u) for p, u in transversal.items()}
     out = []
     seen = set()
     for p in queue:
@@ -668,7 +731,23 @@ def _minimal_blocks(gens, degree: int, omega: int):
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
+def is_two_transitive(group: PermGroup) -> bool:
+    """Transitive, with the stabilizer of point 0 (generated by its
+    Schreier generators) transitive on the other points; the group's
+    order is never needed."""
+    d = group.degree
+    if d == 0:
+        raise ValueError("empty domain")
+    if d == 1:
+        return True
+    if len(orbit_partition(group.gens, d)) != 1:
+        return False
+    return len(orbit_partition(_stabilizer_gens(group, 0), d)) == 2
+
+
 def action_report(group: PermGroup) -> ActionReport:
+    """Orbits, 2-transitivity, primitivity and block system; the group's
+    order is proven only for semiregularity."""
     d = group.degree
     if d == 0:
         raise ValueError("empty domain")
@@ -680,13 +759,10 @@ def action_report(group: PermGroup) -> ActionReport:
     if d == 1:
         return ActionReport(True, True, True, semiregular, regular,
                             orbits, None)
-    two_transitive = False
+    two_transitive = is_two_transitive(group)
     primitive = False
     blocks = None
     if transitive:
-        stab = _stabilizer_gens(group, 0)
-        rest = orbit_partition(stab, d)
-        two_transitive = len(rest) == 2 and (0,) in rest
         primitive = True
         # a 2-transitive group is primitive, so only the others are searched
         for omega in range(1, 1 if two_transitive else d):

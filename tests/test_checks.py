@@ -63,3 +63,37 @@ def test_range_and_invariance_checks_survive_optimize_flag():
             "raise SystemExit('a non-invariant span passed')\n")
     proc = _run_optimized(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_socle_normalizer_check_survives_optimize_flag():
+    # a generator that does not normalize T^n gives neither a bound nor
+    # the socle shortcut, and assemble_G fails on such a twist
+    code = ("from patgraphs.permgrp import DirectPower, PermGroup, "
+            "perm_from_cycles, socle_bound, socle_extension\n"
+            "a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),\n"
+            "                perm_from_cycles(5, [(0, 1, 2, 3, 4)])])\n"
+            "M = DirectPower(a5, 3)\n"
+            "gens = list(M.gens) + [perm_from_cycles(15, [(0, 5)])]\n"
+            "if socle_bound(gens, M) is not None:\n"
+            "    raise SystemExit('socle_bound passed a non-normalizer')\n"
+            "if socle_extension(gens, M) is not None:\n"
+            "    raise SystemExit('socle_extension passed a non-normalizer')\n"
+            "tau = tuple((x + 5) % 15 for x in range(15))\n"
+            "G = socle_extension(list(M.gens) + [tau], M)\n"
+            "if G is None or G.order() != 60**3 * 3:\n"
+            "    raise SystemExit('the wreath A5 wr C3 was not recognised')\n"
+            "import dataclasses\n"
+            "from patgraphs.atlas import seed_pgl2\n"
+            "from patgraphs.construct import assemble_G, build_E_and_H, "
+            "build_theta\n"
+            "from patgraphs.numth import VerificationError\n"
+            "seed = seed_pgl2(4)\n"
+            "pa = build_E_and_H(seed, build_theta(seed))\n"
+            "bad = perm_from_cycles(pa.n * pa.block_degree, [(0, 5)])\n"
+            "try:\n"
+            "    assemble_G(dataclasses.replace(pa, theta_perm=bad))\n"
+            "except VerificationError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('G was assembled from a non-normalizer')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr

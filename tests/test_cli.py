@@ -191,6 +191,93 @@ def test_construct_and_verify_never_enumerate_H(tmp_path, monkeypatch):
     assert enumerated and max(enumerated) < 7**2 * (7**2 - 1)
 
 
+def _record_completed_chains(monkeypatch):
+    """The generator sets of every chain completed by random sifting."""
+    completed = []
+    complete = permgrp.PermGroup._complete
+
+    def recording(self, ident):
+        completed.append(frozenset(self.gens))
+        return complete(self, ident)
+
+    monkeypatch.setattr(permgrp.PermGroup, "_complete", recording)
+    return completed
+
+
+def test_G_and_Gstar_need_no_chain(tmp_path, monkeypatch):
+    # G and G* are ordered and tested through the socle, in construct
+    # and in verify; <H, g> and the stabilizers still sift
+    completed = _record_completed_chains(monkeypatch)
+    for command in (["construct", "--q", "7"], ["bipartite", "--p", "5"]):
+        cert = tmp_path / f"{command[0]}.json"
+        assert main(command + ["--out", str(cert)]) == 0
+        assert main(["verify", str(cert)]) == 0
+        gens = json.loads(cert.read_text())["generators"]
+        socle_groups = [frozenset(tuple(x) for x in gens[key])
+                        for key in ("G", "gstar") if key in gens]
+        assert completed
+        assert not set(socle_groups) & set(completed)
+        completed.clear()
+
+
+def test_verify_falls_back_without_the_socle_generators(tmp_path, capsys,
+                                                        monkeypatch):
+    # one generator of T^n replaced by its product with another: the list
+    # still generates G, but no longer holds T^n's generators, so verify
+    # takes the bounded sift instead of the socle shortcut
+    cert = tmp_path / "c4.json"
+    assert main(["construct", "--q", "4", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    G = payload["generators"]["G"]
+    G[0] = list(permgrp.pmul(tuple(G[0]), tuple(G[1])))
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(payload))
+    completed = _record_completed_chains(monkeypatch)
+    assert main(["verify", str(changed)]) == 0
+    assert frozenset(tuple(x) for x in G) in completed
+
+
+def _edited_q4(tmp_path, edit):
+    cert = tmp_path / "c4.json"
+    assert main(["construct", "--q", "4", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    edit(payload)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    return edited
+
+
+@pytest.mark.parametrize("key,value,code,message", [
+    ("format", "bogus-9", 2, "unknown certificate format 'bogus-9'"),
+    ("kind", "nonsense", 2, "unknown certificate kind 'nonsense'"),
+    ("kind", "bipartite", 2, "bipartite certificate lacks"),
+    ("double_cover_verdict", "is_not", 3, "double_cover_verdict"),
+])
+def test_verify_rejects_before_group_work(tmp_path, capsys, monkeypatch,
+                                          key, value, code, message):
+    edited = _edited_q4(tmp_path, lambda payload: payload.update({key: value}))
+    capsys.readouterr()
+
+    def no_groups(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(permgrp.PermGroup, "__init__", no_groups)
+    assert main(["verify", str(edited)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Error(" not in err
+
+
+def test_verify_rejects_a_generator_outside_the_domain(tmp_path, capsys):
+    # an image past the last point was an IndexError traceback
+    def edit(payload):
+        payload["generators"]["G"][-1][0] = payload["degree"]
+
+    edited = _edited_q4(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["verify", str(edited)]) == 2
+    assert "not a permutation" in capsys.readouterr().err
+
+
 def test_bug_is_a_traceback_not_a_failed_check(monkeypatch):
     def broken(config):
         raise AssertionError("a bug, not a failed check")

@@ -4,6 +4,10 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from patgraphs import permgrp
+from patgraphs.construct import (
+    bipartite_construction,
+    product_action_construction,
+)
 from patgraphs.gf import GF
 from patgraphs.numth import VerificationError
 from patgraphs.permgrp import (
@@ -13,6 +17,7 @@ from patgraphs.permgrp import (
     coset_action,
     cycles,
     filtered_intersection_with_product,
+    is_two_transitive,
     normalizer_by_enumeration,
     orbit_partition,
     pconj,
@@ -23,6 +28,7 @@ from patgraphs.permgrp import (
     porder,
     ppow,
     socle_bound,
+    socle_extension,
 )
 
 
@@ -190,6 +196,31 @@ def test_regular_and_semiregular_flags():
     assert rep.transitive and not rep.semiregular
 
 
+def test_two_transitivity_without_the_order():
+    s5 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3, 4)]),
+                    perm_from_cycles(5, [(0, 1)])])
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    c5 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    # S2 wr S3 on six points: transitive, imprimitive
+    wreath = PermGroup([perm_from_cycles(6, [(0, 1)]),
+                        perm_from_cycles(6, [(0, 2, 4), (1, 3, 5)]),
+                        perm_from_cycles(6, [(0, 2), (1, 3)])])
+    two = PermGroup([perm_from_cycles(2, [(0, 1)])])
+    # fixes 0 and is transitive on the other points
+    intransitive = PermGroup([perm_from_cycles(4, [(1, 2, 3)])])
+    for group, expected in ((s5, True), (a5, True), (two, True),
+                            (c5, False), (wreath, False),
+                            (intransitive, False), (PermGroup([], degree=1),
+                                                    True)):
+        fresh = PermGroup(group.gens, degree=group.degree)
+        assert is_two_transitive(fresh) is expected
+        assert fresh._levels is None
+        assert action_report(group).two_transitive is expected
+    with pytest.raises(ValueError):
+        is_two_transitive(PermGroup([], degree=0))
+
+
 def test_trivial_group():
     t = PermGroup([], degree=5)
     assert t.order() == 1
@@ -273,6 +304,85 @@ def test_socle_bound():
     assert cyclic.order() == 3 and cyclic.certified_by == "schreier"
     # a generator that does not normalize M gives no bound
     assert socle_bound([perm_from_cycles(15, [(0, 5)])], M) is None
+
+
+def test_socle_extension_orders_and_tests_membership_without_a_chain():
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    M = DirectPower(a5, 3)
+    tau = tuple((x + 5) % 15 for x in range(15))
+    swap = perm_from_cycles(15, [(0, 1)])
+    rng = random.Random(3)
+    for extra, order in (([tau, swap], 120**3 * 3), ([tau], 60**3 * 3),
+                         ([swap], 120 * 60**2), ([], 60**3)):
+        gens = list(M.gens) + extra
+        group = socle_extension(gens, M)
+        assert group.order() == order == socle_bound(gens, M)
+        assert group.certified_by == "bound"
+        oracle = PermGroup(gens, degree=15, upper_bound=order)
+        queries = [swap, tau, pmul(swap, tau), pid(15),
+                   perm_from_cycles(15, [(0, 5)])]
+        queries += [tuple(rng.sample(range(15), 15)) for _ in range(20)]
+        for x in queries:
+            assert group.contains(x) == oracle.contains(x)
+        assert group._levels is None
+        with pytest.raises(ValueError):
+            group.contains((0,) * 15)
+        with pytest.raises(ValueError):
+            group.contains(pid(14))
+        # any other query builds the chain, sifted to the same order
+        assert len(group.base()) > 0 and group.order() == order
+    # without all of M's generators, or with one that does not normalize
+    # M, there is no shortcut
+    assert socle_extension([tau] + list(M.gens)[1:], M) is None
+    assert socle_extension(list(M.gens) + [perm_from_cycles(15, [(0, 5)])],
+                           M) is None
+
+
+def _socle_queries(group, extra, rng):
+    """The generators, products of them, the given elements and random
+    permutations of the domain."""
+    gens = list(group.gens)
+    queries = gens + list(extra)
+    x = pid(group.degree)
+    for _ in range(6):
+        a, b = rng.choice(gens), rng.choice(gens)
+        queries.append(pmul(a, b))
+        x = pmul(x, a)
+        queries.append(x)
+    queries += [tuple(rng.sample(range(group.degree), group.degree))
+                for _ in range(6)]
+    return queries
+
+
+@pytest.mark.parametrize("kind,value", [("q", 4), ("q", 7), ("q", 8),
+                                        ("p", 5), ("p", 7)])
+def test_socle_groups_match_bounded_sift(kind, value):
+    # G and G* are ordered and tested through the socle; a chain sifted to
+    # the same bound must agree on the order and on every membership query
+    rng = random.Random(value)
+    if kind == "q":
+        pa = product_action_construction(value)
+        groups = [pa.G]
+        extra = [x for x in (pa.o, pa.theta_perm) if x is not None]
+        extra += list(pa.H.gens)
+    else:
+        bc = bipartite_construction(value)
+        groups = [bc.Gstar, bc.G]
+        extra = [bc.o, bc.bold_a, bc.bold_b, bc.tau]
+    for group in groups:
+        assert group.certified_by == "bound"
+        oracle = PermGroup(group.gens, degree=group.degree,
+                           upper_bound=group.order())
+        assert oracle.order() == group.order()
+        answers = []
+        for x in _socle_queries(group, extra, rng):
+            answers.append(group.contains(x))
+            assert answers[-1] == oracle.contains(x)
+        assert set(answers) == {True, False}
+        assert group._levels is None
+    if kind == "p":
+        assert not bc.Gstar.contains(bc.o) and bc.G.contains(bc.o)
 
 
 def test_order_stable_across_base_and_seed():
