@@ -12,11 +12,9 @@ replicated b lies outside the socle product: a cover would force it
 in.  Membership proves nothing, so the verdict is never "is".
 """
 
-import dataclasses
-
 from patgraphs.construct import bipartite_construction
 from patgraphs.graphcert import certify, not_double_cover_test
-from patgraphs.permgrp import ppow
+from patgraphs.permgrp import DirectPower
 
 for p, family in ((5, "symmetric"), (5, "pgl2"), (7, "pgl2")):
     bc = bipartite_construction(p, family)
@@ -35,9 +33,9 @@ for p, family in ((5, "symmetric"), (5, "pgl2"), (7, "pgl2")):
     print(f"  standard double cover verdict: {cert.double_cover_verdict}")
     print()
 
-# the verdict machinery only ever refutes: run it on a doctored input
-# whose replicated element does lie in the socle product
+# the verdict machinery only ever refutes: run it against a wider socle
+# product, the power of X, in which the replicated b does lie
 bc = bipartite_construction(5)
-doctored = dataclasses.replace(bc, bold_b=ppow(bc.bold_b, 2))
-print(f"doctored input (b replaced by b^2, which lies in the socle): "
-      f"verdict {not_double_cover_test(doctored)}")
+wider = DirectPower(bc.seed.X, bc.n)
+print(f"doctored input (socle T^(p-1) widened to X^(p-1), which contains "
+      f"b): verdict {not_double_cover_test(bc.H, wider, bc.p)}")

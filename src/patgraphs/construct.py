@@ -29,9 +29,7 @@ from .permgrp import (
     DirectPower,
     Perm,
     PermGroup,
-    coset_action,
     filtered_intersection_with_product,
-    is_two_transitive,
     pconj,
     pid,
     pinv,
@@ -294,8 +292,7 @@ class PAConstruction:
     conj_matrix: tuple[tuple[int, ...], ...]
     qualifying: int
     G: PermGroup | None = None
-    socle_transitive: bool | None = None
-    non_diagonal: bool | None = None
+    meet: PermGroup | None = None
 
 
 @dataclass(frozen=True)
@@ -389,14 +386,15 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
         check(len(set(kernels)) == n,
               "coordinate kernels of E are not distinct")
 
+    # H is 2-transitive on the cosets of <theta>: theta permutes E minus
+    # 1, so E is normal in H = E<theta>, and |H| = |E| |theta| makes E
+    # meet <theta> trivially.  So H acts on those cosets as the affine
+    # group on E, where <theta> fixes the coset of 1 and is transitive
+    # on the other q^2 - 1
+    check(porder(theta_flat) == q * q - 1, "theta does not have order q^2-1")
     H = PermGroup(list(E) + [theta_flat], degree=n * d)
     check(H.order() == q * q * (q * q - 1),
           "H does not have the affine order q^2(q^2-1)")
-    theta_grp = PermGroup([theta_flat], degree=n * d)
-    ca = coset_action(H, theta_grp)
-    check(ca.group.degree == q * q, "coset space of <theta> in H is not q^2")
-    check(is_two_transitive(ca.group),
-          "H is not 2-transitive on the cosets of <theta>")
 
     o_flat = None
     if seed.o is not None:
@@ -410,7 +408,6 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
     subdirect, non-diagonal structure of T^n meet H all verified."""
     seed = pa.seed
     n = pa.n
-    d = pa.block_degree
     T = seed.T
     M = DirectPower(T, n)
     gens = list(M.gens) + [pa.theta_perm]
@@ -424,30 +421,24 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
           "T^n is not transitive on the coset space")
     # subdirect: the classical family projects T^n meet H onto R meet T
     # in every coordinate; otherwise a proper nontrivial subgroup of T,
-    # the same one in every coordinate
-    rt = filtered_intersection_with_product(seed.R, seed.T)
-    rt_set = set(rt.elements())
-    elements = meet.elements()
-    projections = []
-    for i in range(n):
-        proj = {x[i * d:(i + 1) * d] for x in elements}
-        proj = frozenset(tuple(y - i * d for y in block) for block in proj)
-        projections.append(proj)
+    # the same one in every coordinate.  Equal orders and generators of
+    # one inside the other make two subgroups equal.
+    projections = [M.projection(meet, i) for i in range(n)]
     if seed.family != "psl28-gamma":
-        for i, proj in enumerate(projections):
-            check(proj == rt_set,
-                  f"projection {i} of T^n meet H is not R meet T")
+        target = filtered_intersection_with_product(seed.R, T)
+        name = "R meet T"
     else:
-        for i, proj in enumerate(projections):
-            check(1 < len(proj) < T.order(),
-                  f"projection {i} of T^n meet H is not proper nontrivial")
-            check(proj == projections[0],
-                  f"projection {i} of T^n meet H varies by coordinate")
-    # non-diagonal: the first-coordinate kernel is nontrivial
-    kernel = [x for x in elements if x[:d] == tuple(range(d))]
-    non_diagonal = len(kernel) > 1
-    check(non_diagonal, "T^n meet H projects injectively, diagonal type")
-    return replace(pa, G=G, socle_transitive=True, non_diagonal=non_diagonal)
+        target, name = projections[0], "projection 0"
+        check(1 < target.order() < T.order(),
+              "projection 0 of T^n meet H is not proper nontrivial")
+    for i, proj in enumerate(projections):
+        check(proj.order() == target.order()
+              and all(target.contains(x) for x in proj.gens),
+              f"projection {i} of T^n meet H is not {name}")
+    # non-diagonal: the kernel of pi_0 has order |meet| / |pi_0(meet)|
+    check(meet.order() > projections[0].order(),
+          "T^n meet H projects injectively, diagonal type")
+    return replace(pa, G=G, meet=meet)
 
 
 def product_action_construction(q: int, family: str = "pgl2",
@@ -732,10 +723,9 @@ def bipartite_construction(p: int, family: str = "symmetric") -> BipartiteConstr
           "T^(p-1) meet H is not <a, b^2>")
     for g in expected.gens:
         check(meet.contains(g), "T^(p-1) meet H mismatch")
-    elements = meet.elements()
+    # diagonal: pi_i is injective exactly when |pi_i(meet)| = |meet|
     for i in range(n):
-        proj = {x[i * d:(i + 1) * d] for x in elements}
-        check(len(proj) == len(elements),
+        check(M.projection(meet, i).order() == meet.order(),
               f"projection {i} of T^(p-1) meet H is not injective")
     return BipartiteConstruction(p, seed, n, d, bold_a, bold_b, tau, o,
                                  Gstar, G, H, K, meet)

@@ -5,14 +5,23 @@ certified locally: the edge stabilizer H meet H^g, the valency, local
 2-transitivity of H on the neighborhood, and connectivity via the order
 of <H, g>.  Toy instances are enumerated in full and cross-checked
 against the same local certificate.
+
+Every verdict of a certificate has one derivation, _derive, which both
+certify (from a construction's groups) and verify_certificate (from the
+groups rebuilt out of a payload's generators) call: socle transitivity,
+the diagonal type of T^n meet H from the projections of its generators,
+the parameter and Theorem 1 case from the valency, and the bipartite
+index, half-swap and double-cover verdicts.  T^n meet H is never
+enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .construct import BipartiteConstruction, PAConstruction, Valency64Construction
-from .numth import check, classify_valency_case
+from .numth import check, classify_valency_case, prime_power
 from .permgrp import (
     DirectPower,
     Perm,
@@ -34,7 +43,8 @@ CERTIFICATE_FORMAT = "patgraphs-certificate-1"
 
 # the keys verify_certificate reads, for every kind and for each kind
 _COMMON_KEYS = (
-    "degree", "blocks", "block_degree", "valency", "double_cover_verdict",
+    "degree", "blocks", "block_degree", "valency", "parameter",
+    "theorem1_case", "ii_possible", "case_witness", "double_cover_verdict",
     "generators.G", "generators.H", "generators.g", "generators.socle_factor",
     "orders.G", "orders.H", "orders.intersection", "orders.socle_factor",
     "checks.connected", "checks.locally_2transitive", "checks.g_square_in_H",
@@ -42,7 +52,7 @@ _COMMON_KEYS = (
 )
 _KIND_KEYS = {
     "product-action": ("arc_regular_socle",),
-    "bipartite": ("parameter", "gstar_index", "g_swaps_halves",
+    "bipartite": ("gstar_index", "g_swaps_halves",
                   "generators.gstar", "orders.Gstar"),
 }
 
@@ -217,7 +227,7 @@ def local_certificate(G_order: int, H: PermGroup, g: Perm,
 @dataclass(frozen=True)
 class CosetGraphCertificate:
     kind: str
-    family: str
+    family: str | None
     parameter: int
     local: LocalCertificate
     theorem1_case: str | None
@@ -226,84 +236,98 @@ class CosetGraphCertificate:
     double_cover_verdict: str
     socle_transitive: bool
     diagonal_type: bool
+    arc_regular_socle: bool
+    socle_factor_order: int
+    gstar_order: int | None = None
     gstar_index: int | None = None
     g_swaps_halves: bool | None = None
-    arc_regular_socle: bool | None = None
 
     @property
     def valency(self) -> int:
         return self.local.valency
 
 
-def not_double_cover_test(bc: BipartiteConstruction) -> str:
-    """Necessary-condition chain: a standard double cover would force
-    the replicated b into the socle product, so non-membership refutes
-    it; membership decides nothing."""
-    M = DirectPower(bc.seed.T, bc.n)
-    return "untested" if M.contains(bc.bold_b) else "is_not"
+def not_double_cover_test(H: PermGroup, M: DirectPower, p: int) -> str:
+    """Necessary-condition chain for the bipartite graph of valency p: a
+    standard double cover would force the replicated b, the generator of
+    H with one nonidentity piece on every block and order p - 1, into
+    the socle product M, so non-membership refutes it; membership decides
+    nothing."""
+    for x in H.gens:
+        pieces = {M.piece(x, i) for i in range(M.copies)}
+        if len(pieces) == 1 and pid(M.factor.degree) not in pieces \
+                and porder(x) == p - 1:
+            return "untested" if M.contains(x) else "is_not"
+    raise ValueError("H has no replicated generator of order p - 1")
+
+
+def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
+            meet: PermGroup, gstar: PermGroup | None = None,
+            family: str | None = None) -> CosetGraphCertificate:
+    """Every verdict of a certificate, from the groups alone: G with the
+    vertex stabilizer H and edge element g, G* when the graph is
+    bipartite, the socle M = T^n, and meet = M meet H, read through its
+    generators, never its elements.  certify and verify_certificate both
+    call it; family is carried, not derived."""
+    local = local_certificate(G.order(), H, g, M)
+    valency = local.valency
+    top = G if gstar is None else gstar
+    fields = dict(
+        family=family,
+        local=local,
+        socle_factor_order=M.factor.order(),
+        # the socle is transitive on the cosets of H in top
+        socle_transitive=(all(top.contains(x) for x in H.gens)
+                          and M.order() * H.order()
+                          == top.order() * meet.order()),
+        # every projection pi_i of T^n meet H is injective
+        diagonal_type=all(M.projection(meet, i).order() == meet.order()
+                          for i in range(M.copies)),
+        # |T^n| = |G:H| * valency: the socle is regular on the arcs
+        arc_regular_socle=M.order() * H.order() == G.order() * valency,
+    )
+    if gstar is not None:
+        return CosetGraphCertificate(
+            kind="bipartite", parameter=valency, theorem1_case=None,
+            ii_possible=None, case_witness=None,
+            double_cover_verdict=not_double_cover_test(H, M, valency),
+            gstar_order=gstar.order(),
+            gstar_index=G.order() // gstar.order(),
+            g_swaps_halves=not gstar.contains(g), **fields)
+    q = isqrt(valency)
+    power = prime_power(valency)
+    check(q * q == valency and power is not None,
+          f"valency {valency} is not the square of a prime power")
+    case = classify_valency_case(*power, M.copies)
+    return CosetGraphCertificate(
+        kind="product-action", parameter=q, theorem1_case=case.label,
+        ii_possible=case.ii_possible, case_witness=case.witness,
+        double_cover_verdict="untested", **fields)
 
 
 def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
-    """Certificate for a product-action or bipartite construction.  For
-    product-action constructions g defaults to the replicated seed
-    involution; the valency-64 family passes its searched element."""
+    """Certificate for a product-action or bipartite construction, from
+    its groups and the T^n meet H it computed.  g defaults to the
+    replicated seed involution; the valency-64 family passes its
+    searched element."""
     if isinstance(construction, Valency64Construction):
         return certify(construction.pa, construction.g)
     if isinstance(construction, PAConstruction):
-        pa = construction
-        if g is None:
-            g = pa.o
-        if g is None:
-            raise ValueError("no edge element available for this seed")
-        if pa.G is None:
-            raise ValueError("construction is missing the assembled G")
-        local = local_certificate(pa.G.order(), pa.H, g,
-                                  DirectPower(pa.seed.T, pa.n))
-        q = pa.seed.q
-        field = pa.seed.field
-        case = classify_valency_case(field.p, 2 * field.f, pa.n)
-        socle = pa.seed.T.order() ** pa.n
-        vertex_count = pa.G.order() // pa.H.order()
-        return CosetGraphCertificate(
-            kind="product-action",
-            family=pa.seed.family,
-            parameter=q,
-            local=local,
-            theorem1_case=case.label,
-            ii_possible=case.ii_possible,
-            case_witness=case.witness,
-            double_cover_verdict="untested",
-            socle_transitive=bool(pa.socle_transitive),
-            diagonal_type=not pa.non_diagonal,
-            arc_regular_socle=socle == vertex_count * local.valency,
-        )
-    if isinstance(construction, BipartiteConstruction):
-        bc = construction
-        if g is None:
-            g = bc.o
-        local = local_certificate(bc.G.order(), bc.H, g,
-                                  DirectPower(bc.seed.T, bc.n))
-        socle = bc.seed.T.order() ** bc.n
-        half_vertices = bc.Gstar.order() // bc.H.order()
-        h_inside = all(bc.Gstar.contains(x) for x in bc.H.gens)
-        return CosetGraphCertificate(
-            kind="bipartite",
-            family=bc.seed.family,
-            parameter=bc.p,
-            local=local,
-            theorem1_case=None,
-            ii_possible=None,
-            case_witness=None,
-            double_cover_verdict=not_double_cover_test(bc),
-            socle_transitive=(socle * bc.H.order()
-                              == bc.Gstar.order() * bc.meet.order())
-                             and h_inside,
-            diagonal_type=True,
-            gstar_index=bc.G.order() // bc.Gstar.order(),
-            g_swaps_halves=not bc.Gstar.contains(g),
-            arc_regular_socle=socle == 2 * half_vertices * local.valency,
-        )
-    raise TypeError(f"cannot certify {type(construction).__name__}")
+        gstar = None
+    elif isinstance(construction, BipartiteConstruction):
+        gstar = construction.Gstar
+    else:
+        raise TypeError(f"cannot certify {type(construction).__name__}")
+    if g is None:
+        g = construction.o
+    if g is None:
+        raise ValueError("no edge element available for this seed")
+    if construction.G is None:
+        raise ValueError("construction is missing the assembled G")
+    seed = construction.seed
+    return _derive(construction.G, construction.H, g,
+                   DirectPower(seed.T, construction.n), construction.meet,
+                   gstar, seed.family)
 
 
 # -- full enumeration for toy instances ----------------------------------
@@ -370,33 +394,28 @@ def certificate_payload(cert: CosetGraphCertificate,
     the socle factor, and exact orders as decimal strings."""
     if isinstance(construction, Valency64Construction):
         construction = construction.pa
-    if isinstance(construction, PAConstruction):
-        pa = construction
-        seed = pa.seed
-        big = pa.G
-        extra = {
-            "theta": list(pa.theta_perm),
-            "E": _perm_list(pa.E),
-        }
+    c = construction
+    if cert.kind == "bipartite":
+        extra = {"gstar": _perm_list(c.Gstar.gens)}
+        verdicts = {"gstar_index": cert.gstar_index,
+                    "g_swaps_halves": cert.g_swaps_halves}
     else:
-        bc = construction
-        seed = bc.seed
-        big = bc.G
-        extra = {"gstar": _perm_list(bc.Gstar.gens)}
-    payload = {
+        extra = {"theta": list(c.theta_perm), "E": _perm_list(c.E)}
+        verdicts = {"arc_regular_socle": cert.arc_regular_socle}
+    return {
         "format": CERTIFICATE_FORMAT,
         "kind": cert.kind,
         "family": cert.family,
         "parameter": cert.parameter,
-        "degree": big.degree,
-        "blocks": construction.n,
-        "block_degree": construction.block_degree,
+        "degree": c.G.degree,
+        "blocks": c.n,
+        "block_degree": c.block_degree,
         "orders": {
             "G": str(cert.local.group_order),
             "H": str(cert.local.stabilizer_order),
             "intersection": str(cert.local.intersection_order),
-            "socle_factor": str(seed.T.order()),
-            **({"Gstar": str(bc.Gstar.order())}
+            "socle_factor": str(cert.socle_factor_order),
+            **({"Gstar": str(cert.gstar_order)}
                if cert.kind == "bipartite" else {}),
         },
         "valency": cert.valency,
@@ -413,21 +432,14 @@ def certificate_payload(cert: CosetGraphCertificate,
         "case_witness": cert.case_witness,
         "double_cover_verdict": cert.double_cover_verdict,
         "generators": {
-            "G": _perm_list(big.gens),
-            "H": _perm_list((pa if cert.kind == "product-action"
-                             else bc).H.gens),
+            "G": _perm_list(c.G.gens),
+            "H": _perm_list(c.H.gens),
             "g": list(g),
-            "socle_factor": _perm_list(seed.T.gens),
+            "socle_factor": _perm_list(c.seed.T.gens),
+            **extra,
         },
+        **verdicts,
     }
-    if cert.kind == "bipartite":
-        payload["gstar_index"] = cert.gstar_index
-        payload["g_swaps_halves"] = cert.g_swaps_halves
-        payload["generators"].update(extra)
-    else:
-        payload["arc_regular_socle"] = cert.arc_regular_socle
-        payload["generators"].update(extra)
-    return payload
 
 
 @dataclass(frozen=True)
@@ -438,8 +450,9 @@ class VerificationReport:
 
 
 def verify_certificate(payload: dict) -> VerificationReport:
-    """Recompute every subcheck of a serialized certificate from its
-    generator arrays and compare with the stated verdicts."""
+    """Rebuild the groups from the payload's generator arrays, derive
+    every verdict with certify's own code, and compare it with the
+    stated one.  Only family is not compared."""
     failures = []
 
     def expect(name, stated, recomputed):
@@ -452,59 +465,45 @@ def verify_certificate(payload: dict) -> VerificationReport:
         verdict = payload["double_cover_verdict"]
         check(verdict == "untested", f"double_cover_verdict: stated "
               f"{verdict!r}, a product-action certificate is 'untested'")
-    degree = payload["degree"]
     gens = payload["generators"]
-    g = tuple(gens["g"])
-    H = PermGroup([tuple(x) for x in gens["H"]], degree=degree)
-    n = payload["blocks"]
-    d = payload["block_degree"]
-    T = PermGroup([tuple(x) for x in gens["socle_factor"]], degree=d)
-    expect("socle factor order", int(payload["orders"]["socle_factor"]),
-           T.order())
-    M = DirectPower(T, n)
+    H = PermGroup([tuple(x) for x in gens["H"]], degree=payload["degree"])
+    T = PermGroup([tuple(x) for x in gens["socle_factor"]],
+                  degree=payload["block_degree"])
+    M = DirectPower(T, payload["blocks"])
     # orders are proven from the generators; the payload's are only compared
-    G_order = _socle_group(gens["G"], M).order()
-    expect("order of G", int(payload["orders"]["G"]), G_order)
-    expect("order of H", int(payload["orders"]["H"]), H.order())
-    local = local_certificate(G_order, H, g, M)
-    expect("intersection order", int(payload["orders"]["intersection"]),
+    G = _socle_group(gens["G"], M)
+    gstar = (_socle_group(gens["gstar"], M)
+             if payload["kind"] == "bipartite" else None)
+    cert = _derive(G, H, tuple(gens["g"]), M,
+                   filtered_intersection_with_product(H, M), gstar)
+    local = cert.local
+    orders = payload["orders"]
+    checks = payload["checks"]
+    expect("socle factor order", int(orders["socle_factor"]),
+           cert.socle_factor_order)
+    expect("order of G", int(orders["G"]), local.group_order)
+    expect("order of H", int(orders["H"]), local.stabilizer_order)
+    expect("intersection order", int(orders["intersection"]),
            local.intersection_order)
     expect("valency", payload["valency"], local.valency)
-    checks = payload["checks"]
-    expect("connected", checks["connected"], local.connected)
-    expect("locally_2transitive", checks["locally_2transitive"],
-           local.locally_2transitive)
-    expect("g_square_in_H", checks["g_square_in_H"], local.g_square_in_H)
-    expect("g_outside_H", checks["g_outside_H"], local.g_outside_H)
-
-    meet = filtered_intersection_with_product(H, M).elements()
-    if payload["kind"] == "bipartite":
-        gstar = _socle_group(gens["gstar"], M)
-        expect("order of Gstar", int(payload["orders"]["Gstar"]),
-               gstar.order())
-        expect("index of Gstar", payload["gstar_index"],
-               G_order // gstar.order())
-        expect("g_swaps_halves", payload["g_swaps_halves"],
-               not gstar.contains(g))
-        expect("socle_transitive", checks["socle_transitive"],
-               T.order()**n * H.order() == gstar.order() * len(meet))
-        projections_injective = all(
-            len({x[i * d:(i + 1) * d] for x in meet}) == len(meet)
-            for i in range(n))
-        expect("diagonal_type", checks["diagonal_type"],
-               projections_injective)
-        expect("double_cover_verdict", payload["double_cover_verdict"],
-               _bipartite_verdict_from_payload(payload, M))
+    expect("parameter", payload["parameter"], cert.parameter)
+    for name in ("connected", "locally_2transitive", "g_square_in_H",
+                 "g_outside_H"):
+        expect(name, checks[name], getattr(local, name))
+    for name in ("socle_transitive", "diagonal_type"):
+        expect(name, checks[name], getattr(cert, name))
+    names = ["theorem1_case", "ii_possible", "case_witness",
+             "double_cover_verdict"]
+    if gstar is None:
+        names.append("arc_regular_socle")
     else:
-        expect("socle_transitive", checks["socle_transitive"],
-               T.order()**n * H.order() == G_order * len(meet))
-        kernel = [x for x in meet if x[:d] == tuple(range(d))]
-        expect("diagonal_type", checks["diagonal_type"], len(kernel) <= 1)
-        expect("arc_regular_socle", payload["arc_regular_socle"],
-               T.order()**n == (G_order // H.order()) * local.valency)
+        expect("order of Gstar", int(orders["Gstar"]), cert.gstar_order)
+        names += ["gstar_index", "g_swaps_halves"]
+    for name in names:
+        expect(name, payload[name], getattr(cert, name))
     recomputed = {
-        "G": str(G_order),
-        "H": str(H.order()),
+        "G": str(local.group_order),
+        "H": str(local.stabilizer_order),
         "intersection": str(local.intersection_order),
         "valency": local.valency,
     }
@@ -541,20 +540,3 @@ def _socle_group(gens, M: DirectPower) -> PermGroup:
         group = PermGroup(gens, degree=M.degree,
                           upper_bound=socle_bound(gens, M))
     return group
-
-
-def _bipartite_verdict_from_payload(payload: dict, M: PermGroup) -> str:
-    degree = payload["degree"]
-    n = payload["blocks"]
-    d = payload["block_degree"]
-    gens = payload["generators"]
-    # bold b is recovered as the diagonal H generator of order p - 1
-    for x in gens["H"]:
-        x = tuple(x)
-        blocks = [tuple(y - i * d for y in x[i * d:(i + 1) * d])
-                  for i in range(n)]
-        if len(set(blocks)) == 1 and blocks[0] != pid(d) \
-                and porder(x) == payload["parameter"] - 1:
-            return "untested" if M.contains(x) else "is_not"
-    raise ValueError("certificate does not contain the replicated "
-                     "order-(p-1) generator")

@@ -8,7 +8,8 @@ socle_bound) or by the full Schreier check, so orders, membership
 tests, and the derived reports are exact, never Monte Carlo.  A group
 generated by a direct power M and elements normalizing it meets that
 bound by containment: its order and membership tests come from the
-walk over M's cosets, with no chain (socle_extension).
+walk over M's cosets, with no chain (socle_extension), and a subgroup's
+projection to one block of M is generated by its generators' pieces.
 Intersections and stabilizers of right cosets come from walking the
 orbit of a coset (orbit-stabilizer and Schreier generators), not from
 enumerating the group.  A transversal entry t_p*h gets its inverse by
@@ -433,6 +434,22 @@ class DirectPower(PermGroup):
 
     def order(self) -> int:
         return self.factor.order() ** self.copies
+
+    def piece(self, x: Perm, i: int) -> Perm:
+        """The images of block i's points under x, moved to 0, ..., d-1."""
+        off = i * self.factor.degree
+        return tuple(v - off for v in x[off:off + self.factor.degree])
+
+    def projection(self, sub: PermGroup, i: int) -> PermGroup:
+        """pi_i(sub) for a subgroup of this power, the group of the pieces
+        its elements have on block i.  pi_i is a homomorphism, so
+        pi_i(<S>) = <pi_i(S)>: it is generated by the pieces of sub's
+        generators, and no element of sub is listed.  Its order has no
+        upper bound: |sub| is met only when pi_i is injective, and below
+        it a bounded sift would run to its quiet cap before the Schreier
+        check."""
+        return PermGroup([self.piece(x, i) for x in sub.gens],
+                         degree=self.factor.degree)
 
     def contains(self, x) -> bool:
         x = tuple(x)

@@ -140,7 +140,7 @@ def test_criterion_5_pipeline_q7():
         proj = PermGroup([tuple(y - i * d for y in x) for x in proj],
                          degree=d)
         assert proj.order() == 21, f"projection {i}"
-    assert pa.non_diagonal
+    assert pa.meet.order() == meet.order() > 21
     assert not cert.diagonal_type
     assert cert.theorem1_case == "iii"
 

@@ -2,12 +2,14 @@
 AST scan of the package, and a check that still fires under python -O."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
 import patgraphs
+from patgraphs.cli import main
 
 PACKAGE = pathlib.Path(patgraphs.__file__).parent
 
@@ -97,3 +99,25 @@ def test_socle_normalizer_check_survives_optimize_flag():
             "raise SystemExit('G was assembled from a non-normalizer')\n")
     proc = _run_optimized(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_fails_edited_fields_under_optimize_flag(tmp_path):
+    # python -O -m patgraphs.cli verify: derived fields are still
+    # compared, and a mismatch still exits 3
+    cert = tmp_path / "c4.json"
+    assert main(["construct", "--q", "4", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for name, edit in (
+            ("theorem1_case", lambda p: p.update(theorem1_case="iii")),
+            ("diagonal_type", lambda p: p["checks"].update(
+                diagonal_type=not p["checks"]["diagonal_type"]))):
+        edited = json.loads(json.dumps(payload))
+        edit(edited)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(edited))
+        proc = subprocess.run([sys.executable, "-O", "-m", "patgraphs.cli",
+                               "verify", str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert f"FAILED: {name}: stated" in proc.stderr

@@ -175,8 +175,9 @@ def test_construct_builds_its_field_once(monkeypatch):
 
 
 def test_construct_and_verify_never_enumerate_H(tmp_path, monkeypatch):
-    # the edge stabilizer, T^n meet H and the socle bound walk cosets;
-    # only groups smaller than H, |H| = q^2(q^2 - 1), are enumerated
+    # the edge stabilizer, T^n meet H and the socle bound walk cosets, and
+    # the projections of T^n meet H come from its generators: no group
+    # at all is enumerated
     enumerated = []
     elements = permgrp.PermGroup.elements
 
@@ -185,10 +186,11 @@ def test_construct_and_verify_never_enumerate_H(tmp_path, monkeypatch):
         return elements(self, limit)
 
     monkeypatch.setattr(permgrp.PermGroup, "elements", recording)
-    cert = tmp_path / "c7.json"
-    assert main(["construct", "--q", "7", "--out", str(cert)]) == 0
-    assert main(["verify", str(cert)]) == 0
-    assert enumerated and max(enumerated) < 7**2 * (7**2 - 1)
+    for command in (["construct", "--q", "7"], ["bipartite", "--p", "5"]):
+        cert = tmp_path / f"{command[0]}.json"
+        assert main(command + ["--out", str(cert)]) == 0
+        assert main(["verify", str(cert)]) == 0
+    assert enumerated == []
 
 
 def _record_completed_chains(monkeypatch):
@@ -265,6 +267,41 @@ def test_verify_rejects_before_group_work(tmp_path, capsys, monkeypatch,
     assert main(["verify", str(edited)]) == code
     err = capsys.readouterr().err
     assert message in err and "Error(" not in err
+
+
+@pytest.fixture(scope="module")
+def small_certificates(tmp_path_factory):
+    """The q = 4 and p = 5 certificates, as payloads."""
+    out = {}
+    for command in (["construct", "--q", "4"], ["bipartite", "--p", "5"]):
+        cert = tmp_path_factory.mktemp("certs") / "cert.json"
+        assert main(command + ["--out", str(cert)]) == 0
+        out[command[0]] = json.loads(cert.read_text())
+    return out
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("construct", "theorem1_case", "iii"),
+    ("construct", "case_witness", 7),
+    ("construct", "ii_possible", True),
+    ("construct", "parameter", 7),
+    ("bipartite", "parameter", 7),
+    ("bipartite", "theorem1_case", "i"),
+    ("bipartite", "ii_possible", True),
+])
+def test_verify_recomputes_every_derived_field(tmp_path, capsys,
+                                               small_certificates,
+                                               command, key, value):
+    # every field but family is derived again; the bipartite parameter
+    # too, so it is never the order that locates b
+    payload = json.loads(json.dumps(small_certificates[command]))
+    assert payload[key] != value
+    payload[key] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(edited)]) == 3
+    assert f"{key}: stated {value!r}" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_generator_outside_the_domain(tmp_path, capsys):

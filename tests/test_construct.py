@@ -2,6 +2,7 @@
 action, E and H, the assembled G, the bipartite family, and twisted
 centralizers, against frozen orders and structure counts."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from patgraphs.atlas import seed_pgl2, seed_psl28_gamma, seed_symmetric
 from patgraphs.numth import VerificationError
 from patgraphs.construct import (
     WreathElement,
+    assemble_G,
     bipartite_construction,
     build_E_and_H,
     build_theta,
@@ -19,6 +21,7 @@ from patgraphs.construct import (
     embed_block,
     flatten,
     product_action_construction,
+    regular_components,
     twisted_centralizer,
     unflatten,
     verify_code_model_similarity,
@@ -156,13 +159,43 @@ def test_component_index_selects_other_components():
         build_E_and_H(seed, theta, component_index=4)
 
 
+def test_theta_must_be_transitive_on_E():
+    # q = 8's invariant 6-dimensional component on which theta has order
+    # 21: E is elementary abelian of order 64 and <E, theta> still has
+    # order 64 * 63, so only this check stands between it and H; the
+    # 2-transitivity of H on the cosets of <theta> is argued from it
+    seed = seed_pgl2(8)
+    theta = build_theta(seed)
+    rc = regular_components(seed, theta)
+    [slow] = [c.code for c in rc.decomposition.components
+              if c.code.dim == 6 and c.order == 21]
+    with pytest.raises(VerificationError,
+                       match="theta-conjugation is not transitive"):
+        build_E_and_H(seed, theta,
+                      components=dataclasses.replace(rc, codes=(slow,)))
+
+
 def test_assembled_G_q4(pa4):
     assert pa4.G.order() == 3_888_000_000 == 60**5 * 5
     assert pa4.G.order() // pa4.H.order() == 16_200_000
-    assert pa4.non_diagonal and pa4.socle_transitive
     meet = filtered_intersection_with_product(pa4.H,
                                               DirectPower(pa4.seed.T, 5))
-    assert meet.order() == 48
+    assert meet.order() == pa4.meet.order() == 48
+
+
+def test_assemble_G_compares_projections_by_membership(pa4):
+    # a conjugate of R meets T in a subgroup of the same order as R meet
+    # T, so equal orders alone would pass it
+    seed = pa4.seed
+    rt = filtered_intersection_with_product(seed.R, seed.T)
+    t = next(x for x in seed.T.gens
+             if not all(rt.contains(pconj(y, x)) for y in rt.gens))
+    R = PermGroup([pconj(x, t) for x in seed.R.gens], degree=seed.degree)
+    moved = dataclasses.replace(pa4, seed=dataclasses.replace(seed, R=R),
+                                G=None, meet=None)
+    with pytest.raises(VerificationError,
+                       match="projection 0 of T\\^n meet H is not R meet T"):
+        assemble_G(moved)
 
 
 def test_assembled_G_q7(pa7):
@@ -175,7 +208,8 @@ def test_assembled_G_q7(pa7):
     for i in range(8):
         proj = {x[i * d:(i + 1) * d] for x in elements}
         assert len(proj) == 21
-    assert pa7.non_diagonal
+    # non-diagonal: pi_0 has a nontrivial kernel
+    assert pa7.meet.order() == 147 > 21
 
 
 def test_G_is_certified_by_its_socle_bound(monkeypatch):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from patgraphs.construct import embed_block, flatten
 from patgraphs.graphcert import (
     SmallGraph,
     certificate_payload,
@@ -32,7 +33,6 @@ from patgraphs.permgrp import (
     perm_from_cycles,
     pinv,
     pmul,
-    ppow,
 )
 
 
@@ -261,12 +261,17 @@ def test_certificate_bipartite_p5(bip5_symmetric, bip5_pgl2):
 
 
 def test_not_double_cover_is_only_refuted(bip5_symmetric):
-    import dataclasses
-
-    assert not_double_cover_test(bip5_symmetric) == "is_not"
-    doctored = dataclasses.replace(
-        bip5_symmetric, bold_b=ppow(bip5_symmetric.bold_b, 2))
-    assert not_double_cover_test(doctored) == "untested"
+    bc = bip5_symmetric
+    M = DirectPower(bc.seed.T, bc.n)
+    assert not_double_cover_test(bc.H, M, 5) == "is_not"
+    # in the power of X the replicated b lies in the socle product, and
+    # membership decides nothing
+    wider = DirectPower(bc.seed.X, bc.n)
+    assert wider.contains(bc.bold_b)
+    assert not_double_cover_test(bc.H, wider, 5) == "untested"
+    # b is found by its order p - 1, with p the valency
+    with pytest.raises(ValueError, match="order p - 1"):
+        not_double_cover_test(bc.H, M, 7)
 
 
 # -- serialization --------------------------------------------------------
@@ -304,6 +309,18 @@ def test_tampered_certificate_is_rejected(bip5_symmetric):
     report = verify_certificate(payload)
     assert not report.ok
     assert any("order of G" in f for f in report.failures)
+
+
+def test_diagonal_type_needs_every_projection_injective(bip5_symmetric):
+    # H = <(a, 1, 1, 1), b>: T^n meet H = <(a, 1, 1, 1), b^2> projects
+    # injectively to block 0 but to a group of order 2 on block 1
+    bip = bip5_symmetric
+    cert = certify(bip)
+    payload = json.loads(json.dumps(certificate_payload(cert, bip, bip.o)))
+    a0 = flatten(embed_block(bip.seed.a, 0, bip.n), bip.block_degree)
+    payload["generators"]["H"] = [list(a0), list(bip.bold_b)]
+    report = verify_certificate(payload)
+    assert "diagonal_type: stated True, recomputed False" in report.failures
 
 
 def test_toy_graph_matches_its_own_coset_recipe(k4_setup):

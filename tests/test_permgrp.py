@@ -385,6 +385,57 @@ def test_socle_groups_match_bounded_sift(kind, value):
         assert not bc.Gstar.contains(bc.o) and bc.G.contains(bc.o)
 
 
+def _projections_against_enumeration(M, sub):
+    """Check pi_i(sub), generated by the pieces of sub's generators,
+    against the set of pieces of every element, and the kernel of pi_0
+    against the elements trivial on block 0; returns which projections
+    are injective."""
+    elements = sub.elements()
+    assert len(elements) == sub.order()
+    d = M.factor.degree
+    injective = []
+    for i in range(M.copies):
+        pieces = {tuple(y - i * d for y in x[i * d:(i + 1) * d])
+                  for x in elements}
+        proj = M.projection(sub, i)
+        assert proj.degree == d
+        assert proj.order() == len(pieces), f"projection {i}"
+        assert all(proj.contains(x) for x in pieces)
+        injective.append(len(pieces) == len(elements))
+        assert (proj.order() == sub.order()) == injective[-1]
+    kernel = [x for x in elements if x[:d] == pid(d)]
+    assert sub.order() // M.projection(sub, 0).order() == len(kernel)
+    return injective
+
+
+@pytest.mark.parametrize("kind,value", [("q", 4), ("q", 7), ("q", 8),
+                                        ("p", 5), ("p", 7), ("v64", 8)])
+def test_projections_by_generators_match_enumeration(kind, value, request):
+    # pi_i(T^n meet H) from its generators, against brute force
+    if kind == "q":
+        c = product_action_construction(value)
+    elif kind == "p":
+        c = bipartite_construction(value)
+    else:
+        c = request.getfixturevalue("v64").pa
+    M = DirectPower(c.seed.T, c.n)
+    injective = _projections_against_enumeration(M, c.meet)
+    # the bipartite meet is diagonal, the product-action one is not
+    assert all(injective) == (kind == "p")
+
+
+def test_projections_differ_by_block():
+    # <(c3, 1, c5), (1, c2, 1)> in A5^3 projects to C3, C2 and C5
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    M = DirectPower(a5, 3)
+    sub = PermGroup([perm_from_cycles(15, [(0, 1, 2), (10, 11, 12, 13, 14)]),
+                     perm_from_cycles(15, [(5, 6), (7, 8)])])
+    assert sub.order() == 30
+    assert [M.projection(sub, i).order() for i in range(3)] == [3, 2, 5]
+    assert _projections_against_enumeration(M, sub) == [False] * 3
+
+
 def test_order_stable_across_base_and_seed():
     g = mobius_psl2(7)
     for hint in ([4, 2, 0], [7, 5, 3, 1], [0]):
