@@ -20,10 +20,12 @@ and are asserted as measured:
   to that conjugation (the two graphs are isomorphic).
 """
 
+from patgraphs.atlas import seed_psl28_gamma
 from patgraphs.construct import compare_theta_readings, valency64_construction
 from patgraphs.graphcert import certify
 
-for rep in compare_theta_readings():
+psl28 = seed_psl28_gamma()
+for rep in compare_theta_readings(psl28):
     if rep.rejected:
         print(f"reading {rep.reading}: rejected ({rep.rejected})")
     else:
@@ -31,7 +33,7 @@ for rep in compare_theta_readings():
               f"dims {sorted(rep.dimensions)}, {rep.regular_count} regular")
 print()
 
-v64 = valency64_construction()
+v64 = valency64_construction(psl28)
 tc = v64.tc
 print(f"centralizer of theta: order {tc.centralizer.order()} "
       f"(non-abelian, three involutions)")

@@ -18,7 +18,7 @@ from .permgrp import (
     Perm,
     PermGroup,
     filtered_intersection_with_product,
-    normalizer_by_enumeration,
+    orbit_partition,
     pconj,
     pid,
     pinv,
@@ -77,22 +77,22 @@ def projective_frobenius(k: GF) -> Perm:
     return tuple(k.pow(x, k.p) for x in range(k.q)) + (k.q,)
 
 
-def pgl2(k: GF) -> PermGroup:
+def pgl2(k: GF, seed: int) -> PermGroup:
     """PGL(2, q) on the q+1 projective points."""
     mu = k.generator
     gens = [projective_translation(k, k.p**i) for i in range(k.f)]
     gens.append(projective_scaling(k, mu))
     gens.append(projective_neg_inversion(k))
-    return PermGroup(gens)
+    return PermGroup(gens, seed=seed)
 
 
-def psl2(k: GF) -> PermGroup:
+def psl2(k: GF, seed: int) -> PermGroup:
     """PSL(2, q) on the q+1 projective points."""
     mu = k.generator
     gens = [projective_translation(k, k.p**i) for i in range(k.f)]
     gens.append(projective_scaling(k, k.mul(mu, mu)))
     gens.append(projective_neg_inversion(k))
-    return PermGroup(gens)
+    return PermGroup(gens, seed=seed)
 
 
 # -- prime-residue permutations ---------------------------------------
@@ -130,7 +130,8 @@ def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
     """The invariants every standard seed must satisfy."""
     q = seed.q
     two = gcd(2, q - 1)
-    check(PermGroup(seed.F, degree=seed.degree).order() == q,
+    sift = seed.T.seed
+    check(PermGroup(seed.F, degree=seed.degree, seed=sift).order() == q,
           "F does not have order q")
     check(porder(seed.b) == (q - 1) // two, "b has the wrong order")
     c_order = 1 if seed.c == pid(seed.degree) else porder(seed.c)
@@ -141,7 +142,7 @@ def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
     # R meet T is F:<b, c^{|X:T|}>
     meet = filtered_intersection_with_product(seed.R, seed.T)
     expected = PermGroup(list(seed.F) + [seed.b, ppow(seed.c, seed.index_XT)],
-                         degree=seed.degree)
+                         degree=seed.degree, seed=sift)
     check(meet.order() == expected.order() == q * (q - 1) // seed.index_XT,
           "R meet T has the wrong order")
     for g in expected.gens:
@@ -151,11 +152,12 @@ def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
     check(o is not None and pmul(o, o) == pid(seed.degree)
           and o != pid(seed.degree), "o is not an involution")
     check(seed.T.contains(o), "o is not in the socle")
-    bc = PermGroup([seed.b, seed.c], degree=seed.degree)
+    bc = PermGroup([seed.b, seed.c], degree=seed.degree, seed=sift)
     for g in bc.gens:
         check(bc.contains(pconj(g, o)), "o does not normalize <b, c>")
     check(pmul(o, seed.c) == pmul(seed.c, o), "o does not commute with c")
-    full = PermGroup(list(seed.F) + [seed.b, seed.c, o], degree=seed.degree)
+    full = PermGroup(list(seed.F) + [seed.b, seed.c, o], degree=seed.degree,
+                     seed=sift)
     check(full.order() == seed.X.order(), "<F, b, c, o> is not all of X")
 
 
@@ -171,7 +173,7 @@ def _verify_bipartite_pair(seed: AlmostSimpleSeed) -> None:
     check(pmul(c, c) == pid(seed.degree) and c != pid(seed.degree),
           "c is not an involution")
     check(pconj(seed.b, c) == pinv(seed.b), "c does not invert b")
-    dihedral = PermGroup([seed.b, c], degree=seed.degree)
+    dihedral = PermGroup([seed.b, c], degree=seed.degree, seed=seed.T.seed)
     check(dihedral.order() == 2 * (p - 1), "<b, c> is not dihedral of "
           "order 2(p-1)")
     half_turn = ppow(seed.b, (p - 1) // 2)
@@ -184,13 +186,15 @@ def _verify_bipartite_pair(seed: AlmostSimpleSeed) -> None:
 # -- seed constructors -------------------------------------------------
 
 
-def seed_pgl2(q: int, bipartite: bool = False) -> AlmostSimpleSeed:
+def seed_pgl2(q: int, bipartite: bool = False,
+              seed: int = 0) -> AlmostSimpleSeed:
     """Seed with X = PGL(2, q) and T = PSL(2, q) on q+1 points.
 
     The standard form realizes R = F:(<b> x <c>) with translations F
     and the distinguished involution o: x -> gamma/x.  The bipartite
     form (prime q only) renames: a of order q, b of order q-1, c an
-    involution inverting b with c*b^((q-1)/2) outside T.
+    involution inverting b with c*b^((q-1)/2) outside T.  Every group
+    is sifted from the given seed.
     """
     if bipartite:
         if not is_prime(q) or q < 5:
@@ -204,8 +208,8 @@ def seed_pgl2(q: int, bipartite: bool = False) -> AlmostSimpleSeed:
     k = make_field(q)
     degree = q + 1
     mu = k.generator
-    X = pgl2(k)
-    T = psl2(k)
+    X = pgl2(k, seed)
+    T = psl2(k, seed)
     two = gcd(2, q - 1)
     check(X.order() == q * (q * q - 1), "PGL(2,q) has the wrong order")
     check(T.order() == q * (q * q - 1) // two, "PSL(2,q) has the wrong order")
@@ -225,11 +229,11 @@ def seed_pgl2(q: int, bipartite: bool = False) -> AlmostSimpleSeed:
                 c = cand
                 break
         check(c is not None, "no reflection avoids the socle condition")
-        R = PermGroup([a, b], degree=degree)
-        seed = AlmostSimpleSeed("pgl2-bipartite", q, k, degree, X, T, R,
-                                two, F, a, b, c, None)
-        _verify_bipartite_pair(seed)
-        return seed
+        R = PermGroup([a, b], degree=degree, seed=seed)
+        out = AlmostSimpleSeed("pgl2-bipartite", q, k, degree, X, T, R,
+                               two, F, a, b, c, None)
+        _verify_bipartite_pair(out)
+        return out
     a = scale
     b = ppow(a, two)
     c = ppow(a, (q - 1) // two)
@@ -241,20 +245,21 @@ def seed_pgl2(q: int, bipartite: bool = False) -> AlmostSimpleSeed:
             break
     check(o is not None, "no inversion map lands in the socle")
     check(pconj(a, o) == pinv(a), "o does not invert a")
-    R = PermGroup(list(F) + [b, c], degree=degree)
-    seed = AlmostSimpleSeed("pgl2", q, k, degree, X, T, R, two, F, a, b, c,
-                            o)
-    _verify_affine_pair(seed)
-    return seed
+    R = PermGroup(list(F) + [b, c], degree=degree, seed=seed)
+    out = AlmostSimpleSeed("pgl2", q, k, degree, X, T, R, two, F, a, b, c, o)
+    _verify_affine_pair(out)
+    return out
 
 
-def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
+def seed_symmetric(p: int, bipartite: bool = False,
+                   seed: int = 0) -> AlmostSimpleSeed:
     """Seed with X = S_p and T = A_p on the residues modulo p.
 
     The standard form takes F = <x -> x+1>, a: x -> g*x, b = a^2,
     c = a^((p-1)/2) = (x -> -x), and o = c*d for the inverting
     involution d: x -> nu/x with nu the least non-residue.  The
-    bipartite form renames as in seed_pgl2.
+    bipartite form renames as in seed_pgl2.  Every group is sifted from
+    the given seed.
     """
     if bipartite:
         if not is_prime(p) or p < 5:
@@ -271,8 +276,8 @@ def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
     trans = residue_translation(p)
     a_scale = residue_scaling(p, k.generator)
     pcycle = trans
-    X = PermGroup([pcycle, (1, 0) + tuple(range(2, p))])
-    T = PermGroup([pcycle, (1, 2, 0) + tuple(range(3, p))])
+    X = PermGroup([pcycle, (1, 0) + tuple(range(2, p))], seed=seed)
+    T = PermGroup([pcycle, (1, 2, 0) + tuple(range(3, p))], seed=seed)
     check(X.order() == factorial(p), "S_p has the wrong order")
     check(T.order() == factorial(p) // 2, "A_p has the wrong order")
     F = (trans,)
@@ -288,11 +293,11 @@ def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
                 c = cand
                 break
         check(c is not None, "no reflection avoids the socle condition")
-        R = PermGroup([a, b], degree=degree)
-        seed = AlmostSimpleSeed("symmetric-bipartite", p, k, degree, X, T, R,
-                                2, F, a, b, c, None)
-        _verify_bipartite_pair(seed)
-        return seed
+        R = PermGroup([a, b], degree=degree, seed=seed)
+        out = AlmostSimpleSeed("symmetric-bipartite", p, k, degree, X, T, R,
+                               2, F, a, b, c, None)
+        _verify_bipartite_pair(out)
+        return out
     a = a_scale
     b = ppow(a, 2)
     c = ppow(a, (p - 1) // 2)
@@ -300,41 +305,56 @@ def seed_symmetric(p: int, bipartite: bool = False) -> AlmostSimpleSeed:
     d = residue_scaled_inversion(p, nu)
     o = pmul(c, d)
     check(pconj(a, d) == pinv(a), "d does not invert a")
-    check(PermGroup([a, d], degree=degree).order() == 2 * (p - 1),
+    check(PermGroup([a, d], degree=degree, seed=seed).order() == 2 * (p - 1),
           "<a, d> is not dihedral of order 2(p-1)")
     check(pmul(c, d) == pmul(d, c), "c is not central in <a, d>")
-    R = PermGroup(list(F) + [b, c], degree=degree)
-    seed = AlmostSimpleSeed("symmetric", p, k, degree, X, T, R, 2, F, a, b, c,
-                            o)
-    _verify_affine_pair(seed)
-    check(PermGroup(list(F) + [b, o], degree=degree).order() == T.order(),
-          "<F, b, o> is not all of the socle")
-    return seed
+    R = PermGroup(list(F) + [b, c], degree=degree, seed=seed)
+    out = AlmostSimpleSeed("symmetric", p, k, degree, X, T, R, 2, F, a, b, c,
+                           o)
+    _verify_affine_pair(out)
+    check(PermGroup(list(F) + [b, o], degree=degree, seed=seed).order()
+          == T.order(), "<F, b, o> is not all of the socle")
+    return out
 
 
-def seed_psl28_gamma() -> AlmostSimpleSeed:
+def seed_psl28_gamma(seed: int = 0) -> AlmostSimpleSeed:
     """Seed with T = PSL(2, 8) inside X = T:<sigma> of order 1512 on the
     nine projective points, sigma the Frobenius map x -> x^2; F is the
-    translation Sylow 2-subgroup of T and b = sigma."""
+    translation Sylow 2-subgroup of T and b = sigma.  Every group is
+    sifted from the given seed."""
     k = make_field(8)
     degree = 9
-    T = psl2(k)
+    T = psl2(k, seed)
     check(T.order() == 504, "PSL(2,8) has the wrong order")
     sigma = projective_frobenius(k)
-    X = PermGroup(list(T.gens) + [sigma])
+    X = PermGroup(list(T.gens) + [sigma], seed=seed)
     check(X.order() == 1512, "PSL(2,8):3 has the wrong order")
     F = tuple(projective_translation(k, k.p**i) for i in range(3))
-    Fgrp = PermGroup(F, degree=degree)
+    Fgrp = PermGroup(F, degree=degree, seed=seed)
     check(Fgrp.order() == 8, "translation subgroup has the wrong order")
     check(porder(sigma) == 3, "the field automorphism does not have order 3")
     for g in F:
         check(Fgrp.contains(pconj(g, sigma)),
               "the field automorphism does not normalize F")
-    check(normalizer_by_enumeration(T, Fgrp).order() == 56,
-          "N_T(F) has the wrong order")
-    check(normalizer_by_enumeration(X, Fgrp).order() == 168,
-          "N_X(F) has the wrong order")
-    R = PermGroup(list(F) + [sigma], degree=degree)
+    # N_T(F) and N_X(F) from structure: a normalizer of F permutes the
+    # points F fixes, here only infinity, so N_T(F) <= T_inf and
+    # N_X(F) <= X_inf, of orders |T|/9 and |X|/9 as T is transitive.
+    # <F, x -> mu*x> and <F, x -> mu*x, sigma> lie in T and X, normalize
+    # F and meet those orders, so they are N_T(F) and N_X(F)
+    check([x for x in range(degree) if all(g[x] == x for g in F)] == [8],
+          "F does not fix infinity alone")
+    check(len(orbit_partition(T.gens, degree)) == 1,
+          "PSL(2,8) is not transitive on the projective line")
+    scale = projective_scaling(k, k.generator)
+    check(all(T.contains(g) for g in F + (scale,)),
+          "F:<x -> mu*x> is not in T")
+    for g in F:
+        check(Fgrp.contains(pconj(g, scale)), "x -> mu*x does not normalize F")
+    check(PermGroup(list(F) + [scale], seed=seed).order()
+          == T.order() // degree == 56, "N_T(F) has the wrong order")
+    check(PermGroup(list(F) + [scale, sigma], seed=seed).order()
+          == X.order() // degree == 168, "N_X(F) has the wrong order")
+    R = PermGroup(list(F) + [sigma], degree=degree, seed=seed)
     check(R.order() == 24, "F:<b> has the wrong order")
     return AlmostSimpleSeed("psl28-gamma", 8, k, degree, X, T, R,
                             3, F, None, sigma, None, None)

@@ -11,9 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from . import permgrp
 from .construct import (
     bipartite_construction,
     build_E_and_H,
@@ -49,25 +47,6 @@ EXIT_REJECTED = 2
 EXIT_FAILED = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    q: int | None = None
-    p: int | None = None
-    family: str = "pgl2"
-    component_index: int = 0
-    limit: int = ENUMERATION_LIMIT
-    out: str | None = None
-    seed: int | None = None
-    degree: int | None = None
-    group_gens: str | None = None
-    subgroup_gens: str | None = None
-    edge_element: str | None = None
-    preset: str | None = None
-    certificate: str | None = None
-    reading: str = "primary"
-
-
 def _emit(path: str | None, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -90,8 +69,8 @@ def _write_text(path: str | None, text: str) -> None:
 # -- subcommand bodies ----------------------------------------------------
 
 
-def _run_edc(config: RunConfig) -> int:
-    q = config.q
+def _run_edc(args: argparse.Namespace) -> int:
+    q = args.q
     ps = validate_parameters(q)
     if not ps.valid:
         print(f"rejected: q = {q}: {ps.violation}", file=sys.stderr)
@@ -104,7 +83,7 @@ def _run_edc(config: RunConfig) -> int:
     faithful = sum(1 for c in res.decomposition.components if c.faithful)
     equidistant = set(profile) == {q} and profile[q] == q * q - 1
     if equidistant and regular:
-        _emit(config.out, {
+        _emit(args.out, {
             "q": q,
             "n": q + 1,
             "basis": [list(r) for r in code.basis],
@@ -153,22 +132,22 @@ def _print_certificate(cert) -> None:
     print(f"standard double cover verdict: {cert.double_cover_verdict}")
 
 
-def _run_construct(config: RunConfig) -> int:
-    pa = product_action_construction(config.q, config.family,
-                                     config.component_index)
+def _run_construct(args: argparse.Namespace) -> int:
+    pa = product_action_construction(args.q, args.family,
+                                     args.component_index, seed=args.seed)
     cert = certify(pa)
-    _emit_certificate(config.out, cert, pa, pa.o)
-    print(f"product-action construction, family {config.family}, "
-          f"q = {config.q}, {pa.n} blocks of degree {pa.block_degree}")
+    _emit_certificate(args.out, cert, pa, pa.o)
+    print(f"product-action construction, family {args.family}, "
+          f"q = {args.q}, {pa.n} blocks of degree {pa.block_degree}")
     _print_certificate(cert)
     return EXIT_OK
 
 
-def _run_bipartite(config: RunConfig) -> int:
-    bc = bipartite_construction(config.p, config.family)
+def _run_bipartite(args: argparse.Namespace) -> int:
+    bc = bipartite_construction(args.p, args.family, seed=args.seed)
     cert = certify(bc)
-    _emit_certificate(config.out, cert, bc, bc.o)
-    print(f"bipartite construction, family {config.family}, p = {config.p}, "
+    _emit_certificate(args.out, cert, bc, bc.o)
+    print(f"bipartite construction, family {args.family}, p = {args.p}, "
           f"{bc.n} blocks of degree {bc.block_degree}")
     print(f"|H| = {bc.H.order()}, |K| = {bc.K.order()}, "
           f"|H:K| = {bc.H.order() // bc.K.order()}")
@@ -176,19 +155,19 @@ def _run_bipartite(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_example_2_6(config: RunConfig) -> int:
-    reports = compare_theta_readings()
-    chosen = next(r for r in reports if r.reading == config.reading)
+def _run_example_2_6(args: argparse.Namespace) -> int:
+    psl28 = seed_psl28_gamma(seed=args.seed)
+    reports = compare_theta_readings(psl28)
+    chosen = next(r for r in reports if r.reading == args.reading)
     if chosen.rejected is not None:
         raise VerificationError(chosen.rejected)
-    seed = seed_psl28_gamma()
     components = chosen.components
-    orders = [build_E_and_H(seed, components.theta, i, components).H.order()
+    orders = [build_E_and_H(psl28, components.theta, i, components).H.order()
               for i in range(6)]
-    v64 = valency64_construction(config.component_index, config.reading,
+    v64 = valency64_construction(psl28, args.component_index, args.reading,
                                  components, chosen.tc)
     cert = certify(v64)
-    _emit_certificate(config.out, cert, v64, v64.g)
+    _emit_certificate(args.out, cert, v64, v64.g)
     for rep in reports:
         if rep.rejected is not None:
             print(f"reading {rep.reading}: rejected ({rep.rejected})")
@@ -246,23 +225,25 @@ def parse_generators(text: str, degree: int):
             for part in text.split(";") if part.strip()]
 
 
-def _run_toy(config: RunConfig) -> int:
-    if config.preset is not None:
-        degree, group_gens, subgroup_gens, edge = _PRESETS[config.preset]
+def _run_toy(args: argparse.Namespace) -> int:
+    if args.preset is not None:
+        degree, group_gens, subgroup_gens, edge = _PRESETS[args.preset]
     else:
-        if not (config.degree and config.group_gens
-                and config.subgroup_gens and config.edge_element):
+        if not (args.degree and args.group_gens
+                and args.subgroup_gens and args.edge_element):
             print("rejected: toy needs --preset or all of --degree, "
                   "--group, --subgroup, --g", file=sys.stderr)
             return EXIT_REJECTED
-        degree = config.degree
-        group_gens = config.group_gens
-        subgroup_gens = config.subgroup_gens
-        edge = config.edge_element
-    G = PermGroup(parse_generators(group_gens, degree), degree=degree)
-    H = PermGroup(parse_generators(subgroup_gens, degree), degree=degree)
+        degree = args.degree
+        group_gens = args.group_gens
+        subgroup_gens = args.subgroup_gens
+        edge = args.edge_element
+    G = PermGroup(parse_generators(group_gens, degree), degree=degree,
+                  seed=args.seed)
+    H = PermGroup(parse_generators(subgroup_gens, degree), degree=degree,
+                  seed=args.seed)
     g = parse_permutation(edge, degree)
-    sg = enumerate_small_graph(G, H, g, config.limit)
+    sg = enumerate_small_graph(G, H, g, args.limit)
     cert = local_certificate(G.order(), H, g)
     ca = coset_action(G, H)
     orbits = two_arc_orbit_count(sg, list(ca.group.gens))
@@ -271,7 +252,7 @@ def _run_toy(config: RunConfig) -> int:
              and cert.connected == graph_is_connected(sg)
              and cert.locally_2transitive == (orbits == 1))
     if agree:
-        _write_text(config.out, edge_list_text(sg))
+        _write_text(args.out, edge_list_text(sg))
     print(f"{sg.vertices} vertices, degrees {degrees}, girth "
           f"{graph_girth(sg)}, connected {graph_is_connected(sg)}, "
           f"bipartite {graph_is_bipartite(sg)}")
@@ -287,10 +268,10 @@ def _run_toy(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_verify(config: RunConfig) -> int:
-    with open(config.certificate) as fh:
+def _run_verify(args: argparse.Namespace) -> int:
+    with open(args.certificate) as fh:
         payload = json.load(fh)
-    report = verify_certificate(payload)
+    report = verify_certificate(payload, seed=args.seed)
     if report.ok:
         print(f"certificate OK: recomputed {report.recomputed}")
         return EXIT_OK
@@ -310,11 +291,9 @@ _BODIES = {
 }
 
 
-def run(config: RunConfig) -> int:
-    # set on every call so that one call's --seed never leaks into the next
-    permgrp.DEFAULT_SEED = 0 if config.seed is None else config.seed
+def run(args: argparse.Namespace) -> int:
     try:
-        code = _BODIES[config.command](config)
+        code = _BODIES[args.command](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -342,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON certificate or "
                         "edge list here")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized sifting phase "
                              "(results are seed-independent)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -386,14 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

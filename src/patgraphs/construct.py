@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from math import gcd
 
-from .atlas import AlmostSimpleSeed, seed_pgl2, seed_psl28_gamma, seed_symmetric
+from .atlas import AlmostSimpleSeed, seed_pgl2, seed_symmetric
 from .eqcode import (
     Code,
     InvariantDecomposition,
@@ -176,10 +176,11 @@ def build_theta(seed: AlmostSimpleSeed, reading: str = "primary") -> WreathEleme
         head = pmul(ppow(seed.b, 2), c)
         check(wpow(theta, n) == WreathElement((head,) * n, 0),
               "theta^n is not the constant tuple b^2*c")
-        power = PermGroup([flatten(wpow(theta, n), d)], degree=n * d)
+        power = PermGroup([flatten(wpow(theta, n), d)], degree=n * d,
+                          seed=seed.T.seed)
         bb = flatten(WreathElement((ppow(seed.b, 2),) * n, 0), d)
         cc = flatten(WreathElement((c,) * n, 0), d)
-        span = PermGroup([bb, cc], degree=n * d)
+        span = PermGroup([bb, cc], degree=n * d, seed=seed.T.seed)
         check(power.order() == span.order() and power.contains(bb)
               and power.contains(cc),
               "<theta^n> is not <b^2> x <c>")
@@ -348,7 +349,7 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     theta_flat = flatten(theta, d)
 
     # elementary abelian of order q^2
-    Egrp = PermGroup(E, degree=n * d)
+    Egrp = PermGroup(E, degree=n * d, seed=seed.T.seed)
     check(Egrp.order() == q * q, "E does not have order q^2")
     for g in E:
         check(ppow(g, seed.field.p) == pid(n * d), "E is not elementary abelian")
@@ -392,7 +393,7 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     # group on E, where <theta> fixes the coset of 1 and is transitive
     # on the other q^2 - 1
     check(porder(theta_flat) == q * q - 1, "theta does not have order q^2-1")
-    H = PermGroup(list(E) + [theta_flat], degree=n * d)
+    H = PermGroup(list(E) + [theta_flat], degree=n * d, seed=seed.T.seed)
     check(H.order() == q * q * (q * q - 1),
           "H does not have the affine order q^2(q^2-1)")
 
@@ -442,19 +443,20 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
 
 
 def product_action_construction(q: int, family: str = "pgl2",
-                                component_index: int = 0) -> PAConstruction:
+                                component_index: int = 0,
+                                seed: int = 0) -> PAConstruction:
     """The full pipeline: seed, theta, E, H, G for the product-action
-    family of valency q^2."""
+    family of valency q^2, every group sifted from the given seed."""
     if family == "pgl2":
-        seed = seed_pgl2(q)
+        base = seed_pgl2(q, seed=seed)
     elif family == "symmetric":
-        seed = seed_symmetric(q)
+        base = seed_symmetric(q, seed=seed)
     else:
         raise ValueError(f"unknown family {family!r}")
-    theta = build_theta(seed)
-    verify_product_intersection_with_cycle(seed, theta)
-    pa = build_E_and_H(seed, theta, component_index)
-    verify_code_model_similarity(seed, pa.conj_matrix)
+    theta = build_theta(base)
+    verify_product_intersection_with_cycle(base, theta)
+    pa = build_E_and_H(base, theta, component_index)
+    verify_code_model_similarity(base, pa.conj_matrix)
     return assemble_G(pa)
 
 
@@ -508,8 +510,10 @@ def twisted_centralizer(T: PermGroup, theta: WreathElement) -> TwistedCentralize
             by_exponent[j] = tuple(found)
             all_flat.extend(found)
     cent = by_exponent.get(1, ())
-    centralizer = PermGroup(list(cent), degree=n * d, upper_bound=len(cent))
-    normalizer = PermGroup(all_flat, degree=n * d, upper_bound=len(all_flat))
+    centralizer = PermGroup(list(cent), degree=n * d, upper_bound=len(cent),
+                            seed=T.seed)
+    normalizer = PermGroup(all_flat, degree=n * d, upper_bound=len(all_flat),
+                           seed=T.seed)
     return TwistedCentralizer(centralizer, normalizer, by_exponent)
 
 
@@ -533,14 +537,15 @@ def _two_elements(elements) -> list[Perm]:
     return out
 
 
-def valency64_construction(component_index: int = 0,
+def valency64_construction(seed: AlmostSimpleSeed,
+                           component_index: int = 0,
                            reading: str = "primary",
                            components: RegularComponents | None = None,
                            tc: TwistedCentralizer | None = None,
                            ) -> Valency64Construction:
-    """The valency-64 family: PSL(2,8)^21 twisted by the order-63
-    element, with the edge element g found among the 2-elements of
-    N_M(<theta>).
+    """The valency-64 family over the psl28-gamma seed: PSL(2,8)^21
+    twisted by the order-63 element, with the edge element g found
+    among the 2-elements of N_M(<theta>).
 
     The commuting part C_M(theta) carries the S_3 structure; the full
     normalizer is three times larger, but its 2-elements coincide with
@@ -551,7 +556,6 @@ def valency64_construction(component_index: int = 0,
     `components` is passed on to build_E_and_H; `tc` is
     twisted_centralizer(T, theta), computed here when not given.
     """
-    seed = seed_psl28_gamma()
     theta = build_theta(seed, reading)
     verify_product_intersection_with_cycle(seed, theta)
     pa = build_E_and_H(seed, theta, component_index, components)
@@ -575,7 +579,8 @@ def valency64_construction(component_index: int = 0,
     for x in _two_elements(tc.normalizer_elements):
         gens = list(pa.H.gens) + [x]
         joined = PermGroup(gens, degree=M.degree,
-                           upper_bound=socle_bound(gens, M)).order()
+                           upper_bound=socle_bound(gens, M),
+                           seed=M.seed).order()
         if joined == pa.G.order():
             candidates.append(x)
         elif joined == 2 * pa.H.order():
@@ -619,9 +624,10 @@ class ReadingReport:
                                           compare=False)
 
 
-def theta_reading_counts(reading: str) -> ReadingReport:
-    """The verifiable counts for one reading of the ambiguous pattern."""
-    seed = seed_psl28_gamma()
+def theta_reading_counts(seed: AlmostSimpleSeed,
+                         reading: str) -> ReadingReport:
+    """The verifiable counts for one reading of the ambiguous pattern
+    over the psl28-gamma seed."""
     try:
         theta = build_theta(seed, reading)
     except VerificationError as err:
@@ -636,22 +642,19 @@ def theta_reading_counts(reading: str) -> ReadingReport:
         len(_two_elements(tc.normalizer_elements)), rc, tc)
 
 
-def compare_theta_readings() -> tuple[ReadingReport, ...]:
-    """All readings of the ambiguous pattern, with their counts.  The
-    viable readings must agree on every count; a disagreement is a
-    loud failure carrying both reports."""
-    reports = tuple(theta_reading_counts(r) for r in THETA_READINGS)
+def compare_theta_readings(
+        seed: AlmostSimpleSeed) -> tuple[ReadingReport, ...]:
+    """All readings of the ambiguous pattern over the psl28-gamma seed,
+    with their counts.  The viable readings must agree on every count; a
+    disagreement is a loud failure carrying both reports."""
+    reports = tuple(theta_reading_counts(seed, r) for r in THETA_READINGS)
     viable = [r for r in reports if r.rejected is None]
     check(len(viable) >= 1, "no viable reading of the twist pattern")
     first = viable[0]
     for other in viable[1:]:
-        same = (first.component_count == other.component_count
-                and first.dimensions == other.dimensions
-                and first.regular_count == other.regular_count
-                and first.centralizer_order == other.centralizer_order
-                and first.normalizer_order == other.normalizer_order
-                and first.involutions == other.involutions)
-        check(same, f"twist-pattern readings disagree: {first} vs {other}")
+        # reports compare by their counts alone once the names agree
+        check(replace(other, reading=first.reading) == first,
+              f"twist-pattern readings disagree: {first} vs {other}")
     return reports
 
 
@@ -675,31 +678,33 @@ class BipartiteConstruction:
     meet: PermGroup
 
 
-def bipartite_construction(p: int, family: str = "symmetric") -> BipartiteConstruction:
+def bipartite_construction(p: int, family: str = "symmetric",
+                           seed: int = 0) -> BipartiteConstruction:
     """The valency-p bipartite family on p-1 coordinates: G = G*:<o>
-    with H = <a, b, tau> and K = <b, tau>."""
+    with H = <a, b, tau> and K = <b, tau>, every group sifted from the
+    given seed."""
     if family == "symmetric":
-        seed = seed_symmetric(p, bipartite=True)
+        base = seed_symmetric(p, bipartite=True, seed=seed)
     elif family == "pgl2":
-        seed = seed_pgl2(p, bipartite=True)
+        base = seed_pgl2(p, bipartite=True, seed=seed)
     else:
         raise ValueError(f"unknown family {family!r}")
     n = p - 1
-    d = seed.degree
-    bold_a = flatten(WreathElement((seed.a,) * n, 0), d)
-    bold_b = flatten(WreathElement((seed.b,) * n, 0), d)
+    d = base.degree
+    bold_a = flatten(WreathElement((base.a,) * n, 0), d)
+    bold_b = flatten(WreathElement((base.b,) * n, 0), d)
     tau = flatten(wtau(n, d), d)
-    o_w = WreathElement(tuple(pmul(ppow(seed.b, i), seed.c)
+    o_w = WreathElement(tuple(pmul(ppow(base.b, i), base.c)
                               for i in range(n)), 0)
     o = flatten(o_w, d)
-    binv = flatten(WreathElement((pinv(seed.b),) * n, 0), d)
+    binv = flatten(WreathElement((pinv(base.b),) * n, 0), d)
     # the three displayed relations
     check(pconj(o, tau) == pmul(binv, o), "o^tau is not b^-1 * o")
     check(pconj(bold_b, o) == binv, "b^o is not b^-1")
     check(pconj(tau, o) == pmul(binv, tau), "tau^o is not b^-1 * tau")
     check(pmul(o, o) == pid(n * d), "o is not an involution")
 
-    T = seed.T
+    T = base.T
     M = DirectPower(T, n)
     star_gens = list(M.gens) + [bold_b, tau]
     Gstar = socle_extension(star_gens, M)
@@ -710,15 +715,15 @@ def bipartite_construction(p: int, family: str = "symmetric") -> BipartiteConstr
     G = socle_extension(gens, M)
     check(G is not None, "o does not normalize T^(p-1)")
     check(G.order() == 2 * Gstar.order(), "Gstar does not have index 2")
-    H = PermGroup([bold_a, bold_b, tau], degree=n * d)
-    K = PermGroup([bold_b, tau], degree=n * d)
+    H = PermGroup([bold_a, bold_b, tau], degree=n * d, seed=seed)
+    K = PermGroup([bold_b, tau], degree=n * d, seed=seed)
     check(H.order() == p * (p - 1)**2 and K.order() == (p - 1)**2,
           "H or K has the wrong order")
     for g in H.gens:
         check(Gstar.contains(g), "H is not inside Gstar")
     # T^(p-1) meet H is the diagonal <a, b^2>
     meet = filtered_intersection_with_product(H, M)
-    expected = PermGroup([bold_a, ppow(bold_b, 2)], degree=n * d)
+    expected = PermGroup([bold_a, ppow(bold_b, 2)], degree=n * d, seed=seed)
     check(meet.order() == expected.order() == p * (p - 1) // 2,
           "T^(p-1) meet H is not <a, b^2>")
     for g in expected.gens:
@@ -727,5 +732,5 @@ def bipartite_construction(p: int, family: str = "symmetric") -> BipartiteConstr
     for i in range(n):
         check(M.projection(meet, i).order() == meet.order(),
               f"projection {i} of T^(p-1) meet H is not injective")
-    return BipartiteConstruction(p, seed, n, d, bold_a, bold_b, tau, o,
+    return BipartiteConstruction(p, base, n, d, bold_a, bold_b, tau, o,
                                  Gstar, G, H, K, meet)

@@ -199,9 +199,6 @@ class GF:
             raise ZeroDivisionError("inverse of zero in GF")
         return self._exp[-self._log[a] % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         self._check(a)
         if a == 0:

@@ -41,19 +41,36 @@ ENUMERATION_LIMIT = 10**6
 
 CERTIFICATE_FORMAT = "patgraphs-certificate-1"
 
-# the keys verify_certificate reads, for every kind and for each kind
-_COMMON_KEYS = (
-    "degree", "blocks", "block_degree", "valency", "parameter",
-    "theorem1_case", "ii_possible", "case_witness", "double_cover_verdict",
-    "generators.G", "generators.H", "generators.g", "generators.socle_factor",
-    "orders.G", "orders.H", "orders.intersection", "orders.socle_factor",
-    "checks.connected", "checks.locally_2transitive", "checks.g_square_in_H",
-    "checks.g_outside_H", "checks.socle_transitive", "checks.diagonal_type",
-)
+# the types of a payload's values, by name: JSON true and false are not
+# counts, orders are decimal strings, and a trailing ? also allows null
+_TYPES = {
+    "count": lambda x: type(x) is int and x > 0,
+    "bool": lambda x: type(x) is bool,
+    "str": lambda x: type(x) is str,
+    "order": lambda x: type(x) is str and x.isascii() and x.isdigit(),
+    "perm": lambda x: type(x) is list and all(type(v) is int for v in x),
+    "perms": lambda x: type(x) is list and all(map(_TYPES["perm"], x)),
+}
+
+# the keys verify_certificate reads, for every kind and for each kind,
+# with the type of each
+_COMMON_KEYS = {
+    "degree": "count", "blocks": "count", "block_degree": "count",
+    "valency": "count", "parameter": "count", "theorem1_case": "str?",
+    "ii_possible": "bool?", "case_witness": "count?",
+    "double_cover_verdict": "str",
+    "generators.G": "perms", "generators.H": "perms", "generators.g": "perm",
+    "generators.socle_factor": "perms",
+    "orders.G": "order", "orders.H": "order", "orders.intersection": "order",
+    "orders.socle_factor": "order",
+    "checks.connected": "bool", "checks.locally_2transitive": "bool",
+    "checks.g_square_in_H": "bool", "checks.g_outside_H": "bool",
+    "checks.socle_transitive": "bool", "checks.diagonal_type": "bool",
+}
 _KIND_KEYS = {
-    "product-action": ("arc_regular_socle",),
-    "bipartite": ("gstar_index", "g_swaps_halves",
-                  "generators.gstar", "orders.Gstar"),
+    "product-action": {"arc_regular_socle": "bool"},
+    "bipartite": {"gstar_index": "count", "g_swaps_halves": "bool",
+                  "generators.gstar": "perms", "orders.Gstar": "order"},
 }
 
 
@@ -208,7 +225,8 @@ def local_certificate(G_order: int, H: PermGroup, g: Perm,
     valency = neighbours.degree
     gens = list(H.gens) + [g]
     joined = PermGroup(gens, degree=H.degree,
-                       upper_bound=M and socle_bound(gens, M)).order()
+                       upper_bound=M and socle_bound(gens, M),
+                       seed=H.seed).order()
     return LocalCertificate(
         group_order=G_order,
         stabilizer_order=H.order(),
@@ -449,10 +467,10 @@ class VerificationReport:
     recomputed: dict
 
 
-def verify_certificate(payload: dict) -> VerificationReport:
-    """Rebuild the groups from the payload's generator arrays, derive
-    every verdict with certify's own code, and compare it with the
-    stated one.  Only family is not compared."""
+def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
+    """Rebuild the groups from the payload's generator arrays, sifted
+    from the given seed, derive every verdict with certify's own code,
+    and compare it with the stated one.  Only family is not compared."""
     failures = []
 
     def expect(name, stated, recomputed):
@@ -466,9 +484,10 @@ def verify_certificate(payload: dict) -> VerificationReport:
         check(verdict == "untested", f"double_cover_verdict: stated "
               f"{verdict!r}, a product-action certificate is 'untested'")
     gens = payload["generators"]
-    H = PermGroup([tuple(x) for x in gens["H"]], degree=payload["degree"])
+    H = PermGroup([tuple(x) for x in gens["H"]], degree=payload["degree"],
+                  seed=seed)
     T = PermGroup([tuple(x) for x in gens["socle_factor"]],
-                  degree=payload["block_degree"])
+                  degree=payload["block_degree"], seed=seed)
     M = DirectPower(T, payload["blocks"])
     # orders are proven from the generators; the payload's are only compared
     G = _socle_group(gens["G"], M)
@@ -512,7 +531,8 @@ def verify_certificate(payload: dict) -> VerificationReport:
 
 def _check_shape(payload) -> None:
     """The certificate's format and kind are known and every key that
-    verify_certificate reads is present; ValueError otherwise."""
+    verify_certificate reads is present and of its type; ValueError
+    otherwise."""
     if not isinstance(payload, dict):
         raise ValueError("certificate is not a JSON object")
     fmt = payload.get("format")
@@ -521,12 +541,16 @@ def _check_shape(payload) -> None:
     kind = payload.get("kind")
     if kind not in _KIND_KEYS:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    for path in _COMMON_KEYS + _KIND_KEYS[kind]:
+    for path, name in {**_COMMON_KEYS, **_KIND_KEYS[kind]}.items():
         node = payload
         for key in path.split("."):
             if not isinstance(node, dict) or key not in node:
                 raise ValueError(f"{kind} certificate lacks {path}")
             node = node[key]
+        if not (node is None and name.endswith("?")
+                or _TYPES[name.rstrip("?")](node)):
+            raise ValueError(f"{kind} certificate has a {path} of the "
+                             f"wrong type ({type(node).__name__})")
 
 
 def _socle_group(gens, M: DirectPower) -> PermGroup:
@@ -538,5 +562,5 @@ def _socle_group(gens, M: DirectPower) -> PermGroup:
     group = socle_extension(gens, M)
     if group is None:
         group = PermGroup(gens, degree=M.degree,
-                          upper_bound=socle_bound(gens, M))
+                          upper_bound=socle_bound(gens, M), seed=M.seed)
     return group

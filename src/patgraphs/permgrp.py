@@ -30,10 +30,6 @@ Perm = tuple[int, ...]
 ELEMENT_LIMIT = 10**6
 INDEX_LIMIT = 10**6
 
-# default seed for the randomized sifting phase; results never depend on
-# it because chains are certified afterwards, so it only affects speed
-DEFAULT_SEED = 0
-
 # consecutive quiet sift steps a chain allows below its upper bound
 # (without one, 16); the longest quiet run measured before progress was 510
 BOUND_QUIET_CAP = 2000
@@ -174,8 +170,10 @@ class _Level:
 class PermGroup:
     """Group generated by image-tuple permutations of a common domain.
 
-    The stabilizer chain is built lazily by seeded random sifting.  The
-    orbit product is a lower bound on the order, so meeting a proven
+    The stabilizer chain is built lazily by random sifting from the
+    group's seed, which a group derived from another inherits; chains
+    are certified afterwards, so the seed changes only speed.  The orbit
+    product is a lower bound on the order, so meeting a proven
     upper_bound proves the order (certified_by "bound"), and exceeding
     it fails on every query.  Otherwise every Schreier generator is
     checked to sift to the identity, bottom level first (certified_by
@@ -185,8 +183,8 @@ class PermGroup:
     """
 
     def __init__(self, gens, degree: int | None = None,
-                 upper_bound: int | None = None, seed: int | None = None,
-                 base_hint=None, *, known_order: int | None = None):
+                 upper_bound: int | None = None, seed: int = 0, *,
+                 known_order: int | None = None):
         gens = [tuple(g) for g in gens]
         if degree is None:
             if not gens:
@@ -203,11 +201,14 @@ class PermGroup:
                 self.gens.append(g)
         # known_order is upper_bound's former name, which perfbench still uses
         self._upper_bound = known_order if upper_bound is None else upper_bound
-        self._seed = DEFAULT_SEED if seed is None else seed
-        self._base_hint = list(base_hint) if base_hint else []
+        self._seed = seed
         self._levels: list[_Level] | None = None
         self._order: int | None = None
         self.certified_by: str | None = None
+
+    @property
+    def seed(self) -> int:
+        return self._seed
 
     # -- chain construction ------------------------------------------
 
@@ -218,14 +219,7 @@ class PermGroup:
         return out
 
     def _new_level(self, mover: Perm) -> _Level:
-        used = {lvl.beta for lvl in self._levels}
-        beta = None
-        for b in self._base_hint:
-            if b not in used and mover[b] != b:
-                beta = b
-                break
-        if beta is None:
-            beta = min(i for i in range(self.degree) if mover[i] != i)
+        beta = min(i for i in range(self.degree) if mover[i] != i)
         lvl = _Level(beta)
         lvl.transversal[beta] = pid(self.degree)
         lvl.inverse[beta] = lvl.transversal[beta]
@@ -428,7 +422,8 @@ class DirectPower(PermGroup):
                     img[off + x] = off + g[x]
                 gens.append(tuple(img))
         super().__init__(gens, degree=d * copies,
-                         upper_bound=factor.order() ** copies)
+                         upper_bound=factor.order() ** copies,
+                         seed=factor.seed)
         # membership of each block's piece in the factor, as tested
         self._pieces: dict[Perm, bool] = {}
 
@@ -449,7 +444,7 @@ class DirectPower(PermGroup):
         it a bounded sift would run to its quiet cap before the Schreier
         check."""
         return PermGroup([self.piece(x, i) for x in sub.gens],
-                         degree=self.factor.degree)
+                         degree=self.factor.degree, seed=self.seed)
 
     def contains(self, x) -> bool:
         x = tuple(x)
@@ -566,16 +561,19 @@ def _coset_walk(gens, start: Perm, locate,
                        tuple(tuple(img) for img in images))
 
 
-def _subgroup_of_order(candidates, degree: int, order: int) -> PermGroup:
-    """The group the candidates generate, given a proven upper bound on
-    its order that it meets.  A candidate that sifts through the chain of
-    those kept before it lies in their group and is dropped, and no more
-    are drawn once the orbit product reaches the order; the chain is then
-    completed like any other, by random sifting to the bound or else the
-    Schreier check."""
-    grp = PermGroup([], degree=degree, upper_bound=order)
+def _subgroup_of_order(candidates, group: PermGroup,
+                       order: int) -> PermGroup:
+    """The subgroup of the group that the candidates generate, given a
+    proven upper bound on its order that it meets; it sifts from the
+    group's seed.  A candidate that sifts through the chain of those kept
+    before it lies in their group and is dropped, and no more are drawn
+    once the orbit product reaches the order; the chain is then completed
+    like any other, by random sifting to the bound or else the Schreier
+    check."""
+    grp = PermGroup([], degree=group.degree, upper_bound=order,
+                    seed=group.seed)
     grp._levels = []
-    ident = pid(degree)
+    ident = pid(group.degree)
     for s in candidates:
         if grp._orbit_product() >= order:
             break
@@ -605,9 +603,9 @@ def coset_stabilizer(group: PermGroup, sub: PermGroup, start,
     index = len(walk.transversal)
     check(group.order() % index == 0,
           f"coset orbit of length {index} does not divide the group order")
-    stab = _subgroup_of_order(walk.schreier_generators(), group.degree,
+    stab = _subgroup_of_order(walk.schreier_generators(), group,
                               group.order() // index)
-    return stab, PermGroup(walk.action, degree=index)
+    return stab, PermGroup(walk.action, degree=index, seed=group.seed)
 
 
 def same_double_coset(group: PermGroup, x, y) -> bool:
@@ -652,7 +650,8 @@ class _SocleExtension(PermGroup):
 
     def __init__(self, gens, M: DirectPower, locate: _PowerCosets,
                  index: int):
-        super().__init__(gens, degree=M.degree, upper_bound=M.order() * index)
+        super().__init__(gens, degree=M.degree, upper_bound=M.order() * index,
+                         seed=M.seed)
         self._locate = locate
         self._index = index
         self.certified_by = "bound"
@@ -825,7 +824,7 @@ def coset_action(group: PermGroup, subgroup: PermGroup,
     walk = _coset_walk(group.gens, pid(group.degree), locate, limit)
     check(len(walk.transversal) == index,
           "coset enumeration did not reach the full index")
-    action = PermGroup(walk.action, degree=index)
+    action = PermGroup(walk.action, degree=index, seed=group.seed)
     return CosetAction(action, tuple(locate.labels), group, subgroup,
                        locate.labels)
 
@@ -836,25 +835,3 @@ def filtered_intersection_with_product(small: PermGroup, big: PermGroup,
     the stabilizer of the coset big*1 under right multiplication by the
     small group (see coset_stabilizer), walking at most `limit` cosets."""
     return coset_stabilizer(small, big, pid(small.degree), limit)[0]
-
-
-def normalizer_by_enumeration(group: PermGroup, target: PermGroup,
-                              limit: int = ELEMENT_LIMIT) -> PermGroup:
-    """The normalizer of the target subgroup inside the (enumerable)
-    ambient group."""
-    kept = [x for x in group.elements(limit)
-            if all(target.contains(pconj(t, x)) for t in target.gens)]
-    return _group_of_elements(kept, group.degree)
-
-
-def _group_of_elements(kept: list[Perm], degree: int) -> PermGroup:
-    """The group whose elements are exactly the given list, generated by
-    the least elements (in sorted order) not already generated."""
-    kept.sort()
-    gens: list[Perm] = []
-    grp = PermGroup([], degree=degree)
-    for x in kept:
-        if not grp.contains(x):
-            gens.append(x)
-            grp = PermGroup(gens, degree=degree)
-    return PermGroup(gens, degree=degree, upper_bound=len(kept))

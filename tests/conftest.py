@@ -3,6 +3,7 @@ once per session and reused by the unit and acceptance suites."""
 
 import pytest
 
+from patgraphs.atlas import seed_psl28_gamma
 from patgraphs.construct import (
     bipartite_construction,
     product_action_construction,
@@ -22,7 +23,7 @@ def pa7():
 
 @pytest.fixture(scope="session")
 def v64():
-    return valency64_construction()
+    return valency64_construction(seed_psl28_gamma())
 
 
 @pytest.fixture(scope="session")

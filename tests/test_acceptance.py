@@ -9,6 +9,7 @@ import functools
 import random
 import time
 
+from patgraphs.atlas import seed_psl28_gamma
 from patgraphs.construct import (
     bipartite_construction,
     compare_theta_readings,
@@ -148,7 +149,8 @@ def test_criterion_5_pipeline_q7():
 @criterion(6, 960.0, "valency-64 instance on 21 blocks")
 def test_criterion_6_valency64():
     t0 = time.perf_counter()
-    reports = compare_theta_readings()
+    psl28 = seed_psl28_gamma()
+    reports = compare_theta_readings(psl28)
     viable = [r for r in reports if r.rejected is None]
     assert len(viable) == 2, "both admissible twist readings must survive"
     first = viable[0]
@@ -159,7 +161,7 @@ def test_criterion_6_valency64():
     assert linear_elapsed < 60.0, "linear-algebra part over budget"
 
     t0 = time.perf_counter()
-    v64 = valency64_construction()
+    v64 = valency64_construction(psl28)
     cert = certify(v64)
     # the order-6 S_3 normalizing group: non-abelian with three
     # involutions; it is the centralizer of theta in the socle, and the

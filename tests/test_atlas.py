@@ -14,7 +14,6 @@ from patgraphs.permgrp import (
     PermGroup,
     cycles,
     filtered_intersection_with_product,
-    normalizer_by_enumeration,
     pconj,
     pid,
     pinv,
@@ -116,8 +115,10 @@ def test_psl28_gamma_frozen():
     assert Fgrp.order() == 8
     for g in s.F:
         assert Fgrp.contains(pconj(g, s.b))
-    assert normalizer_by_enumeration(s.T, Fgrp).order() == 56
-    assert normalizer_by_enumeration(s.X, Fgrp).order() == 168
+    # the normalizer orders the seed proves from structure, by brute force
+    for group, order in ((s.T, 56), (s.X, 168)):
+        assert sum(all(Fgrp.contains(pconj(t, x)) for t in s.F)
+                   for x in group.elements()) == order
     assert s.a is None and s.c is None and s.o is None
 
 

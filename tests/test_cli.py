@@ -1,8 +1,10 @@
 """Command-line plumbing: exit codes, reports, certificate round-trips,
 and end-to-end determinism on the fast pipelines."""
 
+import copy
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,9 +108,8 @@ def test_construct_q4_certificate_roundtrip(tmp_path, capsys):
     assert "certificate OK" in capsys.readouterr().out
 
 
-def test_construct_is_deterministic(tmp_path, monkeypatch):
+def test_construct_is_deterministic(tmp_path):
     # the sift seed changes only speed: certificates are byte-identical
-    monkeypatch.setattr(permgrp, "DEFAULT_SEED", 0)
     for command in (["construct", "--q", "4"], ["bipartite", "--p", "5"]):
         certs = []
         for seed in (0, 1, 2, 3):
@@ -117,9 +118,23 @@ def test_construct_is_deterministic(tmp_path, monkeypatch):
                                    "--seed", str(seed)]) == 0
             certs.append(out.read_bytes())
         assert len(set(certs)) == 1
-    # a call without --seed runs under the default, not the last seed
-    assert main(["edc", "--q", "3"]) == 0
-    assert permgrp.DEFAULT_SEED == 0
+
+
+def _module_state():
+    """Every patgraphs module's attributes, containers copied, so that a
+    rebinding or an in-place change shows as a difference."""
+    return {name: {key: copy.copy(value)
+                   if isinstance(value, (dict, list, set)) else value
+                   for key, value in vars(module).items()}
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "patgraphs"}
+
+
+@pytest.mark.parametrize("extra", [[], ["--seed", "5"]])
+def test_a_run_leaves_no_module_state(extra):
+    before = _module_state()
+    assert main(["construct", "--q", "4"] + extra) == 0
+    assert _module_state() == before
 
 
 def test_bipartite_certificate_roundtrip(tmp_path, capsys):
@@ -191,6 +206,10 @@ def test_construct_and_verify_never_enumerate_H(tmp_path, monkeypatch):
         assert main(command + ["--out", str(cert)]) == 0
         assert main(["verify", str(cert)]) == 0
     assert enumerated == []
+    # example-2-6 lists T only for twisted_centralizer, once per viable
+    # reading; the seed's normalizer orders come from its structure
+    assert main(["example-2-6"]) == 0
+    assert enumerated == [504, 504]
 
 
 def _record_completed_chains(monkeypatch):
@@ -204,6 +223,26 @@ def _record_completed_chains(monkeypatch):
 
     monkeypatch.setattr(permgrp.PermGroup, "_complete", recording)
     return completed
+
+
+def test_every_chain_sifts_from_the_run_seed(tmp_path, monkeypatch):
+    # the seed is passed down and inherited, never read from a global
+    seeds = []
+    complete = permgrp.PermGroup._complete
+
+    def recording(self, ident):
+        seeds.append(self.seed)
+        return complete(self, ident)
+
+    monkeypatch.setattr(permgrp.PermGroup, "_complete", recording)
+    commands = [["example-2-6"], ["toy", "--preset", "petersen"]]
+    for command in (["construct", "--q", "7"], ["bipartite", "--p", "5"]):
+        cert = tmp_path / f"{command[0]}.json"
+        commands += [command + ["--out", str(cert)], ["verify", str(cert)]]
+    for command in commands:
+        assert main(command + ["--seed", "5"]) == 0
+        assert seeds and set(seeds) == {5}, command
+        seeds.clear()
 
 
 def test_G_and_Gstar_need_no_chain(tmp_path, monkeypatch):
@@ -302,6 +341,31 @@ def test_verify_recomputes_every_derived_field(tmp_path, capsys,
     capsys.readouterr()
     assert main(["verify", str(edited)]) == 3
     assert f"{key}: stated {value!r}" in capsys.readouterr().err
+
+
+def test_verify_rejects_ill_typed_fields(tmp_path, capsys, monkeypatch,
+                                        small_certificates):
+    # each was a TypeError traceback, a pass or a failed check
+    edits = [("blocks", "5"), ("generators.g", None), ("generators.H", 5),
+             ("block_degree", None), ("valency", "16"),
+             ("checks.connected", "yes")]
+
+    def no_groups(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(permgrp.PermGroup, "__init__", no_groups)
+    for path, value in edits:
+        payload = json.loads(json.dumps(small_certificates["construct"]))
+        *parents, last = path.split(".")
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        assert main(["verify", str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} of the wrong type" in err and "Error(" not in err
 
 
 def test_verify_rejects_a_generator_outside_the_domain(tmp_path, capsys):

@@ -18,7 +18,6 @@ from patgraphs.permgrp import (
     cycles,
     filtered_intersection_with_product,
     is_two_transitive,
-    normalizer_by_enumeration,
     orbit_partition,
     pconj,
     perm_from_cycles,
@@ -438,16 +437,15 @@ def test_projections_differ_by_block():
 
 def test_order_stable_across_base_and_seed():
     g = mobius_psl2(7)
-    for hint in ([4, 2, 0], [7, 5, 3, 1], [0]):
-        assert PermGroup(g.gens, base_hint=hint).order() == 168
     for seed in (1, 2, 3):
-        assert PermGroup(g.gens, seed=seed).order() == 168
-    # the fundamental orbit lengths multiply to the order either way
-    alt = PermGroup(g.gens, base_hint=[6, 2])
-    prod = 1
-    for orb in alt.fundamental_orbits():
-        prod *= len(orb)
-    assert prod == 168
+        grp = PermGroup(g.gens, seed=seed)
+        assert grp.seed == seed
+        assert grp.order() == 168
+        # the fundamental orbit lengths multiply to the order
+        prod = 1
+        for orb in grp.fundamental_orbits():
+            prod *= len(orb)
+        assert prod == 168
 
 
 def test_elements_enumeration():
@@ -552,17 +550,6 @@ def test_intersection_matches_filtering():
         assert meet.order() == order
         assert set(meet.elements()) == _filtered(small, big)
         assert meet.certified_by == "bound"
-
-
-def test_normalizers():
-    s4 = PermGroup([perm_from_cycles(4, [(0, 1, 2, 3)]),
-                    perm_from_cycles(4, [(0, 1)])])
-    c4 = PermGroup([perm_from_cycles(4, [(0, 1, 2, 3)])])
-    assert normalizer_by_enumeration(s4, c4).order() == 8
-    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
-                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
-    c5 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
-    assert normalizer_by_enumeration(a5, c5).order() == 10
 
 
 def test_affine_group_primitive():
