@@ -31,7 +31,7 @@ for q in (4, 7):
           + (f" via primitive prime divisor {cert.case_witness}"
              if cert.case_witness else ""))
     # round-trip the certificate through JSON and recompute every check
-    payload = certificate_payload(cert, pa, pa.o)
+    payload = certificate_payload(cert)
     report = verify_certificate(payload)
     print(f"  independent recomputation: ok = {report.ok}")
     print()

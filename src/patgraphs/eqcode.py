@@ -405,25 +405,6 @@ def is_equidistant(code: Code) -> bool:
     return len(weight_profile(code)) == 1
 
 
-def coordinate_kernels(code: Code) -> list[tuple[Vec, ...]]:
-    """For each coordinate i, the subcode of words vanishing at i."""
-    k = code.field
-    out = []
-    for i in range(code.n):
-        col = [[row[i]] for row in code.basis]
-        combos = left_nullspace(k, col) if any(row[i] for row in code.basis) \
-            else rref(k, mat_identity(code.dim))
-        rows = []
-        for cmb in combos:
-            v = [0] * code.n
-            for c, row in zip(cmb, code.basis):
-                if c:
-                    v = [k.add(x, k.mul(c, y)) for x, y in zip(v, row)]
-            rows.append(v)
-        out.append(rref(k, rows))
-    return out
-
-
 @dataclass(frozen=True)
 class ShiftMatrix:
     """The twisted cyclic shift acting on F_q**n, n = q + 1."""

@@ -10,15 +10,17 @@ Every verdict of a certificate has one derivation, _derive, which both
 certify (from a construction's groups) and verify_certificate (from the
 groups rebuilt out of a payload's generators) call: socle transitivity,
 the diagonal type of T^n meet H from the projections of its generators,
-the parameter and Theorem 1 case from the valency, and the bipartite
-index, half-swap and double-cover verdicts.  T^n meet H is never
-enumerated.
+the parameter and Theorem 1 case from the valency, the family, and the
+bipartite index, half-swap and double-cover verdicts.  T^n meet H is
+never enumerated.  The format has one writer, certificate_payload:
+verify_certificate compares its output for the rebuilt groups with the
+payload, leaf by leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import factorial, gcd, isqrt
 
 from .construct import BipartiteConstruction, PAConstruction, Valency64Construction
 from .numth import check, classify_valency_case, prime_power
@@ -30,6 +32,7 @@ from .permgrp import (
     coset_stabilizer,
     filtered_intersection_with_product,
     is_two_transitive,
+    orbit_partition,
     pid,
     pmul,
     porder,
@@ -52,9 +55,10 @@ _TYPES = {
     "perms": lambda x: type(x) is list and all(map(_TYPES["perm"], x)),
 }
 
-# the keys verify_certificate reads, for every kind and for each kind,
+# the keys certificate_payload writes, for every kind and for each kind,
 # with the type of each
 _COMMON_KEYS = {
+    "format": "str", "kind": "str", "family": "str",
     "degree": "count", "blocks": "count", "block_degree": "count",
     "valency": "count", "parameter": "count", "theorem1_case": "str?",
     "ii_possible": "bool?", "case_witness": "count?",
@@ -68,7 +72,8 @@ _COMMON_KEYS = {
     "checks.socle_transitive": "bool", "checks.diagonal_type": "bool",
 }
 _KIND_KEYS = {
-    "product-action": {"arc_regular_socle": "bool"},
+    "product-action": {"arc_regular_socle": "bool",
+                       "generators.theta": "perm", "generators.E": "perms"},
     "bipartite": {"gstar_index": "count", "g_swaps_halves": "bool",
                   "generators.gstar": "perms", "orders.Gstar": "order"},
 }
@@ -244,6 +249,9 @@ def local_certificate(G_order: int, H: PermGroup, g: Perm,
 
 @dataclass(frozen=True)
 class CosetGraphCertificate:
+    """The verdicts of a certificate, with the groups they were derived
+    from: G, the vertex stabilizer H, the edge element g, the socle
+    M = T^n and, for a bipartite graph, G*."""
     kind: str
     family: str | None
     parameter: int
@@ -255,8 +263,11 @@ class CosetGraphCertificate:
     socle_transitive: bool
     diagonal_type: bool
     arc_regular_socle: bool
-    socle_factor_order: int
-    gstar_order: int | None = None
+    G: PermGroup
+    H: PermGroup
+    g: Perm
+    M: DirectPower
+    gstar: PermGroup | None = None
     gstar_index: int | None = None
     g_swaps_halves: bool | None = None
 
@@ -279,21 +290,42 @@ def not_double_cover_test(H: PermGroup, M: DirectPower, p: int) -> str:
     raise ValueError("H has no replicated generator of order p - 1")
 
 
+def _family(kind: str, T: PermGroup, n: int,
+            parameter: int | None) -> str | None:
+    """The seed family whose socle is T^n, with parameter q (the valency
+    when bipartite; any q for None), from T's degree d, the number n of
+    blocks and |T|: T is A_q on q points in the symmetric families and
+    PSL(2, q) on q + 1 otherwise; None if none fits.  |T| is compared
+    only once d and n fit: a factorial only of d, bounded by the payload."""
+    d = T.degree
+    shapes = {
+        "product-action": [("pgl2", d - 1, n == d),
+                           ("symmetric", d, n == d + 1),
+                           ("psl28-gamma", 8, (d, n) == (9, 21))],
+        "bipartite": [("pgl2-bipartite", d - 1, n == d - 2),
+                      ("symmetric-bipartite", d, n == d - 1)],
+    }
+    for family, q, fits in shapes[kind]:
+        if fits and parameter in (None, q) and T.order() == (
+                factorial(q) // 2 if q == d
+                else q * (q * q - 1) // gcd(2, q - 1)):
+            return family
+    return None
+
+
 def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
-            meet: PermGroup, gstar: PermGroup | None = None,
-            family: str | None = None) -> CosetGraphCertificate:
+            meet: PermGroup, gstar: PermGroup | None = None
+            ) -> CosetGraphCertificate:
     """Every verdict of a certificate, from the groups alone: G with the
     vertex stabilizer H and edge element g, G* when the graph is
     bipartite, the socle M = T^n, and meet = M meet H, read through its
     generators, never its elements.  certify and verify_certificate both
-    call it; family is carried, not derived."""
+    call it."""
     local = local_certificate(G.order(), H, g, M)
     valency = local.valency
     top = G if gstar is None else gstar
     fields = dict(
-        family=family,
-        local=local,
-        socle_factor_order=M.factor.order(),
+        local=local, G=G, H=H, g=g, M=M,
         # the socle is transitive on the cosets of H in top
         socle_transitive=(all(top.contains(x) for x in H.gens)
                           and M.order() * H.order()
@@ -306,11 +338,11 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
     )
     if gstar is not None:
         return CosetGraphCertificate(
-            kind="bipartite", parameter=valency, theorem1_case=None,
-            ii_possible=None, case_witness=None,
+            kind="bipartite", parameter=valency,
+            family=_family("bipartite", M.factor, M.copies, valency),
+            theorem1_case=None, ii_possible=None, case_witness=None,
             double_cover_verdict=not_double_cover_test(H, M, valency),
-            gstar_order=gstar.order(),
-            gstar_index=G.order() // gstar.order(),
+            gstar=gstar, gstar_index=G.order() // gstar.order(),
             g_swaps_halves=not gstar.contains(g), **fields)
     q = isqrt(valency)
     power = prime_power(valency)
@@ -318,8 +350,10 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
           f"valency {valency} is not the square of a prime power")
     case = classify_valency_case(*power, M.copies)
     return CosetGraphCertificate(
-        kind="product-action", parameter=q, theorem1_case=case.label,
-        ii_possible=case.ii_possible, case_witness=case.witness,
+        kind="product-action", parameter=q,
+        family=_family("product-action", M.factor, M.copies, q),
+        theorem1_case=case.label, ii_possible=case.ii_possible,
+        case_witness=case.witness,
         double_cover_verdict="untested", **fields)
 
 
@@ -343,9 +377,12 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     if construction.G is None:
         raise ValueError("construction is missing the assembled G")
     seed = construction.seed
-    return _derive(construction.G, construction.H, g,
+    cert = _derive(construction.G, construction.H, g,
                    DirectPower(seed.T, construction.n), construction.meet,
-                   gstar, seed.family)
+                   gstar)
+    check(cert.family == seed.family, f"the groups show family "
+          f"{cert.family!r}, not the seed's {seed.family!r}")
+    return cert
 
 
 # -- full enumeration for toy instances ----------------------------------
@@ -401,47 +438,33 @@ def standard_double_cover(sg: SmallGraph) -> SmallGraph:
 # -- serialization --------------------------------------------------------
 
 
-def _perm_list(perms) -> list[list[int]]:
-    return [list(p) for p in perms]
-
-
-def certificate_payload(cert: CosetGraphCertificate,
-                        construction, g: Perm) -> dict:
+def certificate_payload(cert: CosetGraphCertificate) -> dict:
     """A JSON-ready dictionary carrying the certificate verdicts plus
     everything needed to recompute them: generators, the edge element,
-    the socle factor, and exact orders as decimal strings."""
-    if isinstance(construction, Valency64Construction):
-        construction = construction.pa
-    c = construction
-    if cert.kind == "bipartite":
-        extra = {"gstar": _perm_list(c.Gstar.gens)}
-        verdicts = {"gstar_index": cert.gstar_index,
-                    "g_swaps_halves": cert.g_swaps_halves}
-    else:
-        extra = {"theta": list(c.theta_perm), "E": _perm_list(c.E)}
-        verdicts = {"arc_regular_socle": cert.arc_regular_socle}
-    return {
+    the socle factor, and exact orders as decimal strings.  The one
+    writer of the format: verify_certificate compares what it writes for
+    the rebuilt groups with the payload it was given."""
+    local, M = cert.local, cert.M
+    payload = {
         "format": CERTIFICATE_FORMAT,
         "kind": cert.kind,
         "family": cert.family,
         "parameter": cert.parameter,
-        "degree": c.G.degree,
-        "blocks": c.n,
-        "block_degree": c.block_degree,
+        "degree": cert.G.degree,
+        "blocks": M.copies,
+        "block_degree": M.factor.degree,
         "orders": {
-            "G": str(cert.local.group_order),
-            "H": str(cert.local.stabilizer_order),
-            "intersection": str(cert.local.intersection_order),
-            "socle_factor": str(cert.socle_factor_order),
-            **({"Gstar": str(cert.gstar_order)}
-               if cert.kind == "bipartite" else {}),
+            "G": str(local.group_order),
+            "H": str(local.stabilizer_order),
+            "intersection": str(local.intersection_order),
+            "socle_factor": str(M.factor.order()),
         },
         "valency": cert.valency,
         "checks": {
-            "connected": cert.local.connected,
-            "locally_2transitive": cert.local.locally_2transitive,
-            "g_square_in_H": cert.local.g_square_in_H,
-            "g_outside_H": cert.local.g_outside_H,
+            "connected": local.connected,
+            "locally_2transitive": local.locally_2transitive,
+            "g_square_in_H": local.g_square_in_H,
+            "g_outside_H": local.g_outside_H,
             "socle_transitive": cert.socle_transitive,
             "diagonal_type": cert.diagonal_type,
         },
@@ -450,14 +473,23 @@ def certificate_payload(cert: CosetGraphCertificate,
         "case_witness": cert.case_witness,
         "double_cover_verdict": cert.double_cover_verdict,
         "generators": {
-            "G": _perm_list(c.G.gens),
-            "H": _perm_list(c.H.gens),
-            "g": list(g),
-            "socle_factor": _perm_list(c.seed.T.gens),
-            **extra,
+            "G": [list(x) for x in cert.G.gens],
+            "H": [list(x) for x in cert.H.gens],
+            "g": list(cert.g),
+            "socle_factor": [list(x) for x in M.factor.gens],
         },
-        **verdicts,
     }
+    if cert.kind == "bipartite":
+        payload["orders"]["Gstar"] = str(cert.gstar.order())
+        payload["generators"]["gstar"] = [list(x) for x in cert.gstar.gens]
+        payload.update(gstar_index=cert.gstar_index,
+                       g_swaps_halves=cert.g_swaps_halves)
+    else:
+        # H = E:<theta> lists E's generators, then theta
+        payload["generators"].update(theta=list(cert.H.gens[-1]),
+                                     E=[list(x) for x in cert.H.gens[:-1]])
+        payload["arc_regular_socle"] = cert.arc_regular_socle
+    return payload
 
 
 @dataclass(frozen=True)
@@ -470,69 +502,74 @@ class VerificationReport:
 def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
     """Rebuild the groups from the payload's generator arrays, sifted
     from the given seed, derive every verdict with certify's own code,
-    and compare it with the stated one.  Only family is not compared."""
-    failures = []
-
-    def expect(name, stated, recomputed):
-        if stated != recomputed:
-            failures.append(f"{name}: stated {stated!r}, recomputed "
-                            f"{recomputed!r}")
-
+    serialize it with certificate_payload and compare the JSON trees
+    leaf by leaf.  Before any walk of cosets of T^n, the socle factor
+    must be transitive and fit a family, and H and g must lie in G."""
     _check_shape(payload)
-    if payload["kind"] == "product-action":
-        verdict = payload["double_cover_verdict"]
-        check(verdict == "untested", f"double_cover_verdict: stated "
-              f"{verdict!r}, a product-action certificate is 'untested'")
+    verdict = payload["double_cover_verdict"]
+    check(payload["kind"] == "bipartite" or verdict == "untested",
+          f"double_cover_verdict: stated {verdict!r}, a product-action "
+          f"certificate is 'untested'")
     gens = payload["generators"]
-    H = PermGroup([tuple(x) for x in gens["H"]], degree=payload["degree"],
+    T = PermGroup(gens["socle_factor"], degree=payload["block_degree"],
                   seed=seed)
-    T = PermGroup([tuple(x) for x in gens["socle_factor"]],
-                  degree=payload["block_degree"], seed=seed)
+    check(len(orbit_partition(T.gens, T.degree)) == 1
+          and _family(payload["kind"], T, payload["blocks"], None) is not None,
+          "the socle factor is intransitive or fits no family")
     M = DirectPower(T, payload["blocks"])
+    H = PermGroup(gens["H"], degree=payload["degree"], seed=seed)
+    g = tuple(gens["g"])
     # orders are proven from the generators; the payload's are only compared
     G = _socle_group(gens["G"], M)
+    check(all(G.contains(x) for x in [*H.gens, g]), "H or g is not in G")
     gstar = (_socle_group(gens["gstar"], M)
              if payload["kind"] == "bipartite" else None)
-    cert = _derive(G, H, tuple(gens["g"]), M,
-                   filtered_intersection_with_product(H, M), gstar)
-    local = cert.local
-    orders = payload["orders"]
-    checks = payload["checks"]
-    expect("socle factor order", int(orders["socle_factor"]),
-           cert.socle_factor_order)
-    expect("order of G", int(orders["G"]), local.group_order)
-    expect("order of H", int(orders["H"]), local.stabilizer_order)
-    expect("intersection order", int(orders["intersection"]),
-           local.intersection_order)
-    expect("valency", payload["valency"], local.valency)
-    expect("parameter", payload["parameter"], cert.parameter)
-    for name in ("connected", "locally_2transitive", "g_square_in_H",
-                 "g_outside_H"):
-        expect(name, checks[name], getattr(local, name))
-    for name in ("socle_transitive", "diagonal_type"):
-        expect(name, checks[name], getattr(cert, name))
-    names = ["theorem1_case", "ii_possible", "case_witness",
-             "double_cover_verdict"]
-    if gstar is None:
-        names.append("arc_regular_socle")
-    else:
-        expect("order of Gstar", int(orders["Gstar"]), cert.gstar_order)
-        names += ["gstar_index", "g_swaps_halves"]
-    for name in names:
-        expect(name, payload[name], getattr(cert, name))
-    recomputed = {
-        "G": str(local.group_order),
-        "H": str(local.stabilizer_order),
-        "intersection": str(local.intersection_order),
-        "valency": local.valency,
-    }
-    return VerificationReport(not failures, tuple(failures), recomputed)
+    cert = _derive(G, H, g, M, filtered_intersection_with_product(H, M),
+                   gstar)
+    stated, written = _leaves(payload), certificate_payload(cert)
+    failures = tuple(_mismatch(path, stated[path], value)
+                     for path, value in _leaves(written).items()
+                     if stated[path] != value)
+    recomputed = {key: written["orders"][key]
+                  for key in ("G", "H", "intersection")}
+    return VerificationReport(not failures, failures,
+                              {**recomputed, "valency": written["valency"]})
+
+
+def _leaves(tree, path: tuple = ()) -> dict:
+    """Each leaf of a JSON tree by its path, the tuple of keys leading to
+    it: a nonempty object is not a leaf, anything else, lists included,
+    is.  Distinct trees have distinct leaves: the top-level key
+    "orders.G" and the key G under orders are two paths."""
+    if not (isinstance(tree, dict) and tree):
+        return {path: tree}
+    out = {}
+    for key, value in tree.items():
+        out.update(_leaves(value, (*path, key)))
+    return out
+
+
+def _dotted(path: tuple) -> str:
+    """A path as dotted text, with any key that holds a dot quoted."""
+    return ".".join(repr(k) if "." in str(k) else str(k) for k in path)
+
+
+def _mismatch(path: tuple, stated, recomputed) -> str:
+    """'path: stated X, recomputed Y' for two differing leaves, narrowed
+    to the first differing item of lists of one length."""
+    while type(stated) is type(recomputed) is list \
+            and len(stated) == len(recomputed):
+        i = next(i for i, (x, y) in enumerate(zip(stated, recomputed))
+                 if x != y)
+        path, stated, recomputed = (*path, i), stated[i], recomputed[i]
+    return f"{_dotted(path)}: stated {stated!r}, recomputed {recomputed!r}"
 
 
 def _check_shape(payload) -> None:
-    """The certificate's format and kind are known and every key that
-    verify_certificate reads is present and of its type; ValueError
-    otherwise."""
+    """The certificate's format and kind are known, its keys are those
+    certificate_payload writes for its kind, each of its type, and g
+    permutes blocks * block_degree = degree points, so no domain is
+    longer than the payload's arrays; ValueError otherwise."""
     if not isinstance(payload, dict):
         raise ValueError("certificate is not a JSON object")
     fmt = payload.get("format")
@@ -541,26 +578,36 @@ def _check_shape(payload) -> None:
     kind = payload.get("kind")
     if kind not in _KIND_KEYS:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    for path, name in {**_COMMON_KEYS, **_KIND_KEYS[kind]}.items():
-        node = payload
-        for key in path.split("."):
-            if not isinstance(node, dict) or key not in node:
-                raise ValueError(f"{kind} certificate lacks {path}")
-            node = node[key]
+    leaves = _leaves(payload)
+    for dotted, name in {**_COMMON_KEYS, **_KIND_KEYS[kind]}.items():
+        path = tuple(dotted.split("."))
+        if path not in leaves:
+            raise ValueError(f"{kind} certificate lacks {dotted}")
+        node = leaves.pop(path)
         if not (node is None and name.endswith("?")
                 or _TYPES[name.rstrip("?")](node)):
-            raise ValueError(f"{kind} certificate has a {path} of the "
+            raise ValueError(f"{kind} certificate has a {dotted} of the "
                              f"wrong type ({type(node).__name__})")
+    unknown = sorted(map(_dotted, leaves))
+    if unknown:
+        raise ValueError(f"{kind} certificate has unknown keys "
+                         f"{', '.join(unknown)}")
+    degree, g = payload["degree"], payload["generators"]["g"]
+    if not (payload["blocks"] * payload["block_degree"] == degree == len(g)
+            and sorted(g) == list(range(degree))):
+        raise ValueError(f"{kind} certificate's generators.g is not a "
+                         f"permutation of its blocks * block_degree points")
 
 
 def _socle_group(gens, M: DirectPower) -> PermGroup:
     """<gens> ordered and tested through the socle M when the list holds
-    every generator of M and normalizes M (socle_extension); otherwise
-    sifted to socle_bound, or by the Schreier check when some generator
-    does not normalize M."""
-    gens = [tuple(x) for x in gens]
+    every generator of M (socle_extension); otherwise sifted to
+    socle_bound.  A generator that does not normalize M fails: T^n is
+    the socle of the certificate's groups."""
     group = socle_extension(gens, M)
     if group is None:
-        group = PermGroup(gens, degree=M.degree,
-                          upper_bound=socle_bound(gens, M), seed=M.seed)
+        bound = socle_bound(gens, M)
+        check(bound is not None, "a generator does not normalize T^n")
+        group = PermGroup(gens, degree=M.degree, upper_bound=bound,
+                          seed=M.seed)
     return group

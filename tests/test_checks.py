@@ -110,7 +110,7 @@ def test_verify_fails_edited_fields_under_optimize_flag(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     for name, edit in (
             ("theorem1_case", lambda p: p.update(theorem1_case="iii")),
-            ("diagonal_type", lambda p: p["checks"].update(
+            ("checks.diagonal_type", lambda p: p["checks"].update(
                 diagonal_type=not p["checks"]["diagonal_type"]))):
         edited = json.loads(json.dumps(payload))
         edit(edited)

@@ -4,13 +4,18 @@ and end-to-end determinism on the fast pipelines."""
 import copy
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
 
 from patgraphs import cli, gf, permgrp
 from patgraphs.cli import main, parse_generators, parse_permutation
+from patgraphs.graphcert import _leaves, certificate_payload, certify
 
 
 def test_edc_q7_report(capsys):
@@ -172,7 +177,7 @@ def test_forged_order_is_rejected_under_every_seed(tmp_path, capsys):
     capsys.readouterr()
     for seed in (0, 1, 2, 3):
         assert main(["verify", "--seed", str(seed), str(forged)]) == 3
-        assert "order of G" in capsys.readouterr().err
+        assert "orders.G: stated '1296000000'" in capsys.readouterr().err
 
 
 def test_construct_builds_its_field_once(monkeypatch):
@@ -320,6 +325,8 @@ def small_certificates(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command,key,value", [
+    ("construct", "family", "symmetric"),
+    ("bipartite", "family", "pgl2-bipartite"),
     ("construct", "theorem1_case", "iii"),
     ("construct", "case_witness", 7),
     ("construct", "ii_possible", True),
@@ -331,8 +338,9 @@ def small_certificates(tmp_path_factory):
 def test_verify_recomputes_every_derived_field(tmp_path, capsys,
                                                small_certificates,
                                                command, key, value):
-    # every field but family is derived again; the bipartite parameter
-    # too, so it is never the order that locates b
+    # every field is derived again, the family from T's degree, the
+    # number of blocks and |T|; the bipartite parameter too, so it is
+    # never the order that locates b
     payload = json.loads(json.dumps(small_certificates[command]))
     assert payload[key] != value
     payload[key] = value
@@ -366,6 +374,85 @@ def test_verify_rejects_ill_typed_fields(tmp_path, capsys, monkeypatch,
         assert main(["verify", str(edited)]) == 2
         err = capsys.readouterr().err
         assert f"{path} of the wrong type" in err and "Error(" not in err
+
+
+def _edited(path, value):
+    """Another value of the leaf's type: a count plus one, a bool
+    flipped, an order plus one, another string with "x" appended, a
+    value for a null, and a permutation, or a list's first, with the
+    images of 0 and 1 swapped."""
+    if type(value) is bool:
+        return not value
+    if type(value) is int:
+        return value + 1
+    if type(value) is str:
+        return str(int(value) + 1) if path[0] == "orders" else value + "x"
+    if value is None:
+        return {"theorem1_case": "i", "ii_possible": True,
+                "case_witness": 5}[path[-1]]
+    perms = type(value[0]) is list
+    perm = list(value[0]) if perms else list(value)
+    perm[0], perm[1] = perm[1], perm[0]
+    return [perm, *value[1:]] if perms else perm
+
+
+@pytest.mark.parametrize("construction",
+                         ["pa4", "pa7", "bip5_symmetric", "v64"])
+def test_every_leaf_edit_is_rejected(tmp_path, capsys, request,
+                                     construction):
+    # q = 4, q = 7, bipartite p = 5 and example-2-6: every leaf edited
+    # once, one unknown key added, and a false orders.G followed by a
+    # top-level key "orders.G" with the true order; each exits 2 or 3
+    payload = certificate_payload(
+        certify(request.getfixturevalue(construction)))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == 0
+
+    def edit(base, leaf, value):
+        edited = json.loads(json.dumps(base))
+        reduce(getitem, leaf[:-1], edited)[leaf[-1]] = value
+        return edited
+
+    edits = {".".join(leaf): edit(payload, leaf, _edited(leaf, value))
+             for leaf, value in _leaves(payload).items()}
+    edits["unknown"] = edit(payload, ("unknown",), 1)
+    true_order = payload["orders"]["G"]
+    edits["orders.G alias"] = edit(
+        edit(payload, ("orders", "G"), str(int(true_order) + 1)),
+        ("orders.G",), true_order)
+    accepted = []
+    for name, edited in edits.items():
+        path.write_text(json.dumps(edited))
+        if main(["verify", str(path)]) not in (2, 3):
+            accepted.append(name)
+    capsys.readouterr()
+    assert len(edits) > 25 and accepted == []
+
+
+def _swap_first_images(perms):
+    perms[0][0], perms[0][1] = perms[0][1], perms[0][0]
+
+
+@pytest.mark.parametrize("construction,edit", [
+    # T trivial: the socle walk would list the elements of G
+    ("pa4", lambda gens: gens.update(socle_factor=[])),
+    # an H of order about 3.3e30 outside G: T^n meet H would walk its
+    # cosets of T^n
+    ("pa7", lambda gens: _swap_first_images(gens["H"])),
+])
+def test_forged_generators_fail_at_once(tmp_path, request, construction,
+                                        edit):
+    payload = certificate_payload(
+        certify(request.getfixturevalue(construction)))
+    edit(payload["generators"])
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(payload))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "patgraphs.cli", "verify",
+                           str(path)], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_verify_rejects_a_generator_outside_the_domain(tmp_path, capsys):

@@ -7,7 +7,6 @@ import sympy
 from patgraphs.eqcode import (
     build_shift_matrix,
     charpoly,
-    coordinate_kernels,
     decompose_invariant,
     equidistant_code_pipeline,
     find_faithful_irreducible_code,
@@ -186,8 +185,11 @@ def test_codes_sweep_all_valid_q():
         wp = weight_profile(res.code)
         assert wp == {q: q * q - 1}
         assert max(wp) == res.code.n - res.code.dim + 1  # Singleton equality
-        kers = coordinate_kernels(res.code)
-        assert all(len(b) == 1 for b in kers)
+        # the kernel of coordinate i: the codewords vanishing there
+        words = [tuple(w) for w in res.code.codewords()]
+        kers = [frozenset(w for w in words if not w[i])
+                for i in range(res.code.n)]
+        assert all(len(kern) == q for kern in kers)  # 1-dimensional
         assert len(set(kers)) == res.code.n
         assert is_regular_on_nonzero(res.code, res.shift)
 

@@ -9,7 +9,10 @@ import pytest
 
 from patgraphs.construct import embed_block, flatten
 from patgraphs.graphcert import (
+    _COMMON_KEYS,
+    _KIND_KEYS,
     SmallGraph,
+    _leaves,
     certificate_payload,
     certify,
     edge_list_text,
@@ -279,7 +282,7 @@ def test_not_double_cover_is_only_refuted(bip5_symmetric):
 
 def test_certificate_roundtrip_q4(pa4):
     cert = certify(pa4)
-    payload = json.loads(json.dumps(certificate_payload(cert, pa4, pa4.o)))
+    payload = json.loads(json.dumps(certificate_payload(cert)))
     assert payload["orders"]["G"] == "3888000000"
     assert payload["valency"] == 16
     report = verify_certificate(payload)
@@ -291,15 +294,23 @@ def test_certificate_roundtrip_q4(pa4):
 def test_certificate_roundtrip_bipartite(bip5_symmetric):
     bip = bip5_symmetric
     cert = certify(bip)
-    payload = json.loads(json.dumps(certificate_payload(cert, bip, bip.o)))
+    payload = json.loads(json.dumps(certificate_payload(cert)))
     report = verify_certificate(payload)
     assert report.ok
+
+
+def test_schema_lists_every_key_the_writer_emits(pa4, bip5_symmetric):
+    for construction in (pa4, bip5_symmetric):
+        payload = certificate_payload(certify(construction))
+        schema = {**_COMMON_KEYS, **_KIND_KEYS[payload["kind"]]}
+        assert set(_leaves(payload)) == {tuple(path.split("."))
+                                         for path in schema}
 
 
 def test_tampered_certificate_is_rejected(bip5_symmetric):
     bip = bip5_symmetric
     cert = certify(bip)
-    payload = json.loads(json.dumps(certificate_payload(cert, bip, bip.o)))
+    payload = json.loads(json.dumps(certificate_payload(cert)))
     payload["valency"] = 6
     report = verify_certificate(payload)
     assert not report.ok
@@ -308,7 +319,7 @@ def test_tampered_certificate_is_rejected(bip5_symmetric):
     payload["orders"]["G"] = str(int(payload["orders"]["G"]) * 2)
     report = verify_certificate(payload)
     assert not report.ok
-    assert any("order of G" in f for f in report.failures)
+    assert any(f.startswith("orders.G: stated") for f in report.failures)
 
 
 def test_diagonal_type_needs_every_projection_injective(bip5_symmetric):
@@ -316,11 +327,12 @@ def test_diagonal_type_needs_every_projection_injective(bip5_symmetric):
     # injectively to block 0 but to a group of order 2 on block 1
     bip = bip5_symmetric
     cert = certify(bip)
-    payload = json.loads(json.dumps(certificate_payload(cert, bip, bip.o)))
+    payload = json.loads(json.dumps(certificate_payload(cert)))
     a0 = flatten(embed_block(bip.seed.a, 0, bip.n), bip.block_degree)
     payload["generators"]["H"] = [list(a0), list(bip.bold_b)]
     report = verify_certificate(payload)
-    assert "diagonal_type: stated True, recomputed False" in report.failures
+    assert ("checks.diagonal_type: stated True, recomputed False"
+            in report.failures)
 
 
 def test_toy_graph_matches_its_own_coset_recipe(k4_setup):
