@@ -21,7 +21,7 @@ from patgraphs.permgrp import PermGroup, coset_action, perm_from_cycles
 
 def show(name, G, H, g):
     sg = enumerate_small_graph(G, H, g)
-    cert = local_certificate(G.order(), H, g)
+    cert = local_certificate(G, H, g)
     ca = coset_action(G, H)
     orbits = two_arc_orbit_count(sg, list(ca.group.gens))
     print(f"{name}: {sg.vertices} vertices, valency {sg.degree(0)}, "
@@ -29,7 +29,7 @@ def show(name, G, H, g):
     print(f"  certificate: valency {cert.valency}, locally 2-transitive "
           f"{cert.locally_2transitive}")
     print(f"  2-arc orbits by direct count: {orbits} "
-          f"(agreement: {cert.locally_2transitive == (orbits == 1)})")
+          f"(agreement: {cert.locally_2transitive == (orbits <= 1)})")
     return sg
 
 

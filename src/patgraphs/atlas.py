@@ -66,12 +66,6 @@ def projective_inversion(k: GF, gamma: int) -> Perm:
     return tuple(img) + (0,)
 
 
-def projective_neg_inversion(k: GF) -> Perm:
-    """x -> -1/x, swapping 0 and infinity."""
-    img = [k.q] + [k.neg(k.inv(x)) for x in range(1, k.q)]
-    return tuple(img) + (0,)
-
-
 def projective_frobenius(k: GF) -> Perm:
     """x -> x^p fixing infinity."""
     return tuple(k.pow(x, k.p) for x in range(k.q)) + (k.q,)
@@ -82,7 +76,7 @@ def pgl2(k: GF, seed: int) -> PermGroup:
     mu = k.generator
     gens = [projective_translation(k, k.p**i) for i in range(k.f)]
     gens.append(projective_scaling(k, mu))
-    gens.append(projective_neg_inversion(k))
+    gens.append(projective_inversion(k, k.neg(1)))
     return PermGroup(gens, seed=seed)
 
 
@@ -91,7 +85,7 @@ def psl2(k: GF, seed: int) -> PermGroup:
     mu = k.generator
     gens = [projective_translation(k, k.p**i) for i in range(k.f)]
     gens.append(projective_scaling(k, k.mul(mu, mu)))
-    gens.append(projective_neg_inversion(k))
+    gens.append(projective_inversion(k, k.neg(1)))
     return PermGroup(gens, seed=seed)
 
 
@@ -104,11 +98,6 @@ def residue_translation(p: int) -> Perm:
 
 def residue_scaling(p: int, g: int) -> Perm:
     return tuple((g * x) % p for x in range(p))
-
-
-def residue_inversion(p: int) -> Perm:
-    """x -> 1/x on nonzero residues, fixing 0."""
-    return (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
 
 
 def residue_scaled_inversion(p: int, nu: int) -> Perm:
@@ -284,7 +273,7 @@ def seed_symmetric(p: int, bipartite: bool = False,
     if bipartite:
         a = trans
         b = a_scale
-        inv0 = residue_inversion(p)
+        inv0 = residue_scaled_inversion(p, 1)
         half = (p - 1) // 2
         c = None
         for j in range(p - 1):

@@ -244,13 +244,14 @@ def _run_toy(args: argparse.Namespace) -> int:
                   seed=args.seed)
     g = parse_permutation(edge, degree)
     sg = enumerate_small_graph(G, H, g, args.limit)
-    cert = local_certificate(G.order(), H, g)
+    cert = local_certificate(G, H, g)
     ca = coset_action(G, H)
     orbits = two_arc_orbit_count(sg, list(ca.group.gens))
     degrees = sorted({sg.degree(v) for v in range(sg.vertices)})
+    # valency 1 leaves no 2-arcs, and a 1-point action is 2-transitive
     agree = (degrees == [cert.valency]
              and cert.connected == graph_is_connected(sg)
-             and cert.locally_2transitive == (orbits == 1))
+             and cert.locally_2transitive == (orbits <= 1))
     if agree:
         _write_text(args.out, edge_list_text(sg))
     print(f"{sg.vertices} vertices, degrees {degrees}, girth "

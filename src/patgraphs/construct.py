@@ -37,8 +37,7 @@ from .permgrp import (
     porder,
     ppow,
     same_double_coset,
-    socle_bound,
-    socle_extension,
+    socle_group,
 )
 
 # -- wreath elements ----------------------------------------------------
@@ -412,8 +411,7 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
     T = seed.T
     M = DirectPower(T, n)
     gens = list(M.gens) + [pa.theta_perm]
-    G = socle_extension(gens, M)
-    check(G is not None, "theta does not normalize T^n")
+    G = socle_group(gens, M)
     check(G.order() == T.order()**n * n * seed.index_XT,
           "G has the wrong order")
     meet = filtered_intersection_with_product(pa.H, M)
@@ -572,15 +570,14 @@ def valency64_construction(seed: AlmostSimpleSeed,
     check(set(_two_elements(cent))
           == set(_two_elements(tc.normalizer_elements)),
           "normalizer has 2-elements outside the centralizer")
-    # candidate edge elements: nontrivial 2-elements joining H up to G
-    M = DirectPower(seed.T, pa.n)
+    # candidate edge elements: 2-elements of G joining H up to G, |G| bound
     candidates = []
     h_normalizers = []
     for x in _two_elements(tc.normalizer_elements):
-        gens = list(pa.H.gens) + [x]
-        joined = PermGroup(gens, degree=M.degree,
-                           upper_bound=socle_bound(gens, M),
-                           seed=M.seed).order()
+        check(pa.G.contains(x), "a 2-element of N_M(<theta>) is not in G")
+        joined = PermGroup(list(pa.H.gens) + [x], degree=pa.G.degree,
+                           upper_bound=pa.G.order(),
+                           seed=pa.H.seed).order()
         if joined == pa.G.order():
             candidates.append(x)
         elif joined == 2 * pa.H.order():
@@ -707,13 +704,11 @@ def bipartite_construction(p: int, family: str = "symmetric",
     T = base.T
     M = DirectPower(T, n)
     star_gens = list(M.gens) + [bold_b, tau]
-    Gstar = socle_extension(star_gens, M)
-    check(Gstar is not None, "b or tau does not normalize T^(p-1)")
+    Gstar = socle_group(star_gens, M)
     check(Gstar.order() == T.order()**n * n * 2, "Gstar has the wrong order")
     check(not Gstar.contains(o), "o lies in Gstar")
     gens = list(Gstar.gens) + [o]
-    G = socle_extension(gens, M)
-    check(G is not None, "o does not normalize T^(p-1)")
+    G = socle_group(gens, M)
     check(G.order() == 2 * Gstar.order(), "Gstar does not have index 2")
     H = PermGroup([bold_a, bold_b, tau], degree=n * d, seed=seed)
     K = PermGroup([bold_b, tau], degree=n * d, seed=seed)

@@ -382,13 +382,6 @@ class Code:
                 yield w
 
 
-def make_code(field: GF, rows) -> Code:
-    basis = rref(field, rows)
-    if not basis:
-        raise ValueError("a code needs at least one nonzero generator")
-    return Code(field, len(basis[0]), basis)
-
-
 def weight(v) -> int:
     return sum(1 for c in v if c)
 
@@ -399,10 +392,6 @@ def weight_profile(code: Code) -> dict[int, int]:
         wt = weight(w)
         out[wt] = out.get(wt, 0) + 1
     return out
-
-
-def is_equidistant(code: Code) -> bool:
-    return len(weight_profile(code)) == 1
 
 
 @dataclass(frozen=True)

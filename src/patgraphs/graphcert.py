@@ -3,8 +3,9 @@
 The large constructions cannot be enumerated, so 2-arc-transitivity is
 certified locally: the edge stabilizer H meet H^g, the valency, local
 2-transitivity of H on the neighborhood, and connectivity via the order
-of <H, g>.  Toy instances are enumerated in full and cross-checked
-against the same local certificate.
+of <H, g>: H and g lie in G, so <H, g> is sifted to the proven bound
+|G|.  Toy instances are enumerated in full and cross-checked against
+the same local certificate.
 
 Every verdict of a certificate has one derivation, _derive, which both
 certify (from a construction's groups) and verify_certificate (from the
@@ -36,8 +37,7 @@ from .permgrp import (
     pid,
     pmul,
     porder,
-    socle_bound,
-    socle_extension,
+    socle_group,
 )
 
 ENUMERATION_LIMIT = 10**6
@@ -220,24 +220,24 @@ def edge_stabilizer(H: PermGroup, g: Perm) -> PermGroup:
     return coset_stabilizer(H, H, g)[0]
 
 
-def local_certificate(G_order: int, H: PermGroup, g: Perm,
-                      M: DirectPower | None = None) -> LocalCertificate:
+def local_certificate(G: PermGroup, H: PermGroup, g: Perm
+                      ) -> LocalCertificate:
     """The valency is the length of the orbit of Hg under H, and local
     2-transitivity is read off H's action on that orbit, both from the
-    walk that gives edge_stabilizer.  With M, a direct power normalized
-    by H and g, the order of <H, g> is sifted to its socle bound."""
+    walk that gives edge_stabilizer.  H and g must lie in G, so <H, g>
+    is sifted to the proven bound |G|, which it meets exactly when the
+    graph is connected."""
+    check(all(G.contains(x) for x in [*H.gens, g]), "H or g is not in G")
     meet, neighbours = coset_stabilizer(H, H, g)
     valency = neighbours.degree
-    gens = list(H.gens) + [g]
-    joined = PermGroup(gens, degree=H.degree,
-                       upper_bound=M and socle_bound(gens, M),
-                       seed=H.seed).order()
+    joined = PermGroup(list(H.gens) + [g], degree=H.degree,
+                       upper_bound=G.order(), seed=H.seed).order()
     return LocalCertificate(
-        group_order=G_order,
+        group_order=G.order(),
         stabilizer_order=H.order(),
         intersection_order=meet.order(),
         valency=valency,
-        connected=joined == G_order,
+        connected=joined == G.order(),
         locally_2transitive=is_two_transitive(neighbours),
         g_square_in_H=H.contains(pmul(g, g)),
         g_outside_H=not H.contains(g),
@@ -321,7 +321,7 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
     bipartite, the socle M = T^n, and meet = M meet H, read through its
     generators, never its elements.  certify and verify_certificate both
     call it."""
-    local = local_certificate(G.order(), H, g, M)
+    local = local_certificate(G, H, g)
     valency = local.valency
     top = G if gstar is None else gstar
     fields = dict(
@@ -520,9 +520,9 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
     H = PermGroup(gens["H"], degree=payload["degree"], seed=seed)
     g = tuple(gens["g"])
     # orders are proven from the generators; the payload's are only compared
-    G = _socle_group(gens["G"], M)
+    G = socle_group(gens["G"], M)
     check(all(G.contains(x) for x in [*H.gens, g]), "H or g is not in G")
-    gstar = (_socle_group(gens["gstar"], M)
+    gstar = (socle_group(gens["gstar"], M)
              if payload["kind"] == "bipartite" else None)
     cert = _derive(G, H, g, M, filtered_intersection_with_product(H, M),
                    gstar)
@@ -598,16 +598,3 @@ def _check_shape(payload) -> None:
         raise ValueError(f"{kind} certificate's generators.g is not a "
                          f"permutation of its blocks * block_degree points")
 
-
-def _socle_group(gens, M: DirectPower) -> PermGroup:
-    """<gens> ordered and tested through the socle M when the list holds
-    every generator of M (socle_extension); otherwise sifted to
-    socle_bound.  A generator that does not normalize M fails: T^n is
-    the socle of the certificate's groups."""
-    group = socle_extension(gens, M)
-    if group is None:
-        bound = socle_bound(gens, M)
-        check(bound is not None, "a generator does not normalize T^n")
-        group = PermGroup(gens, degree=M.degree, upper_bound=bound,
-                          seed=M.seed)
-    return group

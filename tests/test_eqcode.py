@@ -5,16 +5,15 @@ import pytest
 import sympy
 
 from patgraphs.eqcode import (
+    Code,
     build_shift_matrix,
     charpoly,
     decompose_invariant,
     equidistant_code_pipeline,
     find_faithful_irreducible_code,
     irreducible_factors,
-    is_equidistant,
     is_regular_on_nonzero,
     is_regular_span,
-    make_code,
     mat_identity,
     mat_mul,
     mat_pow,
@@ -92,7 +91,8 @@ def test_poly_order():
 
 def test_rref_and_code_basics():
     k = make_field(4)
-    code = make_code(k, [(1, 2, 3, 0, 1), (2, 3, 1, 0, 2), (0, 1, 1, 1, 1)])
+    code = Code(k, 5, rref(k, [(1, 2, 3, 0, 1), (2, 3, 1, 0, 2),
+                               (0, 1, 1, 1, 1)]))
     assert code.dim == 2
     assert all(code.contains(w) for w in code.codewords())
     assert not code.contains((1, 0, 0, 0, 0))
@@ -172,7 +172,6 @@ def test_codes_for_named_q():
         assert code.dim == 2 and code.n == q + 1
         wp = weight_profile(code)
         assert wp == {q: n_words}
-        assert is_equidistant(code)
         assert is_regular_on_nonzero(code, res.shift)
 
 
@@ -197,7 +196,7 @@ def test_codes_sweep_all_valid_q():
 def test_regularity_needs_an_invariant_span():
     k = make_field(4)
     shift = build_shift_matrix(k)
-    code = make_code(k, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
+    code = Code(k, 5, rref(k, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]))
     with pytest.raises(VerificationError):
         is_regular_on_nonzero(code, shift)
 
@@ -247,7 +246,7 @@ def test_brute_force_oracle_q4():
         if len(basis) != 2:
             continue
         # irreducible iff no invariant line inside
-        code = make_code(field, basis)
+        code = Code(field, len(basis[0]), basis)
         if any(rref(field, [w, vec_mat(field, w, a)]) == rref(field, [w])
                for w in code.nonzero_codewords()):
             continue

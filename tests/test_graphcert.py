@@ -28,6 +28,7 @@ from patgraphs.graphcert import (
     two_arcs,
     verify_certificate,
 )
+from patgraphs.numth import VerificationError
 from patgraphs.permgrp import (
     DirectPower,
     PermGroup,
@@ -118,7 +119,7 @@ def test_enumeration_precondition_errors(k4_setup):
 def test_local_certificate_matches_enumeration(k4_setup, petersen_setup):
     for G, H, g in (k4_setup, petersen_setup):
         sg = enumerate_small_graph(G, H, g)
-        cert = local_certificate(G.order(), H, g)
+        cert = local_certificate(G, H, g)
         assert cert.valency == sg.degree(0)
         assert cert.connected == graph_is_connected(sg)
         ca = coset_action(G, H)
@@ -126,6 +127,30 @@ def test_local_certificate_matches_enumeration(k4_setup, petersen_setup):
         assert cert.locally_2transitive == (orbit_count == 1)
         assert cert.all_conditions
         assert cert.valency * cert.intersection_order == cert.stabilizer_order
+
+
+def test_local_certificate_of_a_disconnected_graph():
+    # Cos(S5, <(0 1 2)>, (2 3)): <H, g> is S4 fixing 4, below the bound
+    # |G| = 120 it is sifted to, so its order comes from the Schreier
+    # check and the certificate finds five components of valency 3
+    G = sym(5)
+    H = PermGroup([perm_from_cycles(5, [(0, 1, 2)])])
+    g = perm_from_cycles(5, [(2, 3)])
+    joined = PermGroup([*H.gens, g], degree=5, upper_bound=G.order())
+    assert joined.order() == 24 and joined.certified_by == "schreier"
+    cert = local_certificate(G, H, g)
+    sg = enumerate_small_graph(G, H, g)
+    assert cert.valency == 3 == sg.degree(0)
+    assert not cert.connected and not graph_is_connected(sg)
+    assert not cert.locally_2transitive
+    ca = coset_action(G, H)
+    assert two_arc_orbit_count(sg, list(ca.group.gens)) == 2
+
+
+def test_local_certificate_needs_g_in_G(petersen_setup):
+    _, H, g = petersen_setup
+    with pytest.raises(VerificationError, match="H or g is not in G"):
+        local_certificate(PermGroup(H.gens), H, g)
 
 
 def test_edge_stabilizer_orders(k4_setup, petersen_setup):

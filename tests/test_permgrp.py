@@ -26,8 +26,7 @@ from patgraphs.permgrp import (
     pmul,
     porder,
     ppow,
-    socle_bound,
-    socle_extension,
+    socle_group,
 )
 
 
@@ -284,41 +283,23 @@ def test_known_order_mismatch_raises():
     assert PermGroup(a5_gens).order() == 60
 
 
-def test_socle_bound():
-    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
-                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
-    M = DirectPower(a5, 3)
-    tau = tuple((x + 5) % 15 for x in range(15))
-    swap = perm_from_cycles(15, [(0, 1)])
-    # <M, tau, swap> = S5 wr C3 and <M, tau> = A5 wr C3
-    gens = list(M.gens) + [tau, swap]
-    assert socle_bound(gens, M) == 60**3 * 24 == 120**3 * 3
-    wreath = PermGroup(gens, degree=15, upper_bound=socle_bound(gens, M))
-    assert wreath.order() == PermGroup(gens, degree=15).order() == 120**3 * 3
-    assert wreath.certified_by == "bound"
-    assert socle_bound(list(M.gens) + [tau], M) == 60**3 * 3
-    # without M among the generators the bound is only an upper bound:
-    # <tau> has order 3, proven by the Schreier check
-    cyclic = PermGroup([tau], degree=15, upper_bound=socle_bound([tau], M))
-    assert cyclic.order() == 3 and cyclic.certified_by == "schreier"
-    # a generator that does not normalize M gives no bound
-    assert socle_bound([perm_from_cycles(15, [(0, 5)])], M) is None
-
-
-def test_socle_extension_orders_and_tests_membership_without_a_chain():
+def test_socle_group():
     a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
                     perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
     M = DirectPower(a5, 3)
     tau = tuple((x + 5) % 15 for x in range(15))
     swap = perm_from_cycles(15, [(0, 1)])
     rng = random.Random(3)
+    # <M, tau, swap> = S5 wr C3 and <M, tau> = A5 wr C3: with M's
+    # generators, order and membership come through M, with no chain
     for extra, order in (([tau, swap], 120**3 * 3), ([tau], 60**3 * 3),
                          ([swap], 120 * 60**2), ([], 60**3)):
         gens = list(M.gens) + extra
-        group = socle_extension(gens, M)
-        assert group.order() == order == socle_bound(gens, M)
+        group = socle_group(gens, M)
+        assert group.order() == order
         assert group.certified_by == "bound"
         oracle = PermGroup(gens, degree=15, upper_bound=order)
+        assert oracle.order() == PermGroup(gens, degree=15).order() == order
         queries = [swap, tau, pmul(swap, tau), pid(15),
                    perm_from_cycles(15, [(0, 5)])]
         queries += [tuple(rng.sample(range(15), 15)) for _ in range(20)]
@@ -331,11 +312,21 @@ def test_socle_extension_orders_and_tests_membership_without_a_chain():
             group.contains(pid(14))
         # any other query builds the chain, sifted to the same order
         assert len(group.base()) > 0 and group.order() == order
-    # without all of M's generators, or with one that does not normalize
-    # M, there is no shortcut
-    assert socle_extension([tau] + list(M.gens)[1:], M) is None
-    assert socle_extension(list(M.gens) + [perm_from_cycles(15, [(0, 5)])],
-                           M) is None
+    # without all of M's generators the walk gives only an upper bound:
+    # <tau> has order 3, below 60^3 * 3, proven by the Schreier check
+    cyclic = socle_group([tau], M)
+    assert cyclic.order() == 3 and cyclic.certified_by == "schreier"
+    # with M's generators but one, the chain meets the bound
+    partial = socle_group([tau] + list(M.gens)[1:], M)
+    assert partial.order() == 60**3 * 3 and partial.certified_by == "bound"
+    # a generator that does not normalize M fails, with or without M
+    for gens in ([perm_from_cycles(15, [(0, 5)])],
+                 list(M.gens) + [perm_from_cycles(15, [(0, 5)])]):
+        with pytest.raises(VerificationError,
+                           match="does not normalize T\\^n"):
+            socle_group(gens, M)
+    with pytest.raises(ValueError, match="not a permutation"):
+        socle_group([(0,) * 15], M)
 
 
 def _socle_queries(group, extra, rng):
@@ -441,11 +432,6 @@ def test_order_stable_across_base_and_seed():
         grp = PermGroup(g.gens, seed=seed)
         assert grp.seed == seed
         assert grp.order() == 168
-        # the fundamental orbit lengths multiply to the order
-        prod = 1
-        for orb in grp.fundamental_orbits():
-            prod *= len(orb)
-        assert prod == 168
 
 
 def test_elements_enumeration():
