@@ -283,35 +283,21 @@ def test_known_order_mismatch_raises():
     assert PermGroup(a5_gens).order() == 60
 
 
-def test_socle_group():
+def test_socle_bound():
     a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
                     perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
     M = DirectPower(a5, 3)
     tau = tuple((x + 5) % 15 for x in range(15))
     swap = perm_from_cycles(15, [(0, 1)])
-    rng = random.Random(3)
-    # <M, tau, swap> = S5 wr C3 and <M, tau> = A5 wr C3: with M's
-    # generators, order and membership come through M, with no chain
-    for extra, order in (([tau, swap], 120**3 * 3), ([tau], 60**3 * 3),
-                         ([swap], 120 * 60**2), ([], 60**3)):
+    # <M, tau, swap> = S5 wr C3 and <M, tau> = A5 wr C3: the walked bound
+    # is met, and a chain on the same generators agrees
+    for extra, order in (([tau, swap], 60**3 * 24), ([tau], 60**3 * 3)):
         gens = list(M.gens) + extra
         group = socle_group(gens, M)
-        assert group.order() == order
-        assert group.certified_by == "bound"
+        assert group.order() == order and group.certified_by == "bound"
         oracle = PermGroup(gens, degree=15, upper_bound=order)
         assert oracle.order() == PermGroup(gens, degree=15).order() == order
-        queries = [swap, tau, pmul(swap, tau), pid(15),
-                   perm_from_cycles(15, [(0, 5)])]
-        queries += [tuple(rng.sample(range(15), 15)) for _ in range(20)]
-        for x in queries:
-            assert group.contains(x) == oracle.contains(x)
-        assert group._levels is None
-        with pytest.raises(ValueError):
-            group.contains((0,) * 15)
-        with pytest.raises(ValueError):
-            group.contains(pid(14))
-        # any other query builds the chain, sifted to the same order
-        assert len(group.base()) > 0 and group.order() == order
+        assert oracle.certified_by == "bound"
     # without all of M's generators the walk gives only an upper bound:
     # <tau> has order 3, below 60^3 * 3, proven by the Schreier check
     cyclic = socle_group([tau], M)
@@ -327,6 +313,41 @@ def test_socle_group():
             socle_group(gens, M)
     with pytest.raises(ValueError, match="not a permutation"):
         socle_group([(0,) * 15], M)
+
+
+def test_socle_extension_orders_and_tests_membership_without_a_chain():
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    M = DirectPower(a5, 3)
+    tau = tuple((x + 5) % 15 for x in range(15))
+    swap = perm_from_cycles(15, [(0, 1)])
+    rng = random.Random(3)
+    # with M's generators, order and membership come through M, with no
+    # chain
+    for extra, order in (([tau, swap], 120**3 * 3), ([tau], 60**3 * 3),
+                         ([swap], 120 * 60**2), ([], 60**3)):
+        gens = list(M.gens) + extra
+        group = socle_group(gens, M)
+        assert group.order() == order
+        assert group.certified_by == "bound"
+        oracle = PermGroup(gens, degree=15, upper_bound=order)
+        queries = [swap, tau, pmul(swap, tau), pid(15),
+                   perm_from_cycles(15, [(0, 5)])]
+        queries += [tuple(rng.sample(range(15), 15)) for _ in range(20)]
+        for x in queries:
+            assert group.contains(x) == oracle.contains(x)
+        assert group._levels is None
+        with pytest.raises(ValueError):
+            group.contains((0,) * 15)
+        with pytest.raises(ValueError):
+            group.contains(pid(14))
+        # any other query builds the chain, sifted to the same order
+        assert len(group.base()) > 0 and group.order() == order
+    # without all of M's generators, or with one that does not normalize
+    # M, there is no shortcut
+    assert type(socle_group([tau] + list(M.gens)[1:], M)) is PermGroup
+    with pytest.raises(VerificationError):
+        socle_group(list(M.gens) + [perm_from_cycles(15, [(0, 5)])], M)
 
 
 def _socle_queries(group, extra, rng):
