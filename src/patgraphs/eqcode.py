@@ -35,13 +35,9 @@ Mat = list[list[int]]
 
 
 def poly_deriv(k: GF, a: Poly) -> Poly:
-    out = []
-    for i in range(1, len(a)):
-        c = 0
-        for _ in range(i % k.p):
-            c = k.add(c, a[i])
-        out.append(c)
-    return poly_trim(out)
+    # i * a[i], where the integer i mod p encodes the field element i * 1
+    mul = k.mul_table
+    return poly_trim([mul[i % k.p][c] for i, c in enumerate(a)][1:])
 
 
 def _poly_from_index(k: GF, t: int) -> Poly:
@@ -180,34 +176,31 @@ def mat_scalar(n: int, c: int) -> Mat:
     return [[c if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _check_entries(k: GF, rows):
+    """Reject an entry outside [0, q) before any table lookup, where a
+    negative one would index a table from its end."""
+    q = k.q
+    if not all(0 <= x < q for row in rows for x in row):
+        raise ValueError(f"an entry is not an element of GF({q})")
+
+
+def _combine(k: GF, v, rows) -> list[int]:
+    """The linear combination sum of v[j] * rows[j]."""
+    add, mul = k.add_table, k.mul_table
+    acc = [0] * len(rows[0])
+    for c, row in zip(v, rows):
+        if c:
+            m = mul[c]
+            acc = [add[x][m[y]] for x, y in zip(acc, row)]
+    return acc
+
+
 def mat_mul(k: GF, a: Mat, b: Mat) -> Mat:
-    add, mul = k.add, k.mul
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for j, c in enumerate(row):
-            if c:
-                brow = b[j]
-                if c == 1:
-                    acc = [add(x, y) for x, y in zip(acc, brow)]
-                else:
-                    acc = [add(x, mul(c, y)) for x, y in zip(acc, brow)]
-        out.append(acc)
-    return out
+    return [_combine(k, row, b) for row in a]
 
 
 def vec_mat(k: GF, v, a: Mat) -> Vec:
-    add, mul = k.add, k.mul
-    acc = [0] * len(a[0])
-    for j, c in enumerate(v):
-        if c:
-            arow = a[j]
-            if c == 1:
-                acc = [add(x, y) for x, y in zip(acc, arow)]
-            else:
-                acc = [add(x, mul(c, y)) for x, y in zip(acc, arow)]
-    return tuple(acc)
+    return tuple(_combine(k, v, a))
 
 
 def mat_pow(k: GF, a: Mat, e: int) -> Mat:
@@ -239,25 +232,23 @@ def mat_order(k: GF, a: Mat, multiple: int) -> int:
 def rref(k: GF, rows) -> tuple[Vec, ...]:
     """Reduced row echelon form; returns the nonzero rows, pivots 1."""
     rows = [list(r) for r in rows]
+    _check_entries(k, rows)
     if not rows:
         return ()
-    ncols = len(rows[0])
-    pivots = []
+    add, mul, neg = k.add_table, k.mul_table, k.neg_table
     rank = 0
-    for col in range(ncols):
+    for col in range(len(rows[0])):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = k.inv(rows[rank][col])
-        if inv != 1:
-            rows[rank] = [k.mul(inv, c) for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [k.sub(x, k.mul(c, y))
-                           for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
+        m = mul[k.inv(rows[rank][col])]
+        prow = rows[rank] = [m[c] for c in rows[rank]]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != rank:
+                m = mul[neg[c]]
+                rows[i] = [add[x][m[y]] for x, y in zip(row, prow)]
         rank += 1
         if rank == len(rows):
             break
@@ -266,12 +257,13 @@ def rref(k: GF, rows) -> tuple[Vec, ...]:
 
 def vec_reduce(k: GF, v, basis) -> Vec:
     """Reduce v against RREF basis rows; zero result means membership."""
+    add, mul, neg = k.add_table, k.mul_table, k.neg_table
     v = list(v)
     for row in basis:
         piv = next(j for j, c in enumerate(row) if c)
         if v[piv]:
-            c = v[piv]
-            v = [k.sub(x, k.mul(c, y)) for x, y in zip(v, row)]
+            m = mul[neg[v[piv]]]
+            v = [add[x][m[y]] for x, y in zip(v, row)]
     return tuple(v)
 
 
@@ -299,17 +291,20 @@ def mat_poly_eval(k: GF, g: Poly, a: Mat) -> Mat:
     """g(a) by Horner's rule."""
     n = len(a)
     out = mat_scalar(n, g[-1]) if g else mat_scalar(n, 0)
+    add = k.add_table
     for c in reversed(g[:-1]):
         out = mat_mul(k, out, a)
         for i in range(n):
-            out[i][i] = k.add(out[i][i], c)
+            out[i][i] = add[out[i][i]][c]
     return out
 
 
 def charpoly(k: GF, a: Mat) -> Poly:
     """Characteristic polynomial via Hessenberg reduction."""
     n = len(a)
-    h = [row[:] for row in a]
+    h = [list(row) for row in a]
+    _check_entries(k, h)
+    add, mul, neg = k.add_table, k.mul_table, k.neg_table
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:
@@ -318,23 +313,25 @@ def charpoly(k: GF, a: Mat) -> Poly:
             h[m], h[piv] = h[piv], h[m]
             for row in h:
                 row[m], row[piv] = row[piv], row[m]
-        inv = k.inv(h[m][m - 1])
+        inv = mul[k.inv(h[m][m - 1])]
         for i in range(m + 1, n):
             if h[i][m - 1]:
-                u = k.mul(h[i][m - 1], inv)
-                h[i] = [k.sub(x, k.mul(u, y)) for x, y in zip(h[i], h[m])]
-                for r in range(n):
-                    h[r][m] = k.add(h[r][m], k.mul(u, h[r][i]))
+                u = inv[h[i][m - 1]]
+                mu = mul[neg[u]]
+                h[i] = [add[x][mu[y]] for x, y in zip(h[i], h[m])]
+                mu = mul[u]
+                for row in h:
+                    row[m] = add[row[m]][mu[row[i]]]
     polys: list[Poly] = [(1,)]
     for m in range(1, n + 1):
         prev = polys[m - 1]
         pm = poly_sub(k, (0,) + prev, poly_scale(k, prev, h[m - 1][m - 1]))
         prod = 1
         for i in range(m - 2, -1, -1):
-            prod = k.mul(prod, h[i + 1][i])
+            prod = mul[prod][h[i + 1][i]]
             if prod == 0:
                 break
-            coef = k.mul(h[i][m - 1], prod)
+            coef = mul[h[i][m - 1]][prod]
             if coef:
                 pm = poly_sub(k, pm, poly_scale(k, polys[i], coef))
         polys.append(pm)
@@ -365,16 +362,12 @@ class Code:
         """All q**dim codewords, scanned in coefficient order."""
         k = self.field
         coeffs = [0] * self.dim
-        total = k.q**self.dim
-        for idx in range(total):
+        for idx in range(k.q**self.dim):
             t = idx
             for i in range(self.dim):
                 t, coeffs[i] = divmod(t, k.q)
-            w = [0] * self.n
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    w = [k.add(x, k.mul(c, y)) for x, y in zip(w, row)]
-            yield tuple(w)
+            yield (tuple(_combine(k, coeffs, self.basis)) if self.basis
+                   else (0,) * self.n)
 
     def nonzero_codewords(self):
         for w in self.codewords():
@@ -473,6 +466,7 @@ def decompose_invariant(mat, field: GF) -> InvariantDecomposition:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
+    _check_entries(field, a)
     cp = charpoly(field, a)
     factors = irreducible_factors(field, cp)
     if any(f == (0, 1) for f, _ in factors):
@@ -568,6 +562,8 @@ def is_regular_span(k: GF, basis, mat) -> bool:
     orbit is then walked in coordinates, whose entries are read off the
     pivot columns, so a step costs dim**2 field operations, not n**2.
     """
+    _check_entries(k, basis)
+    _check_entries(k, mat)
     pivots = [next(j for j, c in enumerate(row) if c) for row in basis]
     check(all(row[j] == (r == s) for r, row in enumerate(basis)
               for s, j in enumerate(pivots)), "basis is not in RREF")

@@ -4,16 +4,16 @@ A field element is a plain int in [0, q): its base-p digits, least
 significant first, are the coefficients of the residue polynomial.  The
 modulus is the lexicographically least monic irreducible of degree f
 under the same digit encoding, so independent runs agree on every
-element label.  Multiplication runs off exp/log tables built from the
-least primitive element; the fields in play never exceed a few thousand
-elements, so the tables are cheap.
+element label.
 
-Addition in GF(p) is integer addition mod p and in GF(2**f) it is xor.
-In an odd composite field it runs off a Zech-logarithm table, built
-once from the digit arithmetic: zech[i] = log(1 + g**i), or None where
-1 + g**i = 0, so g**i + g**j = g**(i + zech[j - i]); negation adds
-(q - 1)/2 to the logarithm, since -1 = g**((q - 1)/2).  The digit
-encoding then serves only to label elements and to build the tables.
+Each field carries three tables, built once: add_table[a][b],
+mul_table[a][b] and neg_table[a].  Addition is digitwise addition mod p
+(integer addition mod p when f = 1, xor when p = 2), and multiplication
+runs off exp/log tables of the least primitive element.  The q**2
+entries cost little next to the matrix work over GF(q) on F_q**(q+1)
+that they serve.  The hot loops here and in eqcode index the tables
+directly; the methods add, sub, mul and neg check their operands' range
+first, since a negative one would index a table from its end.
 
 The module also owns the one polynomial arithmetic over any GF(q); the
 field itself uses it over GF(p) to find its modulus and fill its tables.
@@ -73,17 +73,21 @@ class GF:
         check(acc == 1, "primitive element table did not close")
         self._exp = exp
         self._log = log
-        self._zech = None
-        if self.p != 2 and self.f > 1:
-            # 1 + g**i from the digits: the constant term is digit 0
-            zech = []
-            for a in exp:
-                s = a - a % self.p + (a + 1) % self.p
-                zech.append(log[s] if s else None)
-            half = (q - 1) // 2
-            check(zech[half] is None and zech.count(None) == 1,
-                  "Zech logarithm table does not single out -1")
-            self._zech = zech
+        # digitwise addition, one base-p digit at a time, least first
+        digit = [[(a + b) % self.p for b in range(self.p)]
+                 for a in range(self.p)]
+        add = digit
+        for j in range(1, self.f):
+            low = self.p**j
+            add = [[low * t + s for t in digit[a // low] for s in add[a % low]]
+                   for a in range(low * self.p)]
+        check(all(row.count(0) == 1 for row in add),
+              "addition table does not give each element one negative")
+        self.add_table = add
+        self.neg_table = [row.index(0) for row in add]
+        twice = exp + exp
+        self.mul_table = [[0] * q] + [
+            [0] + [twice[log[a] + i] for i in log[1:]] for a in range(1, q)]
 
     def _least_primitive(self) -> int:
         if self.q == 2:
@@ -139,59 +143,26 @@ class GF:
         return out
 
     def add(self, a: int, b: int) -> int:
-        q = self.q
-        if not (0 <= a < q and 0 <= b < q):
+        if not (0 <= a < self.q and 0 <= b < self.q):
             self._check(a)
             self._check(b)
-        if self.f == 1:
-            return (a + b) % q
-        if self.p == 2:
-            return a ^ b
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        log = self._log
-        i = log[a]
-        z = self._zech[(log[b] - i) % (q - 1)]
-        return 0 if z is None else self._exp[(i + z) % (q - 1)]
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.f == 1:
-            return -a % self.p
-        if self.p == 2 or a == 0:
-            return a
-        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        q = self.q
-        if not (0 <= a < q and 0 <= b < q):
+        if not (0 <= a < self.q and 0 <= b < self.q):
             self._check(a)
             self._check(b)
-        if self.f == 1:
-            return (a - b) % q
-        if self.p == 2:
-            return a ^ b
-        if b == 0:
-            return a
-        # -b has logarithm log(b) + (q - 1)/2, then add as in add
-        log = self._log
-        nb = (log[b] + (q - 1) // 2) % (q - 1)
-        if a == 0:
-            return self._exp[nb]
-        i = log[a]
-        z = self._zech[(nb - i) % (q - 1)]
-        return 0 if z is None else self._exp[(i + z) % (q - 1)]
+        return self.add_table[a][self.neg_table[b]]
 
     def mul(self, a: int, b: int) -> int:
-        q = self.q
-        if not (0 <= a < q and 0 <= b < q):
+        if not (0 <= a < self.q and 0 <= b < self.q):
             self._check(a)
             self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (q - 1)]
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         self._check(a)
@@ -262,56 +233,58 @@ def poly_trim(c) -> Poly:
 
 
 def poly_add(k: GF, a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim([k.add(a[i] if i < len(a) else 0,
-                            b[i] if i < len(b) else 0) for i in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    add = k.add_table
+    return poly_trim([add[x][y] for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def poly_sub(k: GF, a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim([k.sub(a[i] if i < len(a) else 0,
-                            b[i] if i < len(b) else 0) for i in range(n)])
+    neg = k.neg_table
+    return poly_add(k, a, [neg[y] for y in b])
 
 
 def poly_scale(k: GF, a: Poly, c: int) -> Poly:
     if c == 0:
         return ()
-    return tuple(k.mul(c, x) for x in a)
+    m = k.mul_table[c]
+    return tuple(m[x] for x in a)
 
 
 def poly_mul(k: GF, a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
+    add, mul = k.add_table, k.mul_table
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = k.add(out[i + j], k.mul(ai, bj))
+            m = mul[ai]
+            end = i + len(b)
+            out[i:end] = [add[x][m[y]] for x, y in zip(out[i:end], b)]
     return poly_trim(out)
 
 
 def poly_monic(k: GF, a: Poly) -> Poly:
     if not a or a[-1] == 1:
         return a
-    inv = k.inv(a[-1])
-    return tuple(k.mul(inv, c) for c in a)
+    m = k.mul_table[k.inv(a[-1])]
+    return tuple(m[c] for c in a)
 
 
 def poly_divmod(k: GF, a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    add, mul, neg = k.add_table, k.mul_table, k.neg_table
     a = list(a)
     quo = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = k.inv(b[-1])
+    inv_lead = mul[k.inv(b[-1])]
     for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
+        end = i + len(b)
+        c = a[end - 1]
         if c:
-            c = k.mul(c, inv_lead)
-            quo[i] = c
-            for j, bj in enumerate(b):
-                if bj:
-                    a[i + j] = k.sub(a[i + j], k.mul(c, bj))
+            c = quo[i] = inv_lead[c]
+            m = mul[neg[c]]
+            a[i:end] = [add[x][m[y]] for x, y in zip(a[i:end], b)]
     return poly_trim(quo), poly_trim(a)
 
 

@@ -682,11 +682,22 @@ class ActionReport:
 
 def _stabilizer_gens(group: PermGroup, point: int) -> list[Perm]:
     """Schreier generators for the stabilizer of a point, from the walk
-    of its orbit: the right coset Stab*y is labeled by the image y[point]."""
-    labels: dict[int, int] = {}
-    walk = _coset_walk(group.gens, pid(group.degree),
-                       lambda y: labels.setdefault(y[point], len(labels)))
-    return list(walk.schreier_generators())
+    _coset_walk makes when the coset Stab*y is labeled by y[point]; but
+    u_k * g carries the point to g[orbit[k]], so a product is formed
+    only for a new point."""
+    gens = tuple(group.gens)
+    orbit, transversal, tree = [point], [pid(group.degree)], [(0, -1)]
+    labels = {point: 0}
+    for k, x in enumerate(orbit):
+        for m, g in enumerate(gens):
+            if g[x] not in labels:
+                labels[g[x]] = len(orbit)
+                orbit.append(g[x])
+                tree.append((k, m))
+                transversal.append(pmul(transversal[k], g))
+    action = tuple(tuple(labels[g[x]] for x in orbit) for g in gens)
+    return list(_CosetOrbit(gens, tuple(transversal), action,
+                            tuple(tree)).schreier_generators())
 
 
 def _minimal_blocks(gens, degree: int, omega: int):

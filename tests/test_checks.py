@@ -44,18 +44,34 @@ def test_check_survives_optimize_flag():
 
 
 def test_range_and_invariance_checks_survive_optimize_flag():
-    code = ("from patgraphs.eqcode import build_shift_matrix, "
-            "is_regular_on_nonzero, Code, rref\n"
+    # the eqcode entry points reject an entry outside [0, q) before any
+    # table lookup, where a negative one would index a table from its end
+    code = ("from patgraphs.eqcode import build_shift_matrix, charpoly, "
+            "decompose_invariant, is_regular_on_nonzero, is_regular_span, "
+            "Code, rref\n"
             "from patgraphs.gf import GF\n"
             "from patgraphs.numth import VerificationError\n"
             "k = GF(3, 2)\n"
             "for bad in (-1, 9):\n"
-            "    for op in (k.add, k.sub, k.mul):\n"
+            "    for op in (k.add, k.sub, k.mul, k.neg):\n"
             "        try:\n"
-            "            op(bad, 1)\n"
+            "            op(*((bad,) if op == k.neg else (bad, 1)))\n"
             "        except ValueError:\n"
             "            continue\n"
-            "        raise SystemExit(f'{op.__name__}({bad}, 1) passed')\n"
+            "        raise SystemExit(f'{op.__name__}({bad}) passed')\n"
+            "    mat = [[0, 1, 0], [0, 0, 1], [1, bad, 0]]\n"
+            "    runs = [lambda: decompose_invariant(mat, k),\n"
+            "            lambda: rref(k, [(1, 2, 0), (bad, 1, 1)]),\n"
+            "            lambda: charpoly(k, mat),\n"
+            "            lambda: is_regular_span(k, ((1, 0, 0),), mat),\n"
+            "            lambda: is_regular_span(k, ((1, bad, 0),),\n"
+            "                                    [[1, 0, 0]] * 3)]\n"
+            "    for i, run in enumerate(runs):\n"
+            "        try:\n"
+            "            run()\n"
+            "        except ValueError:\n"
+            "            continue\n"
+            "        raise SystemExit(f'entry {bad} passed input {i}')\n"
             "k4 = GF(2, 2)\n"
             "span = Code(k4, 5, rref(k4, [(1, 0, 0, 0, 0),\n"
             "                             (0, 1, 0, 0, 0)]))\n"

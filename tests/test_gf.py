@@ -136,19 +136,24 @@ def test_make_field_and_errors():
 
 
 def test_odd_composite_fields_match_digit_polynomials():
-    # every ordered pair, against the digit-polynomial arithmetic the
-    # Zech-logarithm tables were built from
-    for q in (9, 25, 27, 49, 81, 125):
+    # every ordered pair, in prime, binary and odd composite fields: the
+    # add, mul and neg tables and the methods that read them, against
+    # digit-polynomial arithmetic over GF(p)
+    for q in (3, 47, 4, 8, 16, 9, 25, 27, 49, 81, 125):
         k = make_field(q)
         prime = k.prime_field
         polys = [tuple(k.digits(a)) for a in range(q)]
+        assert [len(k.add_table), len(k.mul_table)] == [q, q]
         for a in range(q):
-            assert k.neg(a) == k.undigits(poly_sub(prime, (), polys[a]))
+            neg = k.undigits(poly_sub(prime, (), polys[a]))
+            assert k.neg_table[a] == k.neg(a) == neg
+            assert k.add_table[a].count(0) == 1
             for b in range(q):
                 u, v = polys[a], polys[b]
-                assert k.add(a, b) == k.undigits(poly_add(prime, u, v))
+                assert k.add_table[a][b] == k.add(a, b) == k.undigits(
+                    poly_add(prime, u, v))
                 assert k.sub(a, b) == k.undigits(poly_sub(prime, u, v))
-                assert k.mul(a, b) == k.undigits(
+                assert k.mul_table[a][b] == k.mul(a, b) == k.undigits(
                     poly_mulmod(prime, u, v, k.modulus))
 
 

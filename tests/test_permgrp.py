@@ -4,8 +4,11 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from patgraphs import permgrp
+from patgraphs.atlas import seed_pgl2
 from patgraphs.construct import (
     bipartite_construction,
+    build_E_and_H,
+    build_theta,
     product_action_construction,
 )
 from patgraphs.gf import GF
@@ -681,6 +684,23 @@ def test_schreier_generators_use_transversal_inverses(pa7):
         got = list(walk.schreier_generators())
         assert got == expected
         assert all(sub.contains(s) for s in got)
+
+
+def test_point_walk_matches_the_coset_walk(pa7):
+    # _stabilizer_gens walks orbit points, and yields the Schreier
+    # generators of the generic walk labeled by y[0], in the same order,
+    # on H's action on the neighbours at q = 7 and q = 27
+    seed = seed_pgl2(27)
+    pa27 = build_E_and_H(seed, build_theta(seed))
+    for pa in (pa7, pa27):
+        action = permgrp.coset_stabilizer(pa.H, pa.H, pa.o)[1]
+        assert action.degree == pa.seed.q**2
+        labels = {}
+        walk = permgrp._coset_walk(
+            action.gens, pid(action.degree),
+            lambda y: labels.setdefault(y[0], len(labels)))
+        expected = list(walk.schreier_generators())
+        assert permgrp._stabilizer_gens(action, 0) == expected
 
 
 def test_stabilizer_gens_fix_the_point(pa7):
