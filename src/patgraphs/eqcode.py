@@ -1,15 +1,16 @@
 """Equidistant two-dimensional codes cut out of a twisted shift matrix.
 
-Vectors are lists (or tuples) of field-element ints and matrices are
-lists of row vectors; the acting matrix multiplies on the right, so an
-invariant subspace C satisfies C * A <= C.  The decomposition machinery
-factors the characteristic polynomial and splits isotypic kernels by
-spinning cyclic vectors, which is all that semisimple matrices need.
+Vectors are int sequences and matrices lists of rows, acting on the
+right (an invariant C has C * A <= C); the decomposition factors the
+charpoly and spins cyclic vectors.  The shift A is a weighted n-cycle
+with A**n = c * I, so its order is n * ord(c); A is monomial, so a
+regular orbit on nonzero codewords gives them the weight of basis[0].
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from .gf import (
@@ -38,14 +39,6 @@ def poly_deriv(k: GF, a: Poly) -> Poly:
     # i * a[i], where the integer i mod p encodes the field element i * 1
     mul = k.mul_table
     return poly_trim([mul[i % k.p][c] for i, c in enumerate(a)][1:])
-
-
-def _poly_from_index(k: GF, t: int) -> Poly:
-    out = []
-    while t:
-        t, d = divmod(t, k.q)
-        out.append(d)
-    return poly_trim(out)
 
 
 def _pth_root(k: GF, a: Poly) -> Poly:
@@ -98,35 +91,46 @@ def _distinct_degree(k: GF, r: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _equal_degree(k: GF, g: Poly, d: int) -> list[Poly]:
-    """Split a monic product of distinct degree-d irreducibles.
+# trials per equal-degree split; each parts two factors with chance 1/2
+EQUAL_DEGREE_TRIALS = 200
 
-    Trial elements come from the fixed integer enumeration of
-    polynomials, so runs are deterministic.
-    """
-    if len(g) - 1 == d:
-        return [g]
-    limit = len(g) - 1
-    for t in range(k.q, k.q ** (limit + 1)):
-        h = _poly_from_index(k, t)
-        w = poly_gcd(k, h, g)
-        if 1 < len(w) < len(g):
-            pass  # h shares a factor with g; already a split
-        elif k.p == 2:
-            tr: Poly = ()
-            cur = poly_divmod(k, h, g)[1]
+
+def _split(k: GF, h: Poly, factors: list[Poly], d: int) -> list[Poly]:
+    """One trial: each factor f of degree above d splits into gcd(f, t)
+    and its cofactor when that gcd is proper, where t = h + h**2 + h**4 +
+    ... + h**(2**(fd-1)) (the trace) for p = 2 and h**((q**d-1)/2) - 1 for
+    odd p, taken mod f."""
+    out = []
+    for f in factors:
+        if len(f) - 1 == d:
+            out.append(f)
+            continue
+        r = poly_divmod(k, h, f)[1]
+        if k.p == 2:
+            t: Poly = ()
             for _ in range(k.f * d):
-                tr = poly_add(k, tr, cur)
-                cur = poly_mulmod(k, cur, cur, g)
-            w = poly_gcd(k, tr, g)
+                t, r = poly_add(k, t, r), poly_mulmod(k, r, r, f)
         else:
-            e = (k.q**d - 1) // 2
-            w = poly_powmod(k, h, e, g)
-            w = poly_gcd(k, poly_sub(k, w, (1,)), g)
-        if 1 < len(w) < len(g):
-            rest = poly_divmod(k, g, w)[0]
-            return _equal_degree(k, w, d) + _equal_degree(k, rest, d)
-    raise VerificationError("equal-degree trial sequence exhausted")
+            t = poly_sub(k, poly_powmod(k, r, (k.q**d - 1) // 2, f), (1,))
+        w = poly_gcd(k, t, f)
+        out += [w, poly_divmod(k, f, w)[0]] if 1 < len(w) < len(f) else [f]
+    return out
+
+
+def _equal_degree(k: GF, g: Poly, d: int) -> list[Poly]:
+    """Split a monic product of distinct degree-d irreducibles (Cantor and
+    Zassenhaus 1981): each trial element refines every factor found so
+    far.  Trial elements have degree below deg g and come from a
+    random.Random seeded with deg g, so runs are deterministic."""
+    rng = random.Random(len(g) - 1)
+    factors, trials = [g], 0
+    while len(factors) < (len(g) - 1) // d:
+        trials += 1
+        check(trials <= EQUAL_DEGREE_TRIALS,
+              "equal-degree trial sequence exhausted")
+        h = poly_trim(rng.randrange(k.q) for _ in range(len(g) - 1))
+        factors = _split(k, h, factors, d)
+    return factors
 
 
 def irreducible_factors(k: GF, g: Poly) -> list[tuple[Poly, int]]:
@@ -217,18 +221,6 @@ def mat_transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)]
 
 
-def mat_order(k: GF, a: Mat, multiple: int) -> int:
-    """Exact multiplicative order given a known multiple of it."""
-    ident = mat_identity(len(a))
-    if mat_pow(k, a, multiple) != ident:
-        raise ValueError("claimed order multiple does not annihilate")
-    e = multiple
-    for ell in factorize(multiple):
-        while e % ell == 0 and mat_pow(k, a, e // ell) == ident:
-            e //= ell
-    return e
-
-
 def rref(k: GF, rows) -> tuple[Vec, ...]:
     """Reduced row echelon form; returns the nonzero rows, pivots 1."""
     rows = [list(r) for r in rows]
@@ -267,8 +259,9 @@ def vec_reduce(k: GF, v, basis) -> Vec:
     return tuple(v)
 
 
-def right_nullspace(k: GF, m: Mat) -> tuple[Vec, ...]:
-    """Basis of {x : m x = 0}, returned as rows in RREF."""
+def left_nullspace(k: GF, m: Mat) -> tuple[Vec, ...]:
+    """Basis of {x : x m = 0}, returned as rows in RREF."""
+    m = mat_transpose(m)
     ncols = len(m[0])
     r = rref(k, m)
     pivots = [next(j for j, c in enumerate(row) if c) for row in r]
@@ -281,10 +274,6 @@ def right_nullspace(k: GF, m: Mat) -> tuple[Vec, ...]:
             v[piv] = k.neg(row[j])
         basis.append(v)
     return rref(k, basis)
-
-
-def left_nullspace(k: GF, m: Mat) -> tuple[Vec, ...]:
-    return right_nullspace(k, mat_transpose(m))
 
 
 def mat_poly_eval(k: GF, g: Poly, a: Mat) -> Mat:
@@ -403,22 +392,23 @@ class ShiftMatrix:
 
 
 def build_shift_matrix(field: GF) -> ShiftMatrix:
-    """Diagonal-times-rotation matrix whose n-th power is the scalar
-    eta * lambda**2; its order is exactly n * (q - 1)."""
+    """Diagonal-times-rotation matrix A whose n-th power is the scalar
+    c = eta * lambda**2.  A is an n-cycle with nonzero weights, so A**k
+    has a zero diagonal for 0 < k < n and its order is n * ord(c)."""
     q = field.q
     n = q + 1
     eta, lam = field.unit_generators()
     etalam = field.mul(eta, lam)
     diag = [etalam] * n
     diag[1] = lam
+    check(all(diag), "shift matrix has a zero weight")
     a = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        a[i][i + 1] = diag[i]
-    a[n - 1][0] = diag[n - 1]
+    for i in range(n):
+        a[i][(i + 1) % n] = diag[i]
     scalar = field.mul(eta, field.mul(lam, lam))
     check(mat_pow(field, a, n) == mat_scalar(n, scalar),
           "shift matrix power identity failed")
-    order = mat_order(field, a, n * (q - 1))
+    order = n * field.order(scalar)
     check(order == n * (q - 1),
           f"shift matrix order {order} != n(q-1) = {n * (q - 1)}")
     return ShiftMatrix(field, n, tuple(diag), tuple(tuple(r) for r in a),

@@ -680,11 +680,10 @@ class ActionReport:
     blocks: tuple[tuple[int, ...], ...] | None
 
 
-def _stabilizer_gens(group: PermGroup, point: int) -> list[Perm]:
-    """Schreier generators for the stabilizer of a point, from the walk
-    _coset_walk makes when the coset Stab*y is labeled by y[point]; but
-    u_k * g carries the point to g[orbit[k]], so a product is formed
-    only for a new point."""
+def _point_walk(group: PermGroup, point: int) -> _CosetOrbit:
+    """The walk _coset_walk makes when the coset Stab*y is labeled by
+    y[point]; but u_k * g carries the point to g[orbit[k]], so a product
+    is formed only for a new point."""
     gens = tuple(group.gens)
     orbit, transversal, tree = [point], [pid(group.degree)], [(0, -1)]
     labels = {point: 0}
@@ -696,25 +695,29 @@ def _stabilizer_gens(group: PermGroup, point: int) -> list[Perm]:
                 tree.append((k, m))
                 transversal.append(pmul(transversal[k], g))
     action = tuple(tuple(labels[g[x]] for x in orbit) for g in gens)
-    return list(_CosetOrbit(gens, tuple(transversal), action,
-                            tuple(tree)).schreier_generators())
+    return _CosetOrbit(gens, tuple(transversal), action, tuple(tree))
+
+
+def _stabilizer_gens(group: PermGroup, point: int) -> list[Perm]:
+    """Schreier generators for the stabilizer of a point."""
+    return list(_point_walk(group, point).schreier_generators())
+
+
+def _find(parent: list[int], a: int) -> int:
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
 
 def _minimal_blocks(gens, degree: int, omega: int):
     """The finest block system whose block containing 0 also holds
     omega, by merge-and-close; returns the partition."""
     parent = list(range(degree))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     queue = [(0, omega)]
     while queue:
         a, b = queue.pop()
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             continue
         parent[rb] = ra
@@ -722,22 +725,29 @@ def _minimal_blocks(gens, degree: int, omega: int):
             queue.append((g[a], g[b]))
     blocks: dict[int, list[int]] = {}
     for p in range(degree):
-        blocks.setdefault(find(p), []).append(p)
+        blocks.setdefault(_find(parent, p), []).append(p)
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
 def is_two_transitive(group: PermGroup) -> bool:
-    """Transitive, with the stabilizer of point 0 (generated by its
-    Schreier generators) transitive on the other points; the group's
-    order is never needed."""
+    """Transitive, with the stabilizer of point 0 transitive on the other
+    points: its Schreier generators merge their orbits lazily until one
+    class is left, and the group's order is never needed."""
     d = group.degree
     if d == 0:
         raise ValueError("empty domain")
-    if d == 1:
-        return True
     if len(orbit_partition(group.gens, d)) != 1:
         return False
-    return len(orbit_partition(_stabilizer_gens(group, 0), d)) == 2
+    parent, classes = list(range(d)), d - 1
+    for s in _point_walk(group, 0).schreier_generators():
+        for a, b in enumerate(s):
+            a, b = _find(parent, a), _find(parent, b)
+            if a != b:
+                parent[b] = a
+                classes -= 1
+        if classes == 1:
+            break
+    return classes <= 1
 
 
 def action_report(group: PermGroup) -> ActionReport:

@@ -84,6 +84,23 @@ def test_range_and_invariance_checks_survive_optimize_flag():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_shift_weight_check_survives_optimize_flag():
+    # the order n * ord(c) stands on every weight of the n-cycle being
+    # nonzero; a zero weight fails that premise, not a later step
+    code = ("from patgraphs.eqcode import build_shift_matrix\n"
+            "from patgraphs.gf import GF\n"
+            "from patgraphs.numth import VerificationError\n"
+            "k = GF(7, 1)\n"
+            "k.unit_generators = lambda: (0, 3)\n"
+            "try:\n"
+            "    build_shift_matrix(k)\n"
+            "except VerificationError as exc:\n"
+            "    raise SystemExit(0 if 'zero weight' in str(exc) else 1)\n"
+            "raise SystemExit('a zero weight passed')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_socle_normalizer_check_survives_optimize_flag():
     # a generator that does not normalize T^n fails socle_group, with or
     # without M's generators in the list, and assemble_G fails on such a

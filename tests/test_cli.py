@@ -27,6 +27,17 @@ def test_edc_q7_report(capsys):
     assert "order 48" in out
 
 
+def test_edc_fails_a_non_regular_orbit_without_enumerating(monkeypatch,
+                                                           capsys):
+    def enumerated(code):
+        raise AssertionError("weight_profile enumerated the code")
+
+    monkeypatch.setattr(cli, "is_regular_on_nonzero", lambda code, s: False)
+    monkeypatch.setattr("patgraphs.eqcode.weight_profile", enumerated)
+    assert main(["edc", "--q", "7"]) == 3
+    assert "shift orbit is not regular" in capsys.readouterr().err
+
+
 def test_edc_outputs_match_benchmark_golden(tmp_path):
     # the benchmark's frozen sha256 of every edc output it runs
     golden_file = Path(__file__).parent.parent / "perfbench" / "golden.json"

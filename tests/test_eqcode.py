@@ -4,6 +4,10 @@ import random
 import pytest
 import sympy
 
+from patgraphs import eqcode
+from patgraphs.atlas import seed_pgl2
+from patgraphs.cli import main
+from patgraphs.construct import build_theta, conjugation_matrix
 from patgraphs.eqcode import (
     Code,
     build_shift_matrix,
@@ -24,8 +28,11 @@ from patgraphs.eqcode import (
     weight,
     weight_profile,
 )
-from patgraphs.gf import GF, make_field, poly_mul
+from patgraphs.gf import GF, _is_irreducible, make_field, poly_mul
 from patgraphs.numth import VerificationError, validate_parameters
+
+# every admissible q up to 47, the q of the benchmark's codes workload
+CODES_QS = (3, 4, 7, 8, 11, 16, 19, 23, 27, 31, 43, 47)
 
 
 def test_charpoly_against_sympy():
@@ -76,6 +83,50 @@ def test_factorization_roundtrip():
                 # test via re-factoring stays a single factor
                 assert irreducible_factors(k, fac) == [(fac, 1)]
             assert prod == g
+
+
+def _assert_factors_round_trip(k, g):
+    prod = (1,)
+    for fac, m in irreducible_factors(k, g):
+        assert fac[-1] == 1 and _is_irreducible(k, fac)
+        for _ in range(m):
+            prod = poly_mul(k, prod, fac)
+    assert prod == g
+
+
+def test_factoring_shift_and_conjugation_charpolys():
+    # the product of the factors is the input and each factor passes the
+    # Rabin test, on shift charpolys over GF(q) and on the construct
+    # conjugation charpolys over GF(2)
+    for q in (16, 27, 47):
+        k = make_field(q)
+        cp = charpoly(k, build_shift_matrix(k).rows())
+        _assert_factors_round_trip(k, cp)
+    for q in (8, 16):
+        seed = seed_pgl2(q)
+        conj, prime = conjugation_matrix(seed, build_theta(seed))
+        assert prime.q == 2
+        _assert_factors_round_trip(prime, charpoly(prime, conj))
+
+
+def test_one_trial_sequence_splits_every_factor(monkeypatch):
+    # each trial refines every pending factor, so the q = 16 shift
+    # charpoly (nine factors) splits in a handful of trials
+    k = make_field(16)
+    cp = charpoly(k, build_shift_matrix(k).rows())
+    trials = []
+    split = eqcode._split
+
+    def counted(*args):
+        trials.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(eqcode, "_split", counted)
+    assert len(irreducible_factors(k, cp)) == 9
+    assert 0 < len(trials) <= 40
+    monkeypatch.setattr(eqcode, "EQUAL_DEGREE_TRIALS", 0)
+    with pytest.raises(VerificationError, match="trial sequence exhausted"):
+        irreducible_factors(k, cp)
 
 
 def test_poly_order():
@@ -175,14 +226,21 @@ def test_codes_for_named_q():
         assert is_regular_on_nonzero(code, res.shift)
 
 
-def test_codes_sweep_all_valid_q():
+def test_codes_sweep_all_valid_q(capsys):
     # every admissible q <= 64: equidistant of weight exactly q, meeting
-    # the Singleton bound, with pairwise distinct coordinate kernels
-    for q in (3, 4, 7, 8, 11, 16, 19, 23, 27, 31, 43, 47):
+    # the Singleton bound, with pairwise distinct coordinate kernels; the
+    # shift order n * ord(c) is the one decompose_invariant proves from
+    # the factor orders, and the profile edc reads off the regular orbit
+    # is the one enumerating the codewords gives
+    for q in CODES_QS:
         assert validate_parameters(q).valid
         res = equidistant_code_pipeline(q)
+        assert res.shift.order == res.decomposition.order
         wp = weight_profile(res.code)
         assert wp == {q: q * q - 1}
+        assert main(["edc", "--q", str(q)]) == 0
+        assert (f"weights of the {q * q - 1} nonzero codewords: {wp}\n"
+                in capsys.readouterr().out)
         assert max(wp) == res.code.n - res.code.dim + 1  # Singleton equality
         # the kernel of coordinate i: the codewords vanishing there
         words = [tuple(w) for w in res.code.codewords()]

@@ -703,6 +703,28 @@ def test_point_walk_matches_the_coset_walk(pa7):
         assert permgrp._stabilizer_gens(action, 0) == expected
 
 
+def test_two_transitivity_stops_early_at_q27(monkeypatch):
+    # is_two_transitive merges the stabilizer's orbits one Schreier
+    # generator at a time and stops once the other points are one class,
+    # so on H's action on the neighbours at q = 27 it takes fewer than all
+    seed = seed_pgl2(27)
+    pa27 = build_E_and_H(seed, build_theta(seed))
+    action = permgrp.coset_stabilizer(pa27.H, pa27.H, pa27.o)[1]
+    full = permgrp._stabilizer_gens(action, 0)
+    taken = []
+    walk = permgrp._CosetOrbit.schreier_generators
+
+    def counted(self):
+        for s in walk(self):
+            taken.append(s)
+            yield s
+
+    monkeypatch.setattr(permgrp._CosetOrbit, "schreier_generators", counted)
+    assert is_two_transitive(action)
+    assert 0 < len(taken) < len(full)
+    assert taken == full[:len(taken)]
+
+
 def test_stabilizer_gens_fix_the_point(pa7):
     s5 = PermGroup([perm_from_cycles(5, [(0, 1, 2, 3, 4)]),
                     perm_from_cycles(5, [(0, 1)])])
