@@ -347,13 +347,20 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     E = tuple(flatten(WreathElement(words[tuple(v)], 0), d) for v in witness)
     theta_flat = flatten(theta, d)
 
-    # elementary abelian of order q^2
-    Egrp = PermGroup(E, degree=n * d, seed=seed.T.seed)
-    check(Egrp.order() == q * q, "E does not have order q^2")
+    # elementary abelian, so its generators bound |E| by p^len(E), and
+    # the sift proves |E| = q^2 by meeting that bound
+    p = seed.field.p
     for g in E:
-        check(ppow(g, seed.field.p) == pid(n * d), "E is not elementary abelian")
+        check(ppow(g, p) == pid(n * d), "E is not elementary abelian")
         for h in E:
             check(pmul(g, h) == pmul(h, g), "E is not abelian")
+    Egrp = PermGroup(E, degree=n * d, upper_bound=p ** len(E),
+                     seed=seed.T.seed)
+    check(Egrp.order() == q * q, "E does not have order q^2")
+    # theta normalizes E, so E is normal in H = E<theta> and
+    # |H| <= |E| |theta|
+    check(all(Egrp.contains(pconj(e, theta_flat)) for e in E),
+          "theta does not normalize E")
 
     # theta-conjugation is transitive on the nonidentity elements
     all_elements = {flatten(WreathElement(w, 0), d) for w in words.values()}
@@ -387,12 +394,13 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
               "coordinate kernels of E are not distinct")
 
     # H is 2-transitive on the cosets of <theta>: theta permutes E minus
-    # 1, so E is normal in H = E<theta>, and |H| = |E| |theta| makes E
-    # meet <theta> trivially.  So H acts on those cosets as the affine
-    # group on E, where <theta> fixes the coset of 1 and is transitive
-    # on the other q^2 - 1
+    # 1, so E is normal in H = E<theta>, and |H| = |E| |theta|, the
+    # bound the sift meets, makes E meet <theta> trivially.  So H acts
+    # on those cosets as the affine group on E, where <theta> fixes the
+    # coset of 1 and is transitive on the other q^2 - 1
     check(porder(theta_flat) == q * q - 1, "theta does not have order q^2-1")
-    H = PermGroup(list(E) + [theta_flat], degree=n * d, seed=seed.T.seed)
+    H = PermGroup(list(E) + [theta_flat], degree=n * d,
+                  upper_bound=q * q * (q * q - 1), seed=seed.T.seed)
     check(H.order() == q * q * (q * q - 1),
           "H does not have the affine order q^2(q^2-1)")
 

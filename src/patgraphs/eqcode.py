@@ -2,9 +2,12 @@
 
 Vectors are int sequences and matrices lists of rows, acting on the
 right (an invariant C has C * A <= C); the decomposition factors the
-charpoly and spins cyclic vectors.  The shift A is a weighted n-cycle
-with A**n = c * I, so its order is n * ord(c); A is monomial, so a
-regular orbit on nonzero codewords gives them the weight of basis[0].
+charpoly and spins, for each factor, combinations of one shared set of
+Krylov rows e_j A**i.  The shift A is a weighted n-cycle with
+A**n = c * I, so its order is n * ord(c); A is monomial, so a regular
+orbit on nonzero codewords gives them the weight of basis[0], and an
+irreducible restriction is regular exactly when its charpoly is
+primitive.
 """
 
 from __future__ import annotations
@@ -217,10 +220,6 @@ def mat_pow(k: GF, a: Mat, e: int) -> Mat:
     return out
 
 
-def mat_transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
-
-
 def rref(k: GF, rows) -> tuple[Vec, ...]:
     """Reduced row echelon form; returns the nonzero rows, pivots 1."""
     rows = [list(r) for r in rows]
@@ -257,35 +256,6 @@ def vec_reduce(k: GF, v, basis) -> Vec:
             m = mul[neg[v[piv]]]
             v = [add[x][m[y]] for x, y in zip(v, row)]
     return tuple(v)
-
-
-def left_nullspace(k: GF, m: Mat) -> tuple[Vec, ...]:
-    """Basis of {x : x m = 0}, returned as rows in RREF."""
-    m = mat_transpose(m)
-    ncols = len(m[0])
-    r = rref(k, m)
-    pivots = [next(j for j, c in enumerate(row) if c) for row in r]
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * ncols
-        v[j] = 1
-        for row, piv in zip(r, pivots):
-            v[piv] = k.neg(row[j])
-        basis.append(v)
-    return rref(k, basis)
-
-
-def mat_poly_eval(k: GF, g: Poly, a: Mat) -> Mat:
-    """g(a) by Horner's rule."""
-    n = len(a)
-    out = mat_scalar(n, g[-1]) if g else mat_scalar(n, 0)
-    add = k.add_table
-    for c in reversed(g[:-1]):
-        out = mat_mul(k, out, a)
-        for i in range(n):
-            out[i][i] = add[out[i][i]][c]
-    return out
 
 
 def charpoly(k: GF, a: Mat) -> Poly:
@@ -436,21 +406,20 @@ class InvariantDecomposition:
     change_of_basis: tuple[Vec, ...]  # stacked component bases, invertible
 
 
-def _spin(k: GF, v: Vec, a: Mat, d: int) -> tuple[Vec, ...]:
-    rows = [tuple(v)]
-    for _ in range(d - 1):
-        rows.append(vec_mat(k, rows[-1], a))
-    out = rref(k, rows)
-    check(len(out) == d, "cyclic vector spun to the wrong dimension")
-    return out
-
-
 def decompose_invariant(mat, field: GF) -> InvariantDecomposition:
     """Split F_q**n into minimal invariant subspaces of a semisimple matrix.
 
+    For a factor f**m of the charpoly chi, the f-primary part is the
+    image of h(A), h = chi / f**m (Hoffman and Kunze 1971, ch. 7): it is
+    spanned by the rows e_j h(A), combinations of the Krylov rows
+    e_j A**i, which are computed once per j and shared by every factor.
+    Each such w outside the span found so far spins to a component w,
+    wA, ..., wA**(d-1), d = deg f, whose RREF is its canonical basis.
+
     Raises ValueError when the matrix is singular or its multiplicative
     order is divisible by the characteristic (both mean non-semisimple
-    input, which the spinning construction does not cover).
+    input, which the spinning construction does not cover): the latter
+    shows as a w with wA**d outside its spin, that is w f(A) != 0.
     """
     a = [list(r) for r in mat]
     n = len(a)
@@ -466,37 +435,43 @@ def decompose_invariant(mat, field: GF) -> InvariantDecomposition:
     for f, _ in factors:
         orders[f] = poly_order(field, f)
         full_order = full_order * orders[f] // math.gcd(full_order, orders[f])
+    # rows e_j A**i for i <= deg h, the longest h of any factor
+    depth = n - min((len(f) - 1) * m for f, m in factors) + 1
+    krylov: dict[int, list[list[int]]] = {}
     components = []
     for f, mult in factors:
         d = len(f) - 1
-        kern = left_nullspace(field, mat_poly_eval(field, f, a))
-        if len(kern) != d * mult:
-            raise ValueError(
-                "matrix order divisible by the characteristic "
-                f"(isotypic kernel of {f} has dimension {len(kern)}, "
-                f"expected {d * mult})")
-        if mult == 1:
-            bases = [kern]
-        else:
-            bases = []
-            span: tuple[Vec, ...] = ()
-            for v in kern:
-                if span and not any(vec_reduce(field, v, span)):
-                    continue
-                comp = _spin(field, v, a, d)
-                bases.append(comp)
-                span = rref(field, list(span) + list(comp))
-                if len(bases) == mult:
-                    break
-            check(len(bases) == mult, "isotypic splitting came up short")
-        for basis in bases:
-            for row in basis:
-                img = vec_mat(field, row, a)
-                check(not any(vec_reduce(field, img, basis)),
-                      "component is not invariant")
+        h = cp
+        for _ in range(mult):
+            h = poly_divmod(field, h, f)[0]
+        span: tuple[Vec, ...] = ()
+        for j in range(n):
+            if len(span) == d * mult:
+                break
+            if j not in krylov:
+                chain = [[int(i == j) for i in range(n)]]
+                while len(chain) < depth:
+                    chain.append(_combine(field, chain[-1], a))
+                krylov[j] = chain
+            w = _combine(field, h, krylov[j])
+            if not any(vec_reduce(field, w, span)):
+                continue
+            rows = [w]
+            for _ in range(d - 1):
+                rows.append(_combine(field, rows[-1], a))
+            basis = rref(field, rows)
+            check(len(basis) == d, "cyclic vector spun to the wrong dimension")
+            if any(vec_reduce(field, _combine(field, rows[-1], a), basis)):
+                raise ValueError(
+                    "matrix order divisible by the characteristic "
+                    f"(the {f}-primary part is not killed by {f})")
             ko = full_order // orders[f]
             components.append(Component(Code(field, n, basis), f,
                                         orders[f], ko, ko == 1))
+            span = rref(field, span + basis)
+        check(len(span) == d * mult,
+              f"the {f}-primary part has dimension {len(span)}, "
+              f"not {d * mult}")
     components.sort(key=lambda c: c.code.basis)
     cob = [list(r) for c in components for r in c.code.basis]
     check(len(cob) == n and len(rref(field, cob)) == n,
@@ -549,8 +524,12 @@ def is_regular_span(k: GF, basis, mat) -> bool:
 
     The span must be invariant, else VerificationError: each basis row's
     image lies in the span, which by linearity is the whole check.  The
-    orbit is then walked in coordinates, whose entries are read off the
-    pivot columns, so a step costs dim**2 field operations, not n**2.
+    restriction R, read off the pivot columns, is then regular on the
+    nonzero vectors exactly when its charpoly g is irreducible of degree
+    dim and of order q**dim - 1: R then acts as multiplication by a
+    primitive root of g in GF(q**dim), while a reducible g leaves a
+    proper invariant subspace, and an irreducible g of smaller order an
+    orbit of that size (Lidl and Niederreiter 1997, Thm 3.3).
     """
     _check_entries(k, basis)
     _check_entries(k, mat)
@@ -563,13 +542,11 @@ def is_regular_span(k: GF, basis, mat) -> bool:
         check(not any(vec_reduce(k, img, basis)),
               "span is not invariant under the matrix")
         restricted.append([img[j] for j in pivots])
-    target = k.q ** len(basis) - 1
-    start = (1,) + (0,) * (len(basis) - 1)
-    seen = {start}
-    v = start
-    for _ in range(target - 1):
-        v = vec_mat(k, v, restricted)
-        if v in seen:
-            break
-        seen.add(v)
-    return len(seen) == target
+    if not basis:
+        return False
+    factors = irreducible_factors(k, charpoly(k, restricted))
+    if len(factors) != 1 or factors[0][1] != 1:
+        return False
+    g = factors[0][0]
+    # g = x is singular: R sends a nonzero vector to 0
+    return g != (0, 1) and poly_order(k, g) == k.q ** len(basis) - 1

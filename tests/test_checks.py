@@ -101,6 +101,40 @@ def test_shift_weight_check_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_normalizer_and_primary_part_checks_survive_optimize_flag():
+    # H's order bound stands on theta normalizing E, checked generator by
+    # generator; a charpoly that disagrees with the matrix leaves a
+    # primary part short of its dimension
+    code = ("import dataclasses\n"
+            "from patgraphs import eqcode\n"
+            "from patgraphs.atlas import seed_pgl2\n"
+            "from patgraphs.construct import WreathElement, build_E_and_H, "
+            "build_theta, regular_components\n"
+            "from patgraphs.gf import GF\n"
+            "from patgraphs.numth import VerificationError\n"
+            "from patgraphs.permgrp import perm_from_cycles\n"
+            "seed = seed_pgl2(4)\n"
+            "theta = build_theta(seed)\n"
+            "rc = regular_components(seed, theta)\n"
+            "bad = WreathElement((perm_from_cycles(5, [(0, 1, 2)]),)\n"
+            "                    + theta.components[1:], theta.shift)\n"
+            "try:\n"
+            "    build_E_and_H(seed, bad,\n"
+            "                  components=dataclasses.replace(rc, theta=bad))\n"
+            "    raise SystemExit('E was normalized by a non-normalizer')\n"
+            "except VerificationError as exc:\n"
+            "    if 'does not normalize E' not in str(exc):\n"
+            "        raise SystemExit(str(exc))\n"
+            "eqcode.charpoly = lambda k, a: (2, 0, 1)  # (x - 1)(x - 2)\n"
+            "try:\n"
+            "    eqcode.decompose_invariant([[1, 0], [0, 1]], GF(3, 1))\n"
+            "except VerificationError as exc:\n"
+            "    raise SystemExit(0 if 'primary part' in str(exc) else 1)\n"
+            "raise SystemExit('a short primary part passed')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_socle_normalizer_check_survives_optimize_flag():
     # a generator that does not normalize T^n fails socle_group, with or
     # without M's generators in the list, and assemble_G fails on such a

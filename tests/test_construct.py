@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from patgraphs import construct
 from patgraphs.atlas import seed_pgl2, seed_psl28_gamma, seed_symmetric
 from patgraphs.numth import VerificationError
 from patgraphs.construct import (
@@ -147,6 +148,29 @@ def test_E_and_H_frozen_orders():
         assert E.order() == e_order
         assert pa.H.order() == h_order
         assert pa.qualifying == qualifying
+
+
+def test_E_and_H_are_certified_by_their_bounds(monkeypatch):
+    # every sift seed meets p^len(E) for E and q^2 |theta| for H, so
+    # neither falls back to the full Schreier check
+    made = []
+
+    class Recorded(PermGroup):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(construct, "PermGroup", Recorded)
+    for seed in (0, 1, 2, 3):
+        for q in (4, 8):
+            base = seed_pgl2(q, seed=seed)
+            theta = build_theta(base)
+            made.clear()
+            pa = build_E_and_H(base, theta)
+            E, H = made
+            assert (E.order(), H.order()) == (q * q, q * q * (q * q - 1))
+            assert E.certified_by == H.certified_by == "bound"
+            assert H is pa.H
 
 
 def test_component_index_selects_other_components():

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from patgraphs import eqcode
 from patgraphs.atlas import seed_pgl2
@@ -54,16 +56,23 @@ def test_charpoly_companion_blocks():
     k = GF(2, 2)
     g = (2, 3, 1, 1)  # monic cubic over GF(4)
     h = (1, 2, 1)  # monic quadratic
-    n = 5
+    cp = charpoly(k, _companion_blocks(k, [g, h]))
+    assert cp == poly_mul(k, g, h)
+
+
+def _companion_blocks(k, polys):
+    """Block-diagonal matrix of the companion matrices of monic polys."""
+    n = sum(len(g) - 1 for g in polys)
     a = [[0] * n for _ in range(n)]
-    for blk, off in ((g, 0), (h, 3)):
-        d = len(blk) - 1
+    off = 0
+    for g in polys:
+        d = len(g) - 1
         for i in range(d - 1):
             a[off + i + 1][off + i] = 1
         for i in range(d):
-            a[off + i][off + d - 1] = k.neg(blk[i])
-    cp = charpoly(k, a)
-    assert cp == poly_mul(k, g, h)
+            a[off + i][off + d - 1] = k.neg(g[i])
+        off += d
+    return a
 
 
 def test_factorization_roundtrip():
@@ -214,6 +223,77 @@ def test_decompose_rejects_bad_matrices():
         decompose_invariant([[0, 1], [0, 0]], k)  # singular
     with pytest.raises(ValueError):
         decompose_invariant([[1, 1], [0, 1]], k)  # order 3 = char
+    # the companion matrix of f^2 is cyclic, so f = x^2 + 1 does not
+    # kill its f-primary part
+    f2 = poly_mul(k, (1, 0, 1), (1, 0, 1))
+    with pytest.raises(ValueError, match="divisible by the characteristic"):
+        decompose_invariant(_companion_blocks(k, [f2]), k)
+
+
+def _sympy_kernel_rref(p, mat, f):
+    """RREF of {x : x f(A) = 0} over GF(p), by sympy's DomainMatrix."""
+    dom = sympy.GF(p)
+    n = len(mat)
+    a = DomainMatrix([[dom(x) for x in row] for row in mat], (n, n),
+                     dom).to_sparse()
+    eye = DomainMatrix.eye(n, dom).to_sparse()
+    fa = eye * dom(f[-1])
+    for c in reversed(f[:-1]):
+        fa = fa * a + eye * dom(c)
+    red, _ = fa.transpose().nullspace().rref()
+    return tuple(tuple(int(x) % p for x in row)
+                 for row in red.to_Matrix().tolist())
+
+
+def test_components_match_a_sympy_kernel_oracle():
+    # every charpoly here is squarefree, so each component is the whole
+    # kernel of f(A) for its factor f: the prime-q shift matrices of the
+    # codes workload and the construct conjugation matrices over GF(p)
+    cases = []
+    for q in CODES_QS:
+        k = make_field(q)
+        if k.f == 1:
+            cases.append((k, build_shift_matrix(k).rows()))
+    for q in (4, 7, 8, 11):
+        seed = seed_pgl2(q)
+        conj, prime = conjugation_matrix(seed, build_theta(seed))
+        cases.append((prime, conj))
+    assert len(cases) == 12
+    for k, mat in cases:
+        dec = decompose_invariant(mat, k)
+        factors = [c.factor for c in dec.components]
+        assert len(set(factors)) == len(factors)
+        for c in dec.components:
+            assert c.code.basis == _sympy_kernel_rref(k.p, mat, c.factor)
+
+
+def test_repeated_irreducible_splits_into_components():
+    # x^2 + 1 is irreducible over GF(3), of order 4; two companion blocks
+    # of it give one component per block, and a conjugate of them two
+    # invariant components that sum directly
+    k = make_field(3)
+    f = (1, 0, 1)
+    a = _companion_blocks(k, [f, f])
+    dec = decompose_invariant(a, k)
+    assert [c.code.basis for c in dec.components] == [
+        ((0, 0, 1, 0), (0, 0, 0, 1)), ((1, 0, 0, 0), (0, 1, 0, 0))]
+    assert all(c.factor == f and c.order == 4 for c in dec.components)
+    s = [[1, 2, 0, 1], [0, 1, 1, 2], [2, 0, 1, 0], [1, 1, 1, 1]]
+    conj = mat_mul(k, mat_mul(k, _invert(k, s), a), s)
+    dec = decompose_invariant(conj, k)
+    assert [(c.factor, c.code.dim) for c in dec.components] == [(f, 2)] * 2
+    for c in dec.components:
+        assert all(c.code.contains(vec_mat(k, row, conj))
+                   for row in c.code.basis)
+
+
+def test_primary_part_found_past_the_first_unit_vector():
+    # diag(1, 2) over GF(3): for the factor x - 2 = x + 1, h = x - 1
+    # kills e_0, so the component comes from e_1
+    k = make_field(3)
+    dec = decompose_invariant([[1, 0], [0, 2]], k)
+    assert [(c.factor, c.code.basis) for c in dec.components] == [
+        ((1, 1), ((0, 1),)), ((2, 1), ((1, 0),))]
 
 
 def test_codes_for_named_q():
@@ -271,6 +351,39 @@ def test_regularity_false_on_non_regular_invariant_spans():
     assert not is_regular_on_nonzero(unfaithful[0].code, res.shift)
     faithful = [c for c in res.decomposition.components if c.faithful]
     assert all(is_regular_on_nonzero(c.code, res.shift) for c in faithful)
+
+
+def _regular_by_walk(k, r):
+    """Walk e_0 under r: regular when all q**dim - 1 orbit vectors are
+    distinct and every one of them is nonzero."""
+    v = (1,) + (0,) * (len(r) - 1)
+    seen = set()
+    while any(v) and v not in seen:
+        seen.add(v)
+        v = vec_mat(k, v, r)
+    return any(v) and len(seen) == k.q ** len(r) - 1
+
+
+def test_regularity_from_order_matches_a_nonzero_walk():
+    # every 1x1 and 2x2 matrix over GF(2), GF(3), GF(4) and GF(5), on
+    # the full span: a restriction with the factor x is never regular,
+    # and never reaches poly_order, which rejects g(0) = 0
+    cases = 0
+    for q in (2, 3, 4, 5):
+        k = make_field(q)
+        for dim in (1, 2):
+            basis = rref(k, mat_identity(dim))
+            for entries in itertools.product(range(q), repeat=dim * dim):
+                r = [list(entries[i * dim:(i + 1) * dim])
+                     for i in range(dim)]
+                assert is_regular_span(k, basis, r) == _regular_by_walk(k, r)
+                cases += 1
+    assert cases == 992
+    # an orbit that runs into 0 once counted it as a nonzero vector
+    k2 = make_field(2)
+    for r in ([[0, 1], [0, 0]], [[1, 1], [1, 1]], [[0]]):
+        assert not is_regular_span(k2, rref(k2, mat_identity(len(r))), r)
+    assert not is_regular_span(make_field(3), ((1,),), [[0]])
 
 
 def test_find_faithful_rejects_invalid_q():
@@ -348,15 +461,7 @@ def test_random_semisimple_reconstruction():
                 polys.append(f0)
                 dim += len(f0) - 1
             n = dim
-            a = [[0] * n for _ in range(n)]
-            off = 0
-            for g in polys:
-                d = len(g) - 1
-                for i in range(d - 1):
-                    a[off + i + 1][off + i] = 1
-                for i in range(d):
-                    a[off + i][off + d - 1] = k.neg(g[i])
-                off += d
+            a = _companion_blocks(k, polys)
             while True:
                 s = [[rng.randrange(k.q) for _ in range(n)] for _ in range(n)]
                 if len(rref(k, s)) == n:
