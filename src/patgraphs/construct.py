@@ -5,7 +5,8 @@ the elementary abelian subgroup E cut out of F^n by the invariant
 decomposition of theta's measured conjugation matrix, the point
 stabilizer H = E:<theta>, the full group G = T^n<theta>, and the
 bipartite variant G = G*:<o>.  Everything is verified as it is built;
-a returned construction doubles as a certificate.
+a returned construction doubles as a certificate.  E is never listed:
+its facts are proven in code coordinates over GF(p).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .eqcode import (
     charpoly,
     decompose_invariant,
     is_regular_span,
+    rref,
+    vec_mat,
 )
 from .gf import GF
 from .numth import VerificationError, check
@@ -188,16 +191,19 @@ def build_theta(seed: AlmostSimpleSeed, reading: str = "primary") -> WreathEleme
 
 def verify_product_intersection_with_cycle(seed: AlmostSimpleSeed,
                                            theta: WreathElement) -> None:
-    """T^n meets <theta> exactly in <theta^(n*|X:T|)>."""
+    """T^n meets <theta> exactly in <theta^(n*|X:T|)>.  theta^e shifts
+    the blocks by e*s mod n, so with s prime to n only the powers of
+    theta^n can lie in T^n, and only those are walked."""
     d = seed.degree
     n = theta.n
+    check(gcd(theta.shift, n) == 1, "theta's shift is not prime to n")
     order = porder(flatten(theta, d))
     step = n * seed.index_XT
+    base = wpow(theta, n)
     power = wid(n, d)
-    for e in range(1, order + 1):
-        power = wmul(power, theta)
-        inside = power.shift == 0 and all(
-            seed.T.contains(c) for c in power.components)
+    for e in range(n, order + 1, n):
+        power = wmul(power, base)
+        inside = all(seed.T.contains(c) for c in power.components)
         check(inside == (e % step == 0),
               f"theta^{e} membership in T^n contradicts the divisor rule")
 
@@ -206,9 +212,14 @@ def verify_product_intersection_with_cycle(seed: AlmostSimpleSeed,
 
 
 def _coefficient_table(seed: AlmostSimpleSeed) -> dict[Perm, tuple[int, ...]]:
-    """Every element of F written in coordinates over the generators."""
+    """Every element of F written in coordinates over the generators.
+    The generators commute and have order p, and their products are
+    distinct, so the table inverts a group isomorphism GF(p)^f -> F."""
     p = seed.field.p
     f = len(seed.F)
+    check(all(ppow(g, p) == pid(seed.degree)
+              and all(pmul(g, h) == pmul(h, g) for h in seed.F)
+              for g in seed.F), "F is not elementary abelian")
     table = {}
     for coeffs in itertools.product(range(p), repeat=f):
         el = pid(seed.degree)
@@ -219,31 +230,30 @@ def _coefficient_table(seed: AlmostSimpleSeed) -> dict[Perm, tuple[int, ...]]:
     return table
 
 
+def _coordinates(table, perm: Perm, n: int, d: int) -> tuple | None:
+    """The coordinates over GF(p) of a permutation in F^n, read block by
+    block through the coefficient table; None outside F^n."""
+    w = unflatten(perm, n, d)
+    blocks = [table.get(comp) for comp in w.components]
+    if w.shift or None in blocks:
+        return None
+    return tuple(c for block in blocks for c in block)
+
+
 def conjugation_matrix(seed: AlmostSimpleSeed, theta: WreathElement):
     """The matrix over GF(p) of x -> theta^-1 * x * theta on F^n, in the
     coordinate-major basis of replicated F generators.  Measured from
     the group action rather than assumed."""
     d = seed.degree
     n = theta.n
-    f = len(seed.F)
-    prime = seed.field.prime_field
     table = _coefficient_table(seed)
     theta_flat = flatten(theta, d)
-    rows = []
-    for i in range(n):
-        for g in seed.F:
-            image = pconj(flatten(embed_block(g, i, n), d), theta_flat)
-            w = unflatten(image, n, d)
-            if w.shift != 0:
-                raise ValueError("F^n is not invariant under theta")
-            row = [0] * (n * f)
-            for j, comp in enumerate(w.components):
-                coeffs = table.get(comp)
-                if coeffs is None:
-                    raise ValueError("F^n is not invariant under theta")
-                row[j * f:(j + 1) * f] = coeffs
-            rows.append(tuple(row))
-    return tuple(rows), prime
+    rows = tuple(_coordinates(table, pconj(flatten(embed_block(g, i, n), d),
+                                           theta_flat), n, d)
+                 for i in range(n) for g in seed.F)
+    if None in rows:
+        raise ValueError("F^n is not invariant under theta")
+    return rows, seed.field.prime_field
 
 
 def _blowup_over_prime(k: GF, mat):
@@ -264,9 +274,10 @@ def _blowup_over_prime(k: GF, mat):
 
 
 def verify_code_model_similarity(seed: AlmostSimpleSeed, conj) -> None:
-    """The measured action is similar over GF(p) to the shift matrix
-    from the code construction, confirming that some GF(q)-structure on
-    F^n makes the conjugation GF(q)-linear."""
+    """The measured action and the shift matrix from the code
+    construction, blown up to GF(p), have the same charpoly over GF(p).
+    That is necessary for the two to be similar, but it is not a proof
+    of similarity."""
     k = seed.field
     prime = k.prime_field
     model = _blowup_over_prime(k, build_shift_matrix(k).rows())
@@ -298,8 +309,8 @@ class PAConstruction:
 @dataclass(frozen=True)
 class RegularComponents:
     """The invariant decomposition of theta's conjugation matrix, and the
-    components of dimension 2f and order q^2 - 1 on whose nonzero vectors
-    the action is regular: the candidates for E."""
+    components of dimension 2f and order q^2 - 1, the candidates for E:
+    each is spun for an irreducible factor of degree 2f, and so regular."""
     theta: WreathElement
     conj: tuple[tuple[int, ...], ...]
     decomposition: InvariantDecomposition
@@ -312,9 +323,14 @@ def regular_components(seed: AlmostSimpleSeed,
     conj, prime = conjugation_matrix(seed, theta)
     dec = decompose_invariant([list(r) for r in conj], prime)
     codes = tuple(c.code for c in dec.components
-                  if c.code.dim == 2 * seed.field.f and c.order == q * q - 1
-                  and is_regular_span(prime, c.code.basis, conj))
+                  if c.code.dim == 2 * seed.field.f and c.order == q * q - 1)
     return RegularComponents(theta, conj, dec, codes)
+
+
+def coordinate_column_spaces(k: GF, witness, f: int) -> list[tuple]:
+    """The column space, in RREF, of the witness block at each coordinate."""
+    return [rref(k, [[row[i * f + j] for row in witness] for j in range(f)])
+            for i in range(len(witness[0]) // f)]
 
 
 def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
@@ -323,7 +339,8 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     """Cut E out of F^n via the invariant decomposition of the measured
     conjugation matrix, then verify the affine structure of H = E:<theta>.
     `components` is regular_components(seed, theta), computed here when
-    not given."""
+    not given.  E is never listed: the coefficient table inverts an
+    isomorphism phi: GF(p)^f -> F, and phi^n maps the witness span onto E."""
     d = seed.degree
     n = theta.n
     q = seed.q
@@ -339,65 +356,54 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
             f"{len(qualifying)} components qualify")
     code = qualifying[component_index]
     witness = code.basis
+    prime = seed.field.prime_field
     table = _coefficient_table(seed)
     element = {coeffs: el for el, coeffs in table.items()}
     f = len(seed.F)
-    words = {v: tuple(element[v[i * f:(i + 1) * f]] for i in range(n))
-             for v in code.codewords()}
-    E = tuple(flatten(WreathElement(words[tuple(v)], 0), d) for v in witness)
+
+    # phi^n is injective and the witness rows are independent (RREF,
+    # checked by is_regular_span below), so E is elementary abelian of
+    # order p^(2f) = q^2
+    check(len(witness) == 2 * f and prime.p ** f == q,
+          "E does not have order q^2")
+    E = tuple(flatten(WreathElement(tuple(
+        element[v[i * f:(i + 1) * f]] for i in range(n)), 0), d)
+        for v in witness)
     theta_flat = flatten(theta, d)
 
-    # elementary abelian, so its generators bound |E| by p^len(E), and
-    # the sift proves |E| = q^2 by meeting that bound
-    p = seed.field.p
-    for g in E:
-        check(ppow(g, p) == pid(n * d), "E is not elementary abelian")
-        for h in E:
-            check(pmul(g, h) == pmul(h, g), "E is not abelian")
-    Egrp = PermGroup(E, degree=n * d, upper_bound=p ** len(E),
-                     seed=seed.T.seed)
-    check(Egrp.order() == q * q, "E does not have order q^2")
-    # theta normalizes E, so E is normal in H = E<theta> and
-    # |H| <= |E| |theta|
-    check(all(Egrp.contains(pconj(e, theta_flat)) for e in E),
-          "theta does not normalize E")
+    # theta normalizes E, so E is normal in H = E<theta> and |H| <=
+    # |E| |theta|; each generator's conjugate is its row times conj
+    for v, e in zip(witness, E):
+        image = _coordinates(table, pconj(e, theta_flat), n, d)
+        check(image is not None and code.contains(image),
+              "theta does not normalize E")
+        check(image == vec_mat(prime, v, components.conj),
+              "theta-conjugation on E disagrees with the conjugation matrix")
 
-    # theta-conjugation is transitive on the nonidentity elements
-    all_elements = {flatten(WreathElement(w, 0), d) for w in words.values()}
-    orbit = set()
-    x = E[0]
-    for _ in range(q * q - 1):
-        orbit.add(x)
-        x = pconj(x, theta_flat)
-    check(x == E[0] and len(orbit) == q * q - 1
-          and orbit == all_elements - {pid(n * d)},
+    # theta-conjugation is transitive on the nonidentity elements, as
+    # conj's powers are regular on the nonzero vectors of the span
+    check(is_regular_span(prime, witness, components.conj),
           "theta-conjugation is not transitive on E minus identity")
 
-    # projections and coordinate kernels; only the classical family with
+    # E projects to coordinate i onto phi(rowspace B_i), B_i the witness
+    # block there, with kernel the left null space of B_i: of dimension
+    # 2f - rank >= f, never trivial, and equal for two blocks exactly
+    # when their column spaces are.  Only the classical family with
     # n = q + 1 projects onto all of F with pairwise distinct kernels
     classical = seed.family != "psl28-gamma"
-    ident = pid(d)
-    kernels = []
-    for i in range(n):
-        proj = {w[i] for w in words.values()}
-        kern = {v for v, w in words.items() if w[i] == ident}
-        if classical:
-            check(proj == table.keys(),
-                  f"projection of E to coordinate {i} is not F")
-        else:
-            check(1 < len(proj) < len(table),
-                  f"projection of E to coordinate {i} is not proper")
-        check(len(kern) > 1, f"coordinate kernel {i} of E is trivial")
-        kernels.append(frozenset(kern))
-    if classical:
-        check(len(set(kernels)) == n,
-              "coordinate kernels of E are not distinct")
+    spaces = coordinate_column_spaces(prime, witness, f)
+    for i, space in enumerate(spaces):
+        check(len(space) == f if classical else 0 < len(space) < f,
+              f"projection of E to coordinate {i} is not "
+              + ("F" if classical else "proper"))
+    check(not classical or len(set(spaces)) == n,
+          "coordinate kernels of E are not distinct")
 
-    # H is 2-transitive on the cosets of <theta>: theta permutes E minus
-    # 1, so E is normal in H = E<theta>, and |H| = |E| |theta|, the
-    # bound the sift meets, makes E meet <theta> trivially.  So H acts
-    # on those cosets as the affine group on E, where <theta> fixes the
-    # coset of 1 and is transitive on the other q^2 - 1
+    # H is 2-transitive on the cosets of <theta>: E is normal in
+    # H = E<theta>, and |H| = |E| |theta|, the bound the sift meets,
+    # makes E meet <theta> trivially.  So H acts on those cosets as the
+    # affine group on E, where <theta> fixes the coset of 1 and, by the
+    # transitivity above, is transitive on the other q^2 - 1
     check(porder(theta_flat) == q * q - 1, "theta does not have order q^2-1")
     H = PermGroup(list(E) + [theta_flat], degree=n * d,
                   upper_bound=q * q * (q * q - 1), seed=seed.T.seed)

@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, gcd, isqrt
 
+from .atlas import psl2
 from .construct import BipartiteConstruction, PAConstruction, Valency64Construction
+from .gf import GF, make_field
 from .numth import check, classify_valency_case, prime_power
 from .permgrp import (
     DirectPower,
@@ -290,13 +292,17 @@ def not_double_cover_test(H: PermGroup, M: DirectPower, p: int) -> str:
     raise ValueError("H has no replicated generator of order p - 1")
 
 
-def _family(kind: str, T: PermGroup, n: int,
-            parameter: int | None) -> str | None:
+def _family(kind: str, T: PermGroup, n: int, parameter: int | None,
+            field: GF | None = None) -> str | None:
     """The seed family whose socle is T^n, with parameter q (the valency
     when bipartite; any q for None), from T's degree d, the number n of
-    blocks and |T|: T is A_q on q points in the symmetric families and
-    PSL(2, q) on q + 1 otherwise; None if none fits.  |T| is compared
-    only once d and n fit: a factorial only of d, bounded by the payload."""
+    blocks and |T|; None if none fits or q is not a prime power.  T is
+    A_q on q points in the symmetric families, proven by |T| alone, as
+    A_q is the only subgroup of S_q of index 2.  Otherwise T is PSL(2, q)
+    on the atlas's q + 1 projective points, proven by |T| and the atlas
+    generators of PSL(2, q) lying in T; `field` is GF(q) if the caller
+    has it.  |T| is compared only once d and n fit: a factorial only of
+    d, bounded by the payload."""
     d = T.degree
     shapes = {
         "product-action": [("pgl2", d - 1, n == d),
@@ -306,21 +312,26 @@ def _family(kind: str, T: PermGroup, n: int,
                       ("symmetric-bipartite", d, n == d - 1)],
     }
     for family, q, fits in shapes[kind]:
-        if fits and parameter in (None, q) and T.order() == (
-                factorial(q) // 2 if q == d
-                else q * (q * q - 1) // gcd(2, q - 1)):
+        if not (fits and parameter in (None, q) and prime_power(q)
+                and T.order() == (factorial(q) // 2 if q == d
+                                  else q * (q * q - 1) // gcd(2, q - 1))):
+            continue
+        if q == d:
+            return family
+        k = field if field and field.q == q else make_field(q)
+        if all(T.contains(x) for x in psl2(k, 0).gens):
             return family
     return None
 
 
 def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
-            meet: PermGroup, gstar: PermGroup | None = None
-            ) -> CosetGraphCertificate:
+            meet: PermGroup, gstar: PermGroup | None = None,
+            field: GF | None = None) -> CosetGraphCertificate:
     """Every verdict of a certificate, from the groups alone: G with the
     vertex stabilizer H and edge element g, G* when the graph is
     bipartite, the socle M = T^n, and meet = M meet H, read through its
     generators, never its elements.  certify and verify_certificate both
-    call it."""
+    call it; certify passes its seed's field on to _family."""
     local = local_certificate(G, H, g)
     valency = local.valency
     top = G if gstar is None else gstar
@@ -339,7 +350,7 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
     if gstar is not None:
         return CosetGraphCertificate(
             kind="bipartite", parameter=valency,
-            family=_family("bipartite", M.factor, M.copies, valency),
+            family=_family("bipartite", M.factor, M.copies, valency, field),
             theorem1_case=None, ii_possible=None, case_witness=None,
             double_cover_verdict=not_double_cover_test(H, M, valency),
             gstar=gstar, gstar_index=G.order() // gstar.order(),
@@ -351,7 +362,7 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
     case = classify_valency_case(*power, M.copies)
     return CosetGraphCertificate(
         kind="product-action", parameter=q,
-        family=_family("product-action", M.factor, M.copies, q),
+        family=_family("product-action", M.factor, M.copies, q, field),
         theorem1_case=case.label, ii_possible=case.ii_possible,
         case_witness=case.witness,
         double_cover_verdict="untested", **fields)
@@ -379,7 +390,7 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     seed = construction.seed
     cert = _derive(construction.G, construction.H, g,
                    DirectPower(seed.T, construction.n), construction.meet,
-                   gstar)
+                   gstar, seed.field)
     check(cert.family == seed.family, f"the groups show family "
           f"{cert.family!r}, not the seed's {seed.family!r}")
     return cert

@@ -135,6 +135,36 @@ def test_normalizer_and_primary_part_checks_survive_optimize_flag():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_code_coordinate_checks_survive_optimize_flag():
+    # E's order stands on the coefficient table inverting an isomorphism
+    # GF(p)^f -> F, which needs commuting generators of order p; theta's
+    # transitivity on E stands on its conjugates matching the matrix
+    code = ("import dataclasses\n"
+            "from patgraphs.atlas import seed_pgl2\n"
+            "from patgraphs.construct import build_E_and_H, build_theta, "
+            "regular_components\n"
+            "from patgraphs.eqcode import mat_mul\n"
+            "from patgraphs.numth import VerificationError\n"
+            "seed = seed_pgl2(4)\n"
+            "theta = build_theta(seed)\n"
+            "rc = regular_components(seed, theta)\n"
+            "square = mat_mul(seed.field.prime_field, rc.conj, rc.conj)\n"
+            "cases = [(dataclasses.replace(seed, F=(seed.F[0], seed.o)), rc,\n"
+            "          'F is not elementary abelian'),\n"
+            "         (seed, dataclasses.replace(rc, conj=square),\n"
+            "          'disagrees with the conjugation matrix')]\n"
+            "for bad, comps, message in cases:\n"
+            "    try:\n"
+            "        build_E_and_H(bad, theta, components=comps)\n"
+            "    except VerificationError as exc:\n"
+            "        if message in str(exc):\n"
+            "            continue\n"
+            "        raise SystemExit(str(exc))\n"
+            "    raise SystemExit(f'passed without {message!r}')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_socle_normalizer_check_survives_optimize_flag():
     # a generator that does not normalize T^n fails socle_group, with or
     # without M's generators in the list, and assemble_G fails on such a

@@ -33,7 +33,7 @@ from patgraphs.construct import (
     wreath_length,
     wtau,
 )
-from patgraphs.eqcode import decompose_invariant
+from patgraphs.eqcode import Code, decompose_invariant
 from patgraphs.permgrp import (
     DirectPower,
     PermGroup,
@@ -111,6 +111,20 @@ def test_product_intersection_divisor_rule():
         verify_product_intersection_with_cycle(seed, build_theta(seed))
 
 
+def test_product_intersection_walk_catches_a_wrong_index():
+    # only the powers of theta^n are walked; a wrong |X:T| still shows
+    # at the first of them whose membership it misstates
+    seed = seed_pgl2(7)
+    theta = build_theta(seed)
+    for index, e in ((1, 8), (3, 16)):
+        with pytest.raises(VerificationError, match=f"theta\\^{e} "):
+            verify_product_intersection_with_cycle(
+                dataclasses.replace(seed, index_XT=index), theta)
+    with pytest.raises(VerificationError, match="not prime to n"):
+        verify_product_intersection_with_cycle(
+            seed, WreathElement(theta.components, 2))
+
+
 def test_conjugation_matrix_shapes_and_orders():
     for q, size, p, order in ((4, 10, 2, 15), (7, 8, 7, 48)):
         seed = seed_pgl2(q)
@@ -151,8 +165,9 @@ def test_E_and_H_frozen_orders():
 
 
 def test_E_and_H_are_certified_by_their_bounds(monkeypatch):
-    # every sift seed meets p^len(E) for E and q^2 |theta| for H, so
-    # neither falls back to the full Schreier check
+    # E's order is proven in code coordinates, so H is the only group
+    # sifted; every sift seed meets its bound q^2 |theta|, so it never
+    # falls back to the full Schreier check
     made = []
 
     class Recorded(PermGroup):
@@ -167,10 +182,60 @@ def test_E_and_H_are_certified_by_their_bounds(monkeypatch):
             theta = build_theta(base)
             made.clear()
             pa = build_E_and_H(base, theta)
-            E, H = made
-            assert (E.order(), H.order()) == (q * q, q * q * (q * q - 1))
-            assert E.certified_by == H.certified_by == "bound"
+            [H] = made
+            assert H.order() == q * q * (q * q - 1)
+            assert H.certified_by == "bound"
             assert H is pa.H
+
+
+E_AND_H_SEEDS = [(seed_pgl2, 4), (seed_pgl2, 7), (seed_pgl2, 8),
+                 (seed_symmetric, 7), (seed_psl28_gamma, None)]
+
+
+def _seed(make, q):
+    return make() if q is None else make(q)
+
+
+@pytest.mark.parametrize("make,q", E_AND_H_SEEDS)
+def test_E_and_H_list_no_codeword(monkeypatch, make, q):
+    # E is proven from its 2f witness rows; no codeword is enumerated
+    def refuse(self):
+        raise AssertionError("Code.codewords was called")
+
+    monkeypatch.setattr(Code, "codewords", refuse)
+    seed = _seed(make, q)
+    pa = build_E_and_H(seed, build_theta(seed))
+    assert pa.H.order() == seed.q**2 * (seed.q**2 - 1)
+    assert len(pa.E) == 2 * seed.field.f
+
+
+@pytest.mark.parametrize("make,q", E_AND_H_SEEDS)
+def test_column_spaces_match_a_codeword_oracle(make, q):
+    # the rank-based projection and kernel verdicts against the
+    # projections and kernels of every codeword, coordinate by coordinate
+    seed = _seed(make, q)
+    pa = build_E_and_H(seed, build_theta(seed))
+    prime = seed.field.prime_field
+    f = len(seed.F)
+    code = Code(prime, len(pa.code_witness[0]), pa.code_witness)
+    words = list(code.codewords())
+    assert len(words) == seed.q**2
+    spaces = construct.coordinate_column_spaces(prime, pa.code_witness, f)
+    kernels = []
+    for i, space in enumerate(spaces):
+        blocks = [w[i * f:(i + 1) * f] for w in words]
+        assert len(set(blocks)) == prime.p ** len(space)
+        kernels.append(frozenset(w for w, b in zip(words, blocks)
+                                 if not any(b)))
+        assert len(kernels[i]) == prime.p ** (2 * f - len(space)) > 1
+    for i in range(pa.n):
+        for j in range(pa.n):
+            assert (kernels[i] == kernels[j]) == (spaces[i] == spaces[j])
+    if seed.family == "psl28-gamma":
+        assert all(0 < len(s) < f for s in spaces)
+    else:
+        assert all(len(s) == f for s in spaces)
+        assert len(set(kernels)) == pa.n
 
 
 def test_component_index_selects_other_components():

@@ -7,11 +7,14 @@ import json
 
 import pytest
 
+from patgraphs.cli import main
 from patgraphs.construct import embed_block, flatten
+from patgraphs.gf import make_field
 from patgraphs.graphcert import (
     _COMMON_KEYS,
     _KIND_KEYS,
     SmallGraph,
+    _family,
     _leaves,
     certificate_payload,
     certify,
@@ -345,6 +348,36 @@ def test_tampered_certificate_is_rejected(bip5_symmetric):
     report = verify_certificate(payload)
     assert not report.ok
     assert any(f.startswith("orders.G: stated") for f in report.failures)
+
+
+def _agammal_1_8():
+    # x -> x + 1, x -> mu*x and x -> x^2 on GF(8): solvable, transitive
+    # on 8 points, of order 168 = |PSL(2, 7)|
+    k = make_field(8)
+    return [[k.add(x, 1) for x in range(8)],
+            [k.mul(x, k.generator) for x in range(8)],
+            [k.mul(x, x) for x in range(8)]]
+
+
+def test_family_needs_the_atlas_group(pa7):
+    T = PermGroup([tuple(g) for g in _agammal_1_8()])
+    assert T.order() == 168
+    assert _family("product-action", T, 8, None) is None
+    assert _family("product-action", T, 8, 7) is None
+    assert _family("product-action", pa7.seed.T, 8, None) == "pgl2"
+    # d = 7 would give q = 6 for pgl2, which is not a prime power
+    assert _family("product-action", sym(7), 7, None) is None
+
+
+def test_verify_rejects_a_socle_factor_outside_the_atlas(pa7, tmp_path,
+                                                          capsys):
+    payload = certificate_payload(certify(pa7))
+    payload["generators"]["socle_factor"] = _agammal_1_8()
+    path = tmp_path / "agl.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    assert "fits no family" in capsys.readouterr().err
 
 
 def test_diagonal_type_needs_every_projection_injective(bip5_symmetric):
