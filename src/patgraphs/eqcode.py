@@ -2,8 +2,9 @@
 
 Vectors are int sequences and matrices lists of rows, acting on the
 right (an invariant C has C * A <= C); the decomposition factors the
-charpoly and spins, for each factor, combinations of one shared set of
-Krylov rows e_j A**i.  The shift A is a weighted n-cycle with
+charpoly by Berlekamp's algorithm, which is deterministic, and spins,
+for each factor, combinations of one shared set of Krylov rows
+e_j A**i.  The shift A is a weighted n-cycle with
 A**n = c * I, so its order is n * ord(c); A is monomial, so a regular
 orbit on nonzero codewords gives them the weight of basis[0], and an
 irreducible restriction is regular exactly when its charpoly is
@@ -13,13 +14,12 @@ primitive.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .gf import (
     GF,
     Poly,
-    poly_add,
+    _is_irreducible,
     poly_divmod,
     poly_gcd,
     poly_monic,
@@ -75,64 +75,43 @@ def poly_radical(k: GF, g: Poly) -> Poly:
     return poly_mul(k, poly_monic(k, v), poly_radical(k, w))
 
 
-def _distinct_degree(k: GF, r: Poly) -> list[tuple[Poly, int]]:
-    """Split monic squarefree r into (product of degree-d irreducibles, d)."""
-    out = []
-    x: Poly = (0, 1)
-    h = poly_divmod(k, x, r)[1]
-    d = 0
-    while len(r) - 1 >= 2 * (d + 1):
-        d += 1
-        h = poly_powmod(k, h, k.q, r)
-        g = poly_gcd(k, poly_sub(k, h, x), r)
-        if len(g) > 1:
-            out.append((g, d))
-            r = poly_divmod(k, r, g)[0]
-            h = poly_divmod(k, h, r)[1]
-    if len(r) > 1:
-        out.append((r, len(r) - 1))
-    return out
-
-
-# trials per equal-degree split; each parts two factors with chance 1/2
-EQUAL_DEGREE_TRIALS = 200
-
-
-def _split(k: GF, h: Poly, factors: list[Poly], d: int) -> list[Poly]:
-    """One trial: each factor f of degree above d splits into gcd(f, t)
-    and its cofactor when that gcd is proper, where t = h + h**2 + h**4 +
-    ... + h**(2**(fd-1)) (the trace) for p = 2 and h**((q**d-1)/2) - 1 for
-    odd p, taken mod f."""
-    out = []
-    for f in factors:
-        if len(f) - 1 == d:
-            out.append(f)
-            continue
-        r = poly_divmod(k, h, f)[1]
-        if k.p == 2:
-            t: Poly = ()
-            for _ in range(k.f * d):
-                t, r = poly_add(k, t, r), poly_mulmod(k, r, r, f)
-        else:
-            t = poly_sub(k, poly_powmod(k, r, (k.q**d - 1) // 2, f), (1,))
-        w = poly_gcd(k, t, f)
-        out += [w, poly_divmod(k, f, w)[0]] if 1 < len(w) < len(f) else [f]
-    return out
-
-
-def _equal_degree(k: GF, g: Poly, d: int) -> list[Poly]:
-    """Split a monic product of distinct degree-d irreducibles (Cantor and
-    Zassenhaus 1981): each trial element refines every factor found so
-    far.  Trial elements have degree below deg g and come from a
-    random.Random seeded with deg g, so runs are deterministic."""
-    rng = random.Random(len(g) - 1)
-    factors, trials = [g], 0
-    while len(factors) < (len(g) - 1) // d:
-        trials += 1
-        check(trials <= EQUAL_DEGREE_TRIALS,
-              "equal-degree trial sequence exhausted")
-        h = poly_trim(rng.randrange(k.q) for _ in range(len(g) - 1))
-        factors = _split(k, h, factors, d)
+def _berlekamp(k: GF, g: Poly) -> list[Poly]:
+    """The monic irreducible factors of a monic squarefree g of degree n
+    (Berlekamp 1967).  The v of degree below n with v**q = v mod g are
+    the left kernel of Q - I, Q having the rows x**(q*i) mod g, and its
+    dimension is the number of irreducible factors; every factor f is the
+    product of gcd(f, v - s) over s in GF(q), and a kernel basis parts
+    any two irreducible factors, so its vectors split g completely."""
+    n = len(g) - 1
+    h = poly_powmod(k, (0, 1), k.q, g)
+    powers: list[Poly] = [(1,)]
+    for _ in range(n - 1):
+        powers.append(poly_mulmod(k, powers[-1], h, g))
+    rows = []
+    for i, power in enumerate(powers):
+        row = list(power) + [0] * (n - len(power))
+        row[i] = k.sub(row[i], 1)
+        rows.append(row + [int(i == j) for j in range(n)])
+    # the identity part of each reduced row of [Q - I | I] whose Q - I
+    # part is zero: together a basis of the left kernel
+    kernel = [poly_trim(r[n:]) for r in rref(k, rows) if not any(r[:n])]
+    factors = [g]
+    for v in kernel:
+        if len(factors) == len(kernel):
+            break
+        split = []
+        for f in factors:
+            w = poly_divmod(k, v, f)[1]
+            if len(w) <= 1:
+                split.append(f)
+                continue
+            for s in range(k.q):
+                d = poly_gcd(k, f, poly_sub(k, w, (s,)))
+                if len(d) > 1:
+                    split.append(d)
+        factors = split
+    check(len(factors) == len(kernel),
+          "Berlekamp split disagrees with the kernel dimension")
     return factors
 
 
@@ -141,11 +120,9 @@ def irreducible_factors(k: GF, g: Poly) -> list[tuple[Poly, int]]:
     g = poly_monic(k, poly_trim(g))
     if len(g) <= 1:
         raise ValueError("cannot factor a constant polynomial")
-    found = []
-    for block, d in _distinct_degree(k, poly_radical(k, g)):
-        found.extend(_equal_degree(k, block, d))
     out = []
-    for f in sorted(set(found), key=lambda f: (len(f), f)):
+    for f in sorted(_berlekamp(k, poly_radical(k, g)),
+                    key=lambda f: (len(f), f)):
         m = 0
         rest = g
         while True:
@@ -544,9 +521,7 @@ def is_regular_span(k: GF, basis, mat) -> bool:
         restricted.append([img[j] for j in pivots])
     if not basis:
         return False
-    factors = irreducible_factors(k, charpoly(k, restricted))
-    if len(factors) != 1 or factors[0][1] != 1:
-        return False
-    g = factors[0][0]
+    g = charpoly(k, restricted)
     # g = x is singular: R sends a nonzero vector to 0
-    return g != (0, 1) and poly_order(k, g) == k.q ** len(basis) - 1
+    return (g != (0, 1) and _is_irreducible(k, g)
+            and poly_order(k, g) == k.q ** len(basis) - 1)

@@ -292,11 +292,12 @@ def not_double_cover_test(H: PermGroup, M: DirectPower, p: int) -> str:
     raise ValueError("H has no replicated generator of order p - 1")
 
 
-def _family(kind: str, T: PermGroup, n: int, parameter: int | None,
-            field: GF | None = None) -> str | None:
-    """The seed family whose socle is T^n, with parameter q (the valency
-    when bipartite; any q for None), from T's degree d, the number n of
-    blocks and |T|; None if none fits or q is not a prime power.  T is
+def _family(kind: str, T: PermGroup, n: int,
+            field: GF | None = None) -> tuple[str, int] | None:
+    """The seed family whose socle is T^n, with its parameter q (the
+    valency when bipartite), from T's degree d, the number n of blocks
+    and |T|; None if none fits or q is not a prime power.  The shapes
+    of d and n exclude one another, so at most one family fits.  T is
     A_q on q points in the symmetric families, proven by |T| alone, as
     A_q is the only subgroup of S_q of index 2.  Otherwise T is PSL(2, q)
     on the atlas's q + 1 projective points, proven by |T| and the atlas
@@ -312,28 +313,29 @@ def _family(kind: str, T: PermGroup, n: int, parameter: int | None,
                       ("symmetric-bipartite", d, n == d - 1)],
     }
     for family, q, fits in shapes[kind]:
-        if not (fits and parameter in (None, q) and prime_power(q)
+        if not (fits and prime_power(q)
                 and T.order() == (factorial(q) // 2 if q == d
                                   else q * (q * q - 1) // gcd(2, q - 1))):
             continue
         if q == d:
-            return family
+            return family, q
         k = field if field and field.q == q else make_field(q)
         if all(T.contains(x) for x in psl2(k, 0).gens):
-            return family
+            return family, q
     return None
 
 
 def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
-            meet: PermGroup, gstar: PermGroup | None = None,
-            field: GF | None = None) -> CosetGraphCertificate:
+            meet: PermGroup, fit: tuple[str, int] | None,
+            gstar: PermGroup | None = None) -> CosetGraphCertificate:
     """Every verdict of a certificate, from the groups alone: G with the
     vertex stabilizer H and edge element g, G* when the graph is
-    bipartite, the socle M = T^n, and meet = M meet H, read through its
-    generators, never its elements.  certify and verify_certificate both
-    call it; certify passes its seed's field on to _family."""
+    bipartite, the socle M = T^n, the fit (family and parameter) that
+    _family finds for it, and meet = M meet H, read through its generators,
+    never its elements.  certify and verify_certificate both call it."""
     local = local_certificate(G, H, g)
     valency = local.valency
+    family, fitted = fit or (None, None)
     top = G if gstar is None else gstar
     fields = dict(
         local=local, G=G, H=H, g=g, M=M,
@@ -350,7 +352,7 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
     if gstar is not None:
         return CosetGraphCertificate(
             kind="bipartite", parameter=valency,
-            family=_family("bipartite", M.factor, M.copies, valency, field),
+            family=family if fitted == valency else None,
             theorem1_case=None, ii_possible=None, case_witness=None,
             double_cover_verdict=not_double_cover_test(H, M, valency),
             gstar=gstar, gstar_index=G.order() // gstar.order(),
@@ -362,7 +364,7 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
     case = classify_valency_case(*power, M.copies)
     return CosetGraphCertificate(
         kind="product-action", parameter=q,
-        family=_family("product-action", M.factor, M.copies, q, field),
+        family=family if fitted == q else None,
         theorem1_case=case.label, ii_possible=case.ii_possible,
         case_witness=case.witness,
         double_cover_verdict="untested", **fields)
@@ -376,9 +378,9 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     if isinstance(construction, Valency64Construction):
         return certify(construction.pa, construction.g)
     if isinstance(construction, PAConstruction):
-        gstar = None
+        kind, gstar = "product-action", None
     elif isinstance(construction, BipartiteConstruction):
-        gstar = construction.Gstar
+        kind, gstar = "bipartite", construction.Gstar
     else:
         raise TypeError(f"cannot certify {type(construction).__name__}")
     if g is None:
@@ -390,7 +392,7 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     seed = construction.seed
     cert = _derive(construction.G, construction.H, g,
                    DirectPower(seed.T, construction.n), construction.meet,
-                   gstar, seed.field)
+                   _family(kind, seed.T, construction.n, seed.field), gstar)
     check(cert.family == seed.family, f"the groups show family "
           f"{cert.family!r}, not the seed's {seed.family!r}")
     return cert
@@ -524,9 +526,9 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
     gens = payload["generators"]
     T = PermGroup(gens["socle_factor"], degree=payload["block_degree"],
                   seed=seed)
-    check(len(orbit_partition(T.gens, T.degree)) == 1
-          and _family(payload["kind"], T, payload["blocks"], None) is not None,
-          "the socle factor is intransitive or fits no family")
+    fit = (len(orbit_partition(T.gens, T.degree)) == 1
+           and _family(payload["kind"], T, payload["blocks"]))
+    check(bool(fit), "the socle factor is intransitive or fits no family")
     M = DirectPower(T, payload["blocks"])
     H = PermGroup(gens["H"], degree=payload["degree"], seed=seed)
     g = tuple(gens["g"])
@@ -536,7 +538,7 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
     gstar = (socle_group(gens["gstar"], M)
              if payload["kind"] == "bipartite" else None)
     cert = _derive(G, H, g, M, filtered_intersection_with_product(H, M),
-                   gstar)
+                   fit, gstar)
     stated, written = _leaves(payload), certificate_payload(cert)
     failures = tuple(_mismatch(path, stated[path], value)
                      for path, value in _leaves(written).items()

@@ -698,11 +698,6 @@ def _point_walk(group: PermGroup, point: int) -> _CosetOrbit:
     return _CosetOrbit(gens, tuple(transversal), action, tuple(tree))
 
 
-def _stabilizer_gens(group: PermGroup, point: int) -> list[Perm]:
-    """Schreier generators for the stabilizer of a point."""
-    return list(_point_walk(group, point).schreier_generators())
-
-
 def _find(parent: list[int], a: int) -> int:
     while parent[a] != a:
         parent[a] = parent[parent[a]]

@@ -24,6 +24,21 @@ def test_package_has_no_assert_and_no_assertion_error():
     assert offenders == []
 
 
+def test_only_permgrp_imports_random():
+    # the seeded sift is the one randomized step; every other module
+    # computes deterministically
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "random" in names:
+                importers.append(path.name)
+    assert importers == ["permgrp.py"]
+
+
 def _run_optimized(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     return subprocess.run([sys.executable, "-O", "-c", code], env=env,

@@ -205,6 +205,23 @@ def test_construct_builds_its_field_once(monkeypatch):
     assert built == [(2, 3), (2, 1)]
 
 
+def test_verify_builds_its_field_once(tmp_path, monkeypatch):
+    cert = tmp_path / "q8.json"
+    assert main(["construct", "--q", "8", "--out", str(cert)]) == 0
+    built = []
+    init = gf.GF.__init__
+
+    def counting(self, p, f):
+        built.append((p, f))
+        init(self, p, f)
+
+    monkeypatch.setattr(gf.GF, "__init__", counting)
+    assert main(["verify", str(cert)]) == 0
+    # the family gate proves T is the atlas PSL(2, 8) once, and the
+    # derived certificate reuses that fit
+    assert built == [(2, 3), (2, 1)]
+
+
 def test_construct_and_verify_never_enumerate_H(tmp_path, monkeypatch):
     # the edge stabilizer, T^n meet H and the socle bound walk cosets, and
     # the projections of T^n meet H come from its generators: no group

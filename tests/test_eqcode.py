@@ -6,8 +6,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from patgraphs import eqcode
-from patgraphs.atlas import seed_pgl2
+from patgraphs.atlas import seed_pgl2, seed_psl28_gamma
 from patgraphs.cli import main
 from patgraphs.construct import build_theta, conjugation_matrix
 from patgraphs.eqcode import (
@@ -118,24 +117,31 @@ def test_factoring_shift_and_conjugation_charpolys():
         _assert_factors_round_trip(prime, charpoly(prime, conj))
 
 
-def test_one_trial_sequence_splits_every_factor(monkeypatch):
-    # each trial refines every pending factor, so the q = 16 shift
-    # charpoly (nine factors) splits in a handful of trials
-    k = make_field(16)
-    cp = charpoly(k, build_shift_matrix(k).rows())
-    trials = []
-    split = eqcode._split
+def _sympy_factors(p, g):
+    """Monic factors of g over GF(p) with multiplicities, by sympy,
+    canonically sorted as irreducible_factors sorts them."""
+    x = sympy.symbols("x")
+    _, factors = sympy.Poly(list(reversed(g)), x, modulus=p).factor_list()
+    out = [(tuple(int(c) % p for c in reversed(f.all_coeffs())), m)
+           for f, m in factors]
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
 
-    def counted(*args):
-        trials.append(args)
-        return split(*args)
 
-    monkeypatch.setattr(eqcode, "_split", counted)
-    assert len(irreducible_factors(k, cp)) == 9
-    assert 0 < len(trials) <= 40
-    monkeypatch.setattr(eqcode, "EQUAL_DEGREE_TRIALS", 0)
-    with pytest.raises(VerificationError, match="trial sequence exhausted"):
-        irreducible_factors(k, cp)
+def test_factors_match_a_sympy_oracle():
+    # Berlekamp's split against sympy's factor list, with multiplicities,
+    # on shift charpolys over prime fields and on the degree-63
+    # psl28-gamma conjugation charpoly over GF(2)
+    cases = []
+    for q in (19, 43, 47):
+        k = make_field(q)
+        cases.append((k, charpoly(k, build_shift_matrix(k).rows())))
+    seed = seed_psl28_gamma()
+    conj, prime = conjugation_matrix(seed, build_theta(seed))
+    cases.append((prime, charpoly(prime, [list(r) for r in conj])))
+    assert [len(g) - 1 for _, g in cases] == [20, 44, 48, 63]
+    for k, g in cases:
+        assert k.f == 1
+        assert irreducible_factors(k, g) == _sympy_factors(k.p, g)
 
 
 def test_poly_order():

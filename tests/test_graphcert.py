@@ -362,11 +362,10 @@ def _agammal_1_8():
 def test_family_needs_the_atlas_group(pa7):
     T = PermGroup([tuple(g) for g in _agammal_1_8()])
     assert T.order() == 168
-    assert _family("product-action", T, 8, None) is None
-    assert _family("product-action", T, 8, 7) is None
-    assert _family("product-action", pa7.seed.T, 8, None) == "pgl2"
+    assert _family("product-action", T, 8) is None
+    assert _family("product-action", pa7.seed.T, 8) == ("pgl2", 7)
     # d = 7 would give q = 6 for pgl2, which is not a prime power
-    assert _family("product-action", sym(7), 7, None) is None
+    assert _family("product-action", sym(7), 7) is None
 
 
 def test_verify_rejects_a_socle_factor_outside_the_atlas(pa7, tmp_path,

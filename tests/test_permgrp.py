@@ -687,7 +687,7 @@ def test_schreier_generators_use_transversal_inverses(pa7):
 
 
 def test_point_walk_matches_the_coset_walk(pa7):
-    # _stabilizer_gens walks orbit points, and yields the Schreier
+    # _point_walk walks orbit points, and yields the Schreier
     # generators of the generic walk labeled by y[0], in the same order,
     # on H's action on the neighbours at q = 7 and q = 27
     seed = seed_pgl2(27)
@@ -700,7 +700,8 @@ def test_point_walk_matches_the_coset_walk(pa7):
             action.gens, pid(action.degree),
             lambda y: labels.setdefault(y[0], len(labels)))
         expected = list(walk.schreier_generators())
-        assert permgrp._stabilizer_gens(action, 0) == expected
+        walked = permgrp._point_walk(action, 0).schreier_generators()
+        assert list(walked) == expected
 
 
 def test_two_transitivity_stops_early_at_q27(monkeypatch):
@@ -710,7 +711,7 @@ def test_two_transitivity_stops_early_at_q27(monkeypatch):
     seed = seed_pgl2(27)
     pa27 = build_E_and_H(seed, build_theta(seed))
     action = permgrp.coset_stabilizer(pa27.H, pa27.H, pa27.o)[1]
-    full = permgrp._stabilizer_gens(action, 0)
+    full = list(permgrp._point_walk(action, 0).schreier_generators())
     taken = []
     walk = permgrp._CosetOrbit.schreier_generators
 
@@ -731,7 +732,7 @@ def test_stabilizer_gens_fix_the_point(pa7):
     for group in (s5, _wreath_s5_c3(), pa7.H):
         orbit = next(o for o in orbit_partition(group.gens, group.degree)
                      if 0 in o)
-        gens = permgrp._stabilizer_gens(group, 0)
+        gens = list(permgrp._point_walk(group, 0).schreier_generators())
         assert gens and all(s[0] == 0 for s in gens)
         stab = PermGroup(gens, degree=group.degree)
         assert stab.order() * len(orbit) == group.order()
