@@ -4,9 +4,10 @@ The central objects: a twisting element theta = d0*tau inside X wr C_n,
 the elementary abelian subgroup E cut out of F^n by the invariant
 decomposition of theta's measured conjugation matrix, the point
 stabilizer H = E:<theta>, the full group G = T^n<theta>, and the
-bipartite variant G = G*:<o>.  Everything is verified as it is built;
-a returned construction doubles as a certificate.  E is never listed:
-its facts are proven in code coordinates over GF(p).
+bipartite variant G = G*:<o>.  Everything is verified as it is built,
+except the socle verdicts: certify checks that T^n is transitive on the
+cosets of H and that T^n meet H has the family's diagonal type.  E is
+never listed: its facts are proven in code coordinates over GF(p).
 """
 
 from __future__ import annotations
@@ -418,8 +419,8 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
 
 
 def assemble_G(pa: PAConstruction) -> PAConstruction:
-    """G = T^n <theta>, with socle transitivity on [G:H] and the
-    subdirect, non-diagonal structure of T^n meet H all verified."""
+    """G = T^n <theta>, with the subdirect structure of T^n meet H
+    verified; certify checks socle transitivity and the diagonal type."""
     seed = pa.seed
     n = pa.n
     T = seed.T
@@ -429,9 +430,6 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
     check(G.order() == T.order()**n * n * seed.index_XT,
           "G has the wrong order")
     meet = filtered_intersection_with_product(pa.H, M)
-    # socle transitivity: |T^n| * |H| = |G| * |T^n meet H|
-    check(T.order()**n * pa.H.order() == G.order() * meet.order(),
-          "T^n is not transitive on the coset space")
     # subdirect: the classical family projects T^n meet H onto R meet T
     # in every coordinate; otherwise a proper nontrivial subgroup of T,
     # the same one in every coordinate.  Equal orders and generators of
@@ -448,9 +446,6 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
         check(proj.order() == target.order()
               and all(target.contains(x) for x in proj.gens),
               f"projection {i} of T^n meet H is not {name}")
-    # non-diagonal: the kernel of pi_0 has order |meet| / |pi_0(meet)|
-    check(meet.order() > projections[0].order(),
-          "T^n meet H projects injectively, diagonal type")
     return replace(pa, G=G, meet=meet)
 
 
@@ -728,8 +723,6 @@ def bipartite_construction(p: int, family: str = "symmetric",
     K = PermGroup([bold_b, tau], degree=n * d, seed=seed)
     check(H.order() == p * (p - 1)**2 and K.order() == (p - 1)**2,
           "H or K has the wrong order")
-    for g in H.gens:
-        check(Gstar.contains(g), "H is not inside Gstar")
     # T^(p-1) meet H is the diagonal <a, b^2>
     meet = filtered_intersection_with_product(H, M)
     expected = PermGroup([bold_a, ppow(bold_b, 2)], degree=n * d, seed=seed)
@@ -737,9 +730,5 @@ def bipartite_construction(p: int, family: str = "symmetric",
           "T^(p-1) meet H is not <a, b^2>")
     for g in expected.gens:
         check(meet.contains(g), "T^(p-1) meet H mismatch")
-    # diagonal: pi_i is injective exactly when |pi_i(meet)| = |meet|
-    for i in range(n):
-        check(M.projection(meet, i).order() == meet.order(),
-              f"projection {i} of T^(p-1) meet H is not injective")
     return BipartiteConstruction(p, base, n, d, bold_a, bold_b, tau, o,
                                  Gstar, G, H, K, meet)

@@ -120,11 +120,12 @@ def irreducible_factors(k: GF, g: Poly) -> list[tuple[Poly, int]]:
     g = poly_monic(k, poly_trim(g))
     if len(g) <= 1:
         raise ValueError("cannot factor a constant polynomial")
+    radical = poly_radical(k, g)
+    repeated = poly_divmod(k, g, radical)[0]  # 1 when g is squarefree
     out = []
-    for f in sorted(_berlekamp(k, poly_radical(k, g)),
-                    key=lambda f: (len(f), f)):
-        m = 0
-        rest = g
+    for f in sorted(_berlekamp(k, radical), key=lambda f: (len(f), f)):
+        m = 1
+        rest = repeated
         while True:
             quo, rem = poly_divmod(k, rest, f)
             if rem:

@@ -372,9 +372,10 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
 
 def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     """Certificate for a product-action or bipartite construction, from
-    its groups and the T^n meet H it computed.  g defaults to the
-    replicated seed involution; the valency-64 family passes its
-    searched element."""
+    its groups and the T^n meet H it computed: T^n must be transitive on
+    the cosets of H, and T^n meet H of diagonal type exactly when the
+    graph is bipartite.  g defaults to the replicated seed involution;
+    the valency-64 family passes its searched element."""
     if isinstance(construction, Valency64Construction):
         return certify(construction.pa, construction.g)
     if isinstance(construction, PAConstruction):
@@ -395,6 +396,9 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
                    _family(kind, seed.T, construction.n, seed.field), gstar)
     check(cert.family == seed.family, f"the groups show family "
           f"{cert.family!r}, not the seed's {seed.family!r}")
+    check(cert.socle_transitive, "T^n is not transitive on the coset space")
+    check(cert.diagonal_type == (kind == "bipartite"),
+          f"diagonal type {cert.diagonal_type} for a {kind} construction")
     return cert
 
 

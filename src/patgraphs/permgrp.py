@@ -6,13 +6,13 @@ call.  PermGroup builds a base and strong generating set by random
 Schreier sifting, certified by a proven upper bound on the order or
 by the full Schreier check, so orders, membership tests, and the
 derived reports are exact, never Monte Carlo.  socle_group orders a
-group normalizing a direct power M by one walk over M's cosets; one
-containing M meets its bound by containment, with no chain.  A
-subgroup's projection to one block of M is generated by its
-generators' pieces.  Intersections, and stabilizers of right cosets and
-of points, come from walking the orbit of a coset (orbit-stabilizer and
-Schreier generators), not from enumerating the group.  A transversal
-entry t_p*h gets its inverse by one product, h^-1 * t_p^-1.
+group whose generators list and normalize those of a direct power M by
+one walk over M's cosets, and tests membership there, with no chain.  A
+subgroup's projection to one block of M is generated by its generators'
+pieces.  Intersections, and stabilizers of right cosets and of points,
+come from walking the orbit of a coset (orbit-stabilizer and Schreier
+generators), not from enumerating the group.  A transversal entry t_p*h
+gets its inverse by one product, h^-1 * t_p^-1.
 """
 
 from __future__ import annotations
@@ -588,8 +588,8 @@ def _subgroup_of_order(candidates, group: PermGroup,
     return grp
 
 
-def coset_stabilizer(group: PermGroup, sub: PermGroup, start,
-                     limit: int = INDEX_LIMIT) -> tuple[PermGroup, PermGroup]:
+def coset_stabilizer(group: PermGroup, sub: PermGroup,
+                     start) -> tuple[PermGroup, PermGroup]:
     """The stabilizer in the group of the right coset sub*start under
     right multiplication, and the group's action on that coset's orbit,
     from one coset walk.  The stabilizer's order is |group| / orbit
@@ -601,7 +601,7 @@ def coset_stabilizer(group: PermGroup, sub: PermGroup, start,
         raise ValueError("start is not a permutation of the domain")
     if sub.degree != group.degree:
         raise ValueError("domain mismatch")
-    walk = _coset_walk(group.gens, start, sub._coset_labeler(), limit)
+    walk = _coset_walk(group.gens, start, sub._coset_labeler())
     index = len(walk.transversal)
     check(group.order() % index == 0,
           f"coset orbit of length {index} does not divide the group order")
@@ -646,27 +646,25 @@ class _SocleExtension(PermGroup):
         return self._locate(x) < self._index
 
 
-def socle_group(gens, M: DirectPower) -> PermGroup:
-    """<gens> for generators that normalize the direct power M, ordered
-    through M from one walk of the orbit of the coset M, which has length
-    |<gens>M : M|.  If gens holds every generator of M, M is normal in
-    <gens> and the group is a _SocleExtension, with no chain; otherwise
-    its chain is sifted to the upper bound |M| * |<gens>M : M|.  Only the
-    generators outside M are walked: those inside act trivially on the
-    cosets.  A generator that does not normalize M fails."""
+def socle_group(gens, M: DirectPower) -> _SocleExtension:
+    """<gens> for generators that list every generator of the direct
+    power M and normalize it, as a _SocleExtension ordered through M from
+    one walk of the orbit of the coset M.  Only the generators outside M
+    are walked: those inside act trivially on the cosets.  A list missing
+    one of M's generators, or with a generator that does not normalize M,
+    fails."""
     gens = [tuple(g) for g in gens]
     for g in gens:
         if not _is_permutation(g, M.degree):
             raise ValueError("generator is not a permutation of the domain")
+    check(set(M.gens) <= set(gens),
+          "the generators do not list every generator of T^n")
     outside = [g for g in gens if not M.contains(g)]
     check(all(M.contains(pconj(m, g)) for g in outside for m in M.gens),
           "a generator does not normalize T^n")
     locate = M._coset_labeler()
     index = len(_coset_walk(outside, pid(M.degree), locate).transversal)
-    if set(M.gens) <= set(gens):
-        return _SocleExtension(gens, M, locate, index)
-    return PermGroup(gens, degree=M.degree, upper_bound=M.order() * index,
-                     seed=M.seed)
+    return _SocleExtension(gens, M, locate, index)
 
 
 @dataclass(frozen=True)
@@ -813,9 +811,9 @@ def coset_action(group: PermGroup, subgroup: PermGroup,
                        locate.labels)
 
 
-def filtered_intersection_with_product(small: PermGroup, big: PermGroup,
-                                       limit: int = ELEMENT_LIMIT) -> PermGroup:
+def filtered_intersection_with_product(small: PermGroup,
+                                       big: PermGroup) -> PermGroup:
     """The subgroup of elements of the small group lying in the big one:
     the stabilizer of the coset big*1 under right multiplication by the
-    small group (see coset_stabilizer), walking at most `limit` cosets."""
-    return coset_stabilizer(small, big, pid(small.degree), limit)[0]
+    small group (see coset_stabilizer)."""
+    return coset_stabilizer(small, big, pid(small.degree))[0]

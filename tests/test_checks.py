@@ -181,9 +181,9 @@ def test_code_coordinate_checks_survive_optimize_flag():
 
 
 def test_socle_normalizer_check_survives_optimize_flag():
-    # a generator that does not normalize T^n fails socle_group, with or
-    # without M's generators in the list, and assemble_G fails on such a
-    # twist
+    # socle_group fails a list without M's generators, and one with a
+    # generator that does not normalize T^n, each by its own check; and
+    # assemble_G fails on such a twist
     code = ("from patgraphs.permgrp import DirectPower, PermGroup, "
             "perm_from_cycles, socle_group\n"
             "from patgraphs.numth import VerificationError\n"
@@ -191,12 +191,16 @@ def test_socle_normalizer_check_survives_optimize_flag():
             "                perm_from_cycles(5, [(0, 1, 2, 3, 4)])])\n"
             "M = DirectPower(a5, 3)\n"
             "bad = perm_from_cycles(15, [(0, 5)])\n"
-            "for gens in ([bad], list(M.gens) + [bad]):\n"
+            "for gens, message in (([bad], 'do not list every generator'),\n"
+            "                      (list(M.gens) + [bad],\n"
+            "                       'does not normalize')):\n"
             "    try:\n"
             "        socle_group(gens, M)\n"
-            "    except VerificationError:\n"
-            "        continue\n"
-            "    raise SystemExit('socle_group passed a non-normalizer')\n"
+            "    except VerificationError as exc:\n"
+            "        if message in str(exc):\n"
+            "            continue\n"
+            "        raise SystemExit(str(exc))\n"
+            "    raise SystemExit(f'socle_group passed without {message!r}')\n"
             "tau = tuple((x + 5) % 15 for x in range(15))\n"
             "G = socle_group(list(M.gens) + [tau], M)\n"
             "if G.order() != 60**3 * 3 or G._levels is not None:\n"

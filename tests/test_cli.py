@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from patgraphs import cli, gf, permgrp
+from patgraphs.atlas import projective_scaling
 from patgraphs.cli import main, parse_generators, parse_permutation
 from patgraphs.graphcert import _leaves, certificate_payload, certify
+from patgraphs.permgrp import DirectPower, PermGroup
 
 
 def test_edc_q7_report(capsys):
@@ -297,8 +299,8 @@ def test_G_and_Gstar_need_no_chain(tmp_path, monkeypatch):
 def test_verify_falls_back_without_the_socle_generators(tmp_path, capsys,
                                                         monkeypatch):
     # one generator of T^n replaced by its product with another: the list
-    # still generates G, but no longer holds T^n's generators, so verify
-    # takes the bounded sift instead of the socle shortcut
+    # still generates G, but no longer holds T^n's generators, a format
+    # the writer never emits, so verify rejects it before any chain of G
     cert = tmp_path / "c4.json"
     assert main(["construct", "--q", "4", "--out", str(cert)]) == 0
     payload = json.loads(cert.read_text())
@@ -307,8 +309,36 @@ def test_verify_falls_back_without_the_socle_generators(tmp_path, capsys,
     changed = tmp_path / "changed.json"
     changed.write_text(json.dumps(payload))
     completed = _record_completed_chains(monkeypatch)
-    assert main(["verify", str(changed)]) == 0
-    assert frozenset(tuple(x) for x in G) in completed
+    capsys.readouterr()
+    assert main(["verify", str(changed)]) == 3
+    assert ("do not list every generator of T^n"
+            in capsys.readouterr().err)
+    assert frozenset(tuple(x) for x in G) not in completed
+
+
+def test_verify_rejects_a_socle_normalizer_list_at_once(tmp_path, capsys,
+                                                        monkeypatch, v64):
+    # example-2-6 with generators.G the point stabilizer
+    # N_T(F) = <F, x -> mu*x> of T, of order 56, in each of the 21 blocks,
+    # plus theta: the list normalizes T^n without containing it, and
+    # verify rejects it without sifting it towards the socle bound
+    seed = v64.pa.seed
+    stabilizer = PermGroup(
+        list(seed.F) + [projective_scaling(seed.field, seed.field.generator)])
+    assert stabilizer.order() == 56 and v64.pa.n == 21
+    payload = certificate_payload(certify(v64))
+    gens = payload["generators"]
+    G = [list(x) for x in DirectPower(stabilizer, v64.pa.n).gens]
+    gens["G"] = G + [gens["theta"]]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(payload))
+    completed = _record_completed_chains(monkeypatch)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    assert ("do not list every generator of T^n"
+            in capsys.readouterr().err)
+    # only the socle factor's chain, which the family gate builds
+    assert completed == [frozenset(map(tuple, gens["socle_factor"]))]
 
 
 def _edited_q4(tmp_path, edit):

@@ -129,8 +129,10 @@ def _sympy_factors(p, g):
 
 def test_factors_match_a_sympy_oracle():
     # Berlekamp's split against sympy's factor list, with multiplicities,
-    # on shift charpolys over prime fields and on the degree-63
-    # psl28-gamma conjugation charpoly over GF(2)
+    # on shift charpolys over prime fields, on the degree-63 psl28-gamma
+    # conjugation charpoly over GF(2), and on repeated factors:
+    # (x+1)^3 (x^2+1)^2 over GF(3), and (x+1)^8 over GF(2), whose
+    # derivative vanishes
     cases = []
     for q in (19, 43, 47):
         k = make_field(q)
@@ -138,7 +140,15 @@ def test_factors_match_a_sympy_oracle():
     seed = seed_psl28_gamma()
     conj, prime = conjugation_matrix(seed, build_theta(seed))
     cases.append((prime, charpoly(prime, [list(r) for r in conj])))
-    assert [len(g) - 1 for _, g in cases] == [20, 44, 48, 63]
+    k3, k2 = make_field(3), make_field(2)
+    cubed = poly_mul(k3, poly_mul(k3, (1, 1), (1, 1)), (1, 1))
+    squared = poly_mul(k3, (1, 0, 1), (1, 0, 1))
+    cases.append((k3, poly_mul(k3, cubed, squared)))
+    cases.append((k2, (1,) + (0,) * 7 + (1,)))
+    assert [len(g) - 1 for _, g in cases] == [20, 44, 48, 63, 7, 8]
+    assert irreducible_factors(k3, cases[4][1]) == [((1, 1), 3),
+                                                    ((1, 0, 1), 2)]
+    assert irreducible_factors(k2, cases[5][1]) == [((1, 1), 8)]
     for k, g in cases:
         assert k.f == 1
         assert irreducible_factors(k, g) == _sympy_factors(k.p, g)

@@ -3,6 +3,7 @@ enough to enumerate, so the local certificate is compared against the
 graph it describes; the large instances get the certificate only, with
 frozen orders."""
 
+import dataclasses
 import json
 
 import pytest
@@ -244,6 +245,14 @@ def test_certificate_q4(pa4):
     assert cert.double_cover_verdict == "untested"
     assert cert.socle_transitive
     assert not cert.diagonal_type
+
+
+def test_certify_needs_a_socle_transitive_H(pa4):
+    # H = E is still inside G, but T^n is not transitive on its cosets,
+    # and no certificate is returned for it
+    with pytest.raises(VerificationError,
+                       match="T\\^n is not transitive on the coset space"):
+        certify(dataclasses.replace(pa4, H=PermGroup(pa4.E)))
 
 
 def test_certificate_q7(pa7):
