@@ -16,14 +16,13 @@ from patgraphs.graphcert import (
     standard_double_cover,
     two_arc_orbit_count,
 )
-from patgraphs.permgrp import PermGroup, coset_action, perm_from_cycles
+from patgraphs.permgrp import PermGroup, perm_from_cycles
 
 
 def show(name, G, H, g):
     sg = enumerate_small_graph(G, H, g)
     cert = local_certificate(G, H, g)
-    ca = coset_action(G, H)
-    orbits = two_arc_orbit_count(sg, list(ca.group.gens))
+    orbits = two_arc_orbit_count(sg, list(sg.vertex_action))
     print(f"{name}: {sg.vertices} vertices, valency {sg.degree(0)}, "
           f"girth {graph_girth(sg)}")
     print(f"  certificate: valency {cert.valency}, locally 2-transitive "

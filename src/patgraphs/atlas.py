@@ -172,6 +172,18 @@ def _verify_bipartite_pair(seed: AlmostSimpleSeed) -> None:
           "socle index mismatch")
 
 
+def _reflection_off_socle(T: PermGroup, b: Perm, inv0: Perm,
+                          p: int) -> Perm:
+    """The first reflection c = b^j * inv0 of the bipartite seeds, b of
+    order p - 1, with c * b^((p-1)/2) outside the socle T."""
+    half_turn = ppow(b, (p - 1) // 2)
+    for j in range(p - 1):
+        c = pmul(ppow(b, j), inv0)
+        if not T.contains(pmul(c, half_turn)):
+            return c
+    raise VerificationError("no reflection avoids the socle condition")
+
+
 # -- seed constructors -------------------------------------------------
 
 
@@ -209,15 +221,7 @@ def seed_pgl2(q: int, bipartite: bool = False,
     if bipartite:
         a = projective_translation(k, 1)
         b = scale
-        inv0 = projective_inversion(k, 1)
-        half = (q - 1) // 2
-        c = None
-        for j in range(q - 1):
-            cand = pmul(ppow(b, j), inv0)
-            if not T.contains(pmul(cand, ppow(b, half))):
-                c = cand
-                break
-        check(c is not None, "no reflection avoids the socle condition")
+        c = _reflection_off_socle(T, b, projective_inversion(k, 1), q)
         R = PermGroup([a, b], degree=degree, seed=seed)
         out = AlmostSimpleSeed("pgl2-bipartite", q, k, degree, X, T, R,
                                two, F, a, b, c, None)
@@ -273,15 +277,7 @@ def seed_symmetric(p: int, bipartite: bool = False,
     if bipartite:
         a = trans
         b = a_scale
-        inv0 = residue_scaled_inversion(p, 1)
-        half = (p - 1) // 2
-        c = None
-        for j in range(p - 1):
-            cand = pmul(ppow(b, j), inv0)
-            if not T.contains(pmul(cand, ppow(b, half))):
-                c = cand
-                break
-        check(c is not None, "no reflection avoids the socle condition")
+        c = _reflection_off_socle(T, b, residue_scaled_inversion(p, 1), p)
         R = PermGroup([a, b], degree=degree, seed=seed)
         out = AlmostSimpleSeed("symmetric-bipartite", p, k, degree, X, T, R,
                                2, F, a, b, c, None)

@@ -39,7 +39,7 @@ from .graphcert import (
     verify_certificate,
 )
 from .numth import VerificationError, check, validate_parameters
-from .permgrp import PermGroup, coset_action, perm_from_cycles
+from .permgrp import PermGroup, perm_from_cycles
 
 EXIT_OK = 0
 EXIT_CLOSED_STDOUT = 1
@@ -245,8 +245,7 @@ def _run_toy(args: argparse.Namespace) -> int:
     g = parse_permutation(edge, degree)
     sg = enumerate_small_graph(G, H, g, args.limit)
     cert = local_certificate(G, H, g)
-    ca = coset_action(G, H)
-    orbits = two_arc_orbit_count(sg, list(ca.group.gens))
+    orbits = two_arc_orbit_count(sg, list(sg.vertex_action))
     degrees = sorted({sg.degree(v) for v in range(sg.vertices)})
     # valency 1 leaves no 2-arcs, and a 1-point action is 2-transitive
     agree = (degrees == [cert.valency]

@@ -4,10 +4,14 @@ The central objects: a twisting element theta = d0*tau inside X wr C_n,
 the elementary abelian subgroup E cut out of F^n by the invariant
 decomposition of theta's measured conjugation matrix, the point
 stabilizer H = E:<theta>, the full group G = T^n<theta>, and the
-bipartite variant G = G*:<o>.  Everything is verified as it is built,
-except the socle verdicts: certify checks that T^n is transitive on the
-cosets of H and that T^n meet H has the family's diagonal type.  E is
-never listed: its facts are proven in code coordinates over GF(p).
+bipartite variant G = G*:<o>.  An element of X wr C_n is a plain
+permutation of the n*d points of its imprimitive action, built by
+`wreath` and multiplied like any other, and its component at block i is
+read back from the slice perm[i*d:(i+1)*d].  Everything is verified as
+it is built, except the socle verdicts: certify checks that T^n is
+transitive on the cosets of H and that T^n meet H has the family's
+diagonal type.  E is never listed: its facts are proven in code
+coordinates over GF(p).
 """
 
 from __future__ import annotations
@@ -44,93 +48,30 @@ from .permgrp import (
     socle_group,
 )
 
-# -- wreath elements ----------------------------------------------------
+# -- elements of X wr C_n ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WreathElement:
-    """An element (x_0, ..., x_{n-1})*tau^shift of X wr C_n; the shift
-    moves block i to block i + shift."""
-    components: tuple[Perm, ...]
-    shift: int
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-
-def wid(n: int, d: int) -> WreathElement:
-    return WreathElement((pid(d),) * n, 0)
-
-
-def wtau(n: int, d: int) -> WreathElement:
-    return WreathElement((pid(d),) * n, 1)
-
-
-def wmul(a: WreathElement, b: WreathElement) -> WreathElement:
-    n = a.n
-    comps = tuple(pmul(a.components[i], b.components[(i + a.shift) % n])
-                  for i in range(n))
-    return WreathElement(comps, (a.shift + b.shift) % n)
-
-
-def winv(a: WreathElement) -> WreathElement:
-    n = a.n
-    comps = tuple(pinv(a.components[(i - a.shift) % n]) for i in range(n))
-    return WreathElement(comps, (-a.shift) % n)
-
-
-def wpow(a: WreathElement, e: int) -> WreathElement:
-    d = len(a.components[0])
-    if e < 0:
-        return wpow(winv(a), -e)
-    out = wid(a.n, d)
-    while e:
-        if e & 1:
-            out = wmul(out, a)
-        e >>= 1
-        if e:
-            a = wmul(a, a)
-    return out
-
-
-def flatten(w: WreathElement, d: int) -> Perm:
-    n = w.n
-    img = [0] * (n * d)
-    for i, comp in enumerate(w.components):
-        off = i * d
-        toff = ((i + w.shift) % n) * d
-        for x in range(d):
-            img[off + x] = toff + comp[x]
+def wreath(components, shift: int, d: int) -> Perm:
+    """The element (x_0, ..., x_{n-1})*tau^shift of X wr C_n in its
+    action on n*d points: x_i carries block i to block i + shift."""
+    n = len(components)
+    img = []
+    for i, comp in enumerate(components):
+        off = ((i + shift) % n) * d
+        img.extend(off + y for y in comp)
     return tuple(img)
 
 
-def unflatten(perm: Perm, n: int, d: int) -> WreathElement:
-    """Recover the wreath form of a block-respecting permutation."""
-    shift = None
-    comps = []
-    for i in range(n):
-        t = perm[i * d] // d
-        s = (t - i) % n
-        if shift is None:
-            shift = s
-        elif s != shift:
-            raise ValueError("permutation does not shift blocks uniformly")
-        comp = []
-        for x in range(d):
-            y = perm[i * d + x] - t * d
-            if y < 0 or y >= d:
-                raise ValueError("permutation does not respect the blocks")
-            comp.append(y)
-        comps.append(tuple(comp))
-    return WreathElement(tuple(comps), shift)
-
-
-def embed_block(g: Perm, i: int, n: int) -> WreathElement:
-    d = len(g)
-    comps = [pid(d)] * n
-    comps[i] = tuple(g)
-    return WreathElement(tuple(comps), 0)
+def _wreath_parts(perm: Perm, d: int) -> tuple[tuple[Perm, ...], int]:
+    """The components and shift of a wreath element, the shift read from
+    the block that point 0 lands in."""
+    n = len(perm) // d
+    shift = perm[0] // d
+    comps = tuple(tuple(y - ((i + shift) % n) * d
+                        for y in perm[i * d:(i + 1) * d]) for i in range(n))
+    if any(sorted(c) != list(range(d)) for c in comps):
+        raise ValueError("permutation does not respect the blocks")
+    return comps, shift
 
 
 # -- the twisting element ----------------------------------------------
@@ -147,11 +88,12 @@ def wreath_length(seed: AlmostSimpleSeed) -> int:
 THETA_READINGS = ("primary", "trailing-identity", "trailing-square")
 
 
-def build_theta(seed: AlmostSimpleSeed, reading: str = "primary") -> WreathElement:
-    """The twisting element theta = d0*tau, with d0 deviating from its
-    constant value in exactly one coordinate; verified to have order
-    q^2 - 1.  The alternative readings place a second deviation in the
-    last coordinate of the single-twist pattern."""
+def build_theta(seed: AlmostSimpleSeed, reading: str = "primary") -> Perm:
+    """The twisting element theta = d0*tau as a permutation of the n*d
+    points, with d0 deviating from its constant value in exactly one
+    coordinate; verified to have order q^2 - 1.  The alternative readings
+    place a second deviation in the last coordinate of the single-twist
+    pattern."""
     d = seed.degree
     n = wreath_length(seed)
     q = seed.q
@@ -170,19 +112,18 @@ def build_theta(seed: AlmostSimpleSeed, reading: str = "primary") -> WreathEleme
         bc = pmul(seed.b, c)
         comps = [bc] * n
         comps[1] = seed.b
-    theta = WreathElement(tuple(comps), 1)
-    flat = flatten(theta, d)
-    check(porder(flat) == q * q - 1,
-          f"theta has order {porder(flat)}, expected {q * q - 1}")
+    theta = wreath(comps, 1, d)
+    check(porder(theta) == q * q - 1,
+          f"theta has order {porder(theta)}, expected {q * q - 1}")
     if reading == "primary":
         c = seed.c if seed.c is not None else ident
         head = pmul(ppow(seed.b, 2), c)
-        check(wpow(theta, n) == WreathElement((head,) * n, 0),
+        theta_n = ppow(theta, n)
+        check(theta_n == wreath((head,) * n, 0, d),
               "theta^n is not the constant tuple b^2*c")
-        power = PermGroup([flatten(wpow(theta, n), d)], degree=n * d,
-                          seed=seed.T.seed)
-        bb = flatten(WreathElement((ppow(seed.b, 2),) * n, 0), d)
-        cc = flatten(WreathElement((c,) * n, 0), d)
+        power = PermGroup([theta_n], degree=n * d, seed=seed.T.seed)
+        bb = wreath((ppow(seed.b, 2),) * n, 0, d)
+        cc = wreath((c,) * n, 0, d)
         span = PermGroup([bb, cc], degree=n * d, seed=seed.T.seed)
         check(power.order() == span.order() and power.contains(bb)
               and power.contains(cc),
@@ -191,20 +132,21 @@ def build_theta(seed: AlmostSimpleSeed, reading: str = "primary") -> WreathEleme
 
 
 def verify_product_intersection_with_cycle(seed: AlmostSimpleSeed,
-                                           theta: WreathElement) -> None:
+                                           theta: Perm) -> None:
     """T^n meets <theta> exactly in <theta^(n*|X:T|)>.  theta^e shifts
     the blocks by e*s mod n, so with s prime to n only the powers of
     theta^n can lie in T^n, and only those are walked."""
     d = seed.degree
-    n = theta.n
-    check(gcd(theta.shift, n) == 1, "theta's shift is not prime to n")
-    order = porder(flatten(theta, d))
+    n = len(theta) // d
+    check(gcd(_wreath_parts(theta, d)[1], n) == 1,
+          "theta's shift is not prime to n")
+    order = porder(theta)
     step = n * seed.index_XT
-    base = wpow(theta, n)
-    power = wid(n, d)
+    base = ppow(theta, n)
+    power = pid(n * d)
     for e in range(n, order + 1, n):
-        power = wmul(power, base)
-        inside = all(seed.T.contains(c) for c in power.components)
+        power = pmul(power, base)
+        inside = all(seed.T.contains(c) for c in _wreath_parts(power, d)[0])
         check(inside == (e % step == 0),
               f"theta^{e} membership in T^n contradicts the divisor rule")
 
@@ -231,27 +173,28 @@ def _coefficient_table(seed: AlmostSimpleSeed) -> dict[Perm, tuple[int, ...]]:
     return table
 
 
-def _coordinates(table, perm: Perm, n: int, d: int) -> tuple | None:
+def _coordinates(table, perm: Perm, d: int) -> tuple | None:
     """The coordinates over GF(p) of a permutation in F^n, read block by
-    block through the coefficient table; None outside F^n."""
-    w = unflatten(perm, n, d)
-    blocks = [table.get(comp) for comp in w.components]
-    if w.shift or None in blocks:
+    block through the coefficient table; None outside F^n, where some
+    block's piece, moved back to 0..d-1, is no key of the table."""
+    blocks = [table.get(tuple(y - off for y in perm[off:off + d]))
+              for off in range(0, len(perm), d)]
+    if None in blocks:
         return None
     return tuple(c for block in blocks for c in block)
 
 
-def conjugation_matrix(seed: AlmostSimpleSeed, theta: WreathElement):
+def conjugation_matrix(seed: AlmostSimpleSeed, theta: Perm):
     """The matrix over GF(p) of x -> theta^-1 * x * theta on F^n, in the
     coordinate-major basis of replicated F generators.  Measured from
     the group action rather than assumed."""
     d = seed.degree
-    n = theta.n
+    n = len(theta) // d
     table = _coefficient_table(seed)
-    theta_flat = flatten(theta, d)
-    rows = tuple(_coordinates(table, pconj(flatten(embed_block(g, i, n), d),
-                                           theta_flat), n, d)
-                 for i in range(n) for g in seed.F)
+    ident = pid(d)
+    embedded = [wreath((ident,) * i + (g,) + (ident,) * (n - 1 - i), 0, d)
+                for i in range(n) for g in seed.F]
+    rows = tuple(_coordinates(table, pconj(x, theta), d) for x in embedded)
     if None in rows:
         raise ValueError("F^n is not invariant under theta")
     return rows, seed.field.prime_field
@@ -295,8 +238,7 @@ class PAConstruction:
     seed: AlmostSimpleSeed
     n: int
     block_degree: int
-    theta: WreathElement
-    theta_perm: Perm
+    theta: Perm
     E: tuple[Perm, ...]
     H: PermGroup
     o: Perm | None
@@ -312,14 +254,14 @@ class RegularComponents:
     """The invariant decomposition of theta's conjugation matrix, and the
     components of dimension 2f and order q^2 - 1, the candidates for E:
     each is spun for an irreducible factor of degree 2f, and so regular."""
-    theta: WreathElement
+    theta: Perm
     conj: tuple[tuple[int, ...], ...]
     decomposition: InvariantDecomposition
     codes: tuple[Code, ...]
 
 
 def regular_components(seed: AlmostSimpleSeed,
-                       theta: WreathElement) -> RegularComponents:
+                       theta: Perm) -> RegularComponents:
     q = seed.q
     conj, prime = conjugation_matrix(seed, theta)
     dec = decompose_invariant([list(r) for r in conj], prime)
@@ -334,16 +276,18 @@ def coordinate_column_spaces(k: GF, witness, f: int) -> list[tuple]:
             for i in range(len(witness[0]) // f)]
 
 
-def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
+def build_E_and_H(seed: AlmostSimpleSeed, theta: Perm,
                   component_index: int = 0,
                   components: RegularComponents | None = None) -> PAConstruction:
     """Cut E out of F^n via the invariant decomposition of the measured
     conjugation matrix, then verify the affine structure of H = E:<theta>.
     `components` is regular_components(seed, theta), computed here when
     not given.  E is never listed: the coefficient table inverts an
-    isomorphism phi: GF(p)^f -> F, and phi^n maps the witness span onto E."""
+    isomorphism phi: GF(p)^f -> F, and phi^n maps the witness span onto E;
+    its 2f generators are built by `wreath` from the witness rows, block
+    by block, and read back through the table."""
     d = seed.degree
-    n = theta.n
+    n = len(theta) // d
     q = seed.q
     if components is None:
         components = regular_components(seed, theta)
@@ -367,15 +311,13 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     # order p^(2f) = q^2
     check(len(witness) == 2 * f and prime.p ** f == q,
           "E does not have order q^2")
-    E = tuple(flatten(WreathElement(tuple(
-        element[v[i * f:(i + 1) * f]] for i in range(n)), 0), d)
-        for v in witness)
-    theta_flat = flatten(theta, d)
+    E = tuple(wreath([element[v[i * f:(i + 1) * f]] for i in range(n)], 0, d)
+              for v in witness)
 
     # theta normalizes E, so E is normal in H = E<theta> and |H| <=
     # |E| |theta|; each generator's conjugate is its row times conj
     for v, e in zip(witness, E):
-        image = _coordinates(table, pconj(e, theta_flat), n, d)
+        image = _coordinates(table, pconj(e, theta), d)
         check(image is not None and code.contains(image),
               "theta does not normalize E")
         check(image == vec_mat(prime, v, components.conj),
@@ -405,17 +347,15 @@ def build_E_and_H(seed: AlmostSimpleSeed, theta: WreathElement,
     # makes E meet <theta> trivially.  So H acts on those cosets as the
     # affine group on E, where <theta> fixes the coset of 1 and, by the
     # transitivity above, is transitive on the other q^2 - 1
-    check(porder(theta_flat) == q * q - 1, "theta does not have order q^2-1")
-    H = PermGroup(list(E) + [theta_flat], degree=n * d,
+    check(porder(theta) == q * q - 1, "theta does not have order q^2-1")
+    H = PermGroup(list(E) + [theta], degree=n * d,
                   upper_bound=q * q * (q * q - 1), seed=seed.T.seed)
     check(H.order() == q * q * (q * q - 1),
           "H does not have the affine order q^2(q^2-1)")
 
-    o_flat = None
-    if seed.o is not None:
-        o_flat = flatten(WreathElement((seed.o,) * n, 0), d)
-    return PAConstruction(seed, n, d, theta, theta_flat, E, H, o_flat,
-                          witness, components.conj, len(qualifying))
+    o = None if seed.o is None else wreath((seed.o,) * n, 0, d)
+    return PAConstruction(seed, n, d, theta, E, H, o, witness,
+                          components.conj, len(qualifying))
 
 
 def assemble_G(pa: PAConstruction) -> PAConstruction:
@@ -425,7 +365,7 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
     n = pa.n
     T = seed.T
     M = DirectPower(T, n)
-    gens = list(M.gens) + [pa.theta_perm]
+    gens = list(M.gens) + [pa.theta]
     G = socle_group(gens, M)
     check(G.order() == T.order()**n * n * seed.index_XT,
           "G has the wrong order")
@@ -486,24 +426,25 @@ class TwistedCentralizer:
         return tuple(sorted(out))
 
 
-def twisted_centralizer(T: PermGroup, theta: WreathElement) -> TwistedCentralizer:
+def twisted_centralizer(T: PermGroup, theta: Perm) -> TwistedCentralizer:
     """Solve theta^m = theta^j over m in T^n by coordinate propagation,
-    for every exponent j that a conjugate of theta can equal."""
-    n = theta.n
-    d = len(theta.components[0])
-    s = theta.shift
+    for every exponent j that a conjugate of theta can equal.  theta is a
+    wreath element on blocks of T's degree, whose components and shift,
+    and those of its powers, are read back from its blocks."""
+    d = T.degree
+    dcomp, s = _wreath_parts(theta, d)
+    n = len(dcomp)
     if gcd(s, n) != 1:
         raise ValueError("theta's shift must be an n-cycle on coordinates")
-    order = porder(flatten(theta, d))
+    order = porder(theta)
     t_elements = T.elements()
     walk = [(k * s) % n for k in range(n)]
     by_exponent: dict[int, tuple[Perm, ...]] = {}
-    all_flat = []
+    solutions = []
     for j in range(1, order):
         if (j * s) % n != s % n or gcd(j, order) != 1:
             continue
-        dcomp = theta.components
-        fcomp = wpow(theta, j).components
+        fcomp = _wreath_parts(ppow(theta, j), d)[0]
         found = []
         for t0 in t_elements:
             t = {0: t0}
@@ -511,15 +452,14 @@ def twisted_centralizer(T: PermGroup, theta: WreathElement) -> TwistedCentralize
                 t[(i + s) % n] = pmul(pmul(pinv(dcomp[i]), t[i]), fcomp[i])
             last = walk[-1]
             if pmul(dcomp[last], t[0]) == pmul(t[last], fcomp[last]):
-                comps = tuple(t[i] for i in range(n))
-                found.append(flatten(WreathElement(comps, 0), d))
+                found.append(wreath([t[i] for i in range(n)], 0, d))
         if found:
             by_exponent[j] = tuple(found)
-            all_flat.extend(found)
+            solutions.extend(found)
     cent = by_exponent.get(1, ())
     centralizer = PermGroup(list(cent), degree=n * d, upper_bound=len(cent),
                             seed=T.seed)
-    normalizer = PermGroup(all_flat, degree=n * d, upper_bound=len(all_flat),
+    normalizer = PermGroup(solutions, degree=n * d, upper_bound=len(solutions),
                            seed=T.seed)
     return TwistedCentralizer(centralizer, normalizer, by_exponent)
 
@@ -697,13 +637,11 @@ def bipartite_construction(p: int, family: str = "symmetric",
         raise ValueError(f"unknown family {family!r}")
     n = p - 1
     d = base.degree
-    bold_a = flatten(WreathElement((base.a,) * n, 0), d)
-    bold_b = flatten(WreathElement((base.b,) * n, 0), d)
-    tau = flatten(wtau(n, d), d)
-    o_w = WreathElement(tuple(pmul(ppow(base.b, i), base.c)
-                              for i in range(n)), 0)
-    o = flatten(o_w, d)
-    binv = flatten(WreathElement((pinv(base.b),) * n, 0), d)
+    bold_a = wreath((base.a,) * n, 0, d)
+    bold_b = wreath((base.b,) * n, 0, d)
+    tau = wreath((pid(d),) * n, 1, d)
+    o = wreath([pmul(ppow(base.b, i), base.c) for i in range(n)], 0, d)
+    binv = wreath((pinv(base.b),) * n, 0, d)
     # the three displayed relations
     check(pconj(o, tau) == pmul(binv, o), "o^tau is not b^-1 * o")
     check(pconj(bold_b, o) == binv, "b^o is not b^-1")

@@ -20,7 +20,7 @@ payload, leaf by leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial, gcd, isqrt
 
 from .atlas import psl2
@@ -86,10 +86,13 @@ _KIND_KEYS = {
 
 @dataclass(frozen=True)
 class SmallGraph:
-    """A simple undirected graph with 0-indexed vertices."""
+    """A simple undirected graph with 0-indexed vertices; a coset graph
+    also carries the generators of G's action on its vertices."""
     vertices: int
     adjacency: tuple[tuple[int, ...], ...]
     bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    vertex_action: tuple[Perm, ...] = field(default=(), compare=False,
+                                            repr=False)
 
     def __post_init__(self):
         for u, nbrs in enumerate(self.adjacency):
@@ -409,7 +412,8 @@ def enumerate_small_graph(G: PermGroup, H: PermGroup, g: Perm,
                           limit: int = ENUMERATION_LIMIT) -> SmallGraph:
     """The coset graph Cos(G, H, HgH) as an explicit graph: vertices are
     the right cosets of H, and Hx ~ Hy exactly when y*x^-1 lies in the
-    double coset HgH."""
+    double coset HgH.  G acts on them by its coset action, built once
+    under the limit."""
     g = tuple(g)
     if not H.contains(pmul(g, g)):
         raise ValueError("g squared must lie in H")
@@ -430,7 +434,8 @@ def enumerate_small_graph(G: PermGroup, H: PermGroup, g: Perm,
     for x in ca.representatives:
         nbrs = {ca.index_of(pmul(r, x)) for r in reps}
         adjacency.append(tuple(sorted(nbrs)))
-    return SmallGraph(index, tuple(adjacency))
+    return SmallGraph(index, tuple(adjacency),
+                      vertex_action=tuple(ca.group.gens))
 
 
 def edge_list_text(sg: SmallGraph) -> str:

@@ -723,16 +723,17 @@ def _minimal_blocks(gens, degree: int, omega: int):
 
 
 def is_two_transitive(group: PermGroup) -> bool:
-    """Transitive, with the stabilizer of point 0 transitive on the other
-    points: its Schreier generators merge their orbits lazily until one
-    class is left, and the group's order is never needed."""
+    """Transitive, by one walk of the orbit of point 0, with its
+    stabilizer transitive on the other points: the walk's Schreier
+    generators merge their orbits lazily, and no order is needed."""
     d = group.degree
     if d == 0:
         raise ValueError("empty domain")
-    if len(orbit_partition(group.gens, d)) != 1:
+    walk = _point_walk(group, 0)
+    if len(walk.transversal) != d:
         return False
     parent, classes = list(range(d)), d - 1
-    for s in _point_walk(group, 0).schreier_generators():
+    for s in walk.schreier_generators():
         for a, b in enumerate(s):
             a, b = _find(parent, a), _find(parent, b)
             if a != b:

@@ -123,7 +123,7 @@ def test_normalizer_and_primary_part_checks_survive_optimize_flag():
     code = ("import dataclasses\n"
             "from patgraphs import eqcode\n"
             "from patgraphs.atlas import seed_pgl2\n"
-            "from patgraphs.construct import WreathElement, build_E_and_H, "
+            "from patgraphs.construct import build_E_and_H, "
             "build_theta, regular_components\n"
             "from patgraphs.gf import GF\n"
             "from patgraphs.numth import VerificationError\n"
@@ -131,8 +131,9 @@ def test_normalizer_and_primary_part_checks_survive_optimize_flag():
             "seed = seed_pgl2(4)\n"
             "theta = build_theta(seed)\n"
             "rc = regular_components(seed, theta)\n"
-            "bad = WreathElement((perm_from_cycles(5, [(0, 1, 2)]),)\n"
-            "                    + theta.components[1:], theta.shift)\n"
+            "# theta with its block-0 component replaced by a 3-cycle\n"
+            "bad = tuple(5 + x for x in perm_from_cycles(5, [(0, 1, 2)]))\n"
+            "bad += theta[5:]\n"
             "try:\n"
             "    build_E_and_H(seed, bad,\n"
             "                  components=dataclasses.replace(rc, theta=bad))\n"
@@ -213,7 +214,7 @@ def test_socle_normalizer_check_survives_optimize_flag():
             "pa = build_E_and_H(seed, build_theta(seed))\n"
             "bad = perm_from_cycles(pa.n * pa.block_degree, [(0, 5)])\n"
             "try:\n"
-            "    assemble_G(dataclasses.replace(pa, theta_perm=bad))\n"
+            "    assemble_G(dataclasses.replace(pa, theta=bad))\n"
             "except VerificationError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('G was assembled from a non-normalizer')\n")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from patgraphs import cli, gf, permgrp
+from patgraphs import cli, gf, graphcert, permgrp
 from patgraphs.atlas import projective_scaling
 from patgraphs.cli import main, parse_generators, parse_permutation
 from patgraphs.graphcert import _leaves, certificate_payload, certify
@@ -71,6 +71,25 @@ def test_certificates_match_benchmark_golden(tmp_path):
                          "--out", str(out)]) == 0
             digest = hashlib.sha256(out.read_bytes()).hexdigest()
             assert digest == golden[key], f"{key} under seed {seed} changed"
+
+
+# sha256 of the example-2-6 certificates: golden.json holds no
+# psl28-gamma theta and no twisted centralizer, which both readings use
+EXAMPLE_2_6_DIGESTS = {
+    "primary":
+        "4c962e65d0749e6c4c9d3d075415cde8f44d7f02f9633e912e61ac2a7ca6fc0f",
+    "trailing-identity":
+        "e9447213edff032481979aff039e69bcb315f7d2a8327f79cb6a5a9f1cab9dbe",
+}
+
+
+@pytest.mark.parametrize("reading", sorted(EXAMPLE_2_6_DIGESTS))
+def test_example_2_6_certificates_are_frozen(tmp_path, reading):
+    out = tmp_path / f"{reading}.json"
+    assert main(["example-2-6", "--reading", reading,
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == EXAMPLE_2_6_DIGESTS[reading], f"{reading} changed"
 
 
 class _ClosedStdout:
@@ -553,6 +572,22 @@ def test_toy_presets(tmp_path, capsys):
     assert main(["toy", "--preset", "petersen"]) == 0
     out = capsys.readouterr().out
     assert "10 vertices" in out and "girth 5" in out
+
+
+def test_toy_builds_its_coset_action_once(monkeypatch):
+    # the graph and its 2-arc orbits share one coset action, built under
+    # --limit
+    limits = []
+    build = permgrp.coset_action
+
+    def counting(group, subgroup, limit=permgrp.INDEX_LIMIT):
+        limits.append(limit)
+        return build(group, subgroup, limit)
+
+    monkeypatch.setattr(graphcert, "coset_action", counting)
+    monkeypatch.setattr(cli, "coset_action", counting, raising=False)
+    assert main(["toy", "--preset", "petersen", "--limit", "50"]) == 0
+    assert limits == [50]
 
 
 def test_toy_explicit_flags(capsys):

@@ -11,27 +11,19 @@ from patgraphs import construct
 from patgraphs.atlas import seed_pgl2, seed_psl28_gamma, seed_symmetric
 from patgraphs.numth import VerificationError
 from patgraphs.construct import (
-    WreathElement,
     assemble_G,
     bipartite_construction,
     build_E_and_H,
     build_theta,
     compare_theta_readings,
     conjugation_matrix,
-    embed_block,
-    flatten,
     product_action_construction,
     regular_components,
     twisted_centralizer,
-    unflatten,
     verify_code_model_similarity,
     verify_product_intersection_with_cycle,
-    wid,
-    winv,
-    wmul,
-    wpow,
+    wreath,
     wreath_length,
-    wtau,
 )
 from patgraphs.eqcode import Code, decompose_invariant
 from patgraphs.permgrp import (
@@ -39,48 +31,50 @@ from patgraphs.permgrp import (
     PermGroup,
     filtered_intersection_with_product,
     pconj,
+    perm_from_cycles,
     pid,
     pinv,
     pmul,
     porder,
-    ppow,
 )
 
 
-def random_wreath(rng, n, d):
-    comps = tuple(tuple(rng.sample(range(d), d)) for _ in range(n))
-    return WreathElement(comps, rng.randrange(n))
+def random_components(rng, n, d):
+    return tuple(tuple(rng.sample(range(d), d)) for _ in range(n))
 
 
-def test_flattening_is_a_homomorphism():
+def test_wreath_follows_the_product_law():
+    # (x, s)(y, t) = ((x_i * y_(i+s))_i, s + t): the flat permutations
+    # multiply as the elements of X wr C_n they stand for, and the
+    # components and shift read back are those they were built from
     rng = random.Random(11)
     n, d = 4, 5
-    for _ in range(150):
-        a, b = random_wreath(rng, n, d), random_wreath(rng, n, d)
-        assert flatten(wmul(a, b), d) == pmul(flatten(a, d), flatten(b, d))
-        assert flatten(winv(a), d) == pinv(flatten(a, d))
-        e = rng.randrange(-6, 7)
-        assert flatten(wpow(a, e), d) == ppow(flatten(a, d), e)
-        assert unflatten(flatten(a, d), n, d) == a
+    for _ in range(50):
+        x, y = random_components(rng, n, d), random_components(rng, n, d)
+        s, t = rng.randrange(n), rng.randrange(n)
+        product = [pmul(x[i], y[(i + s) % n]) for i in range(n)]
+        assert pmul(wreath(x, s, d), wreath(y, t, d)) == wreath(product,
+                                                                s + t, d)
+        assert construct._wreath_parts(wreath(x, s, d), d) == (x, s)
 
 
 def test_conjugation_by_tau_rotates_components():
     rng = random.Random(12)
     n, d = 5, 4
-    x = WreathElement(random_wreath(rng, n, d).components, 0)
-    tau = wtau(n, d)
-    rotated = wmul(wmul(winv(tau), x), tau)
-    assert rotated.components == (x.components[-1],) + x.components[:-1]
-    assert rotated.shift == 0
+    comps = random_components(rng, n, d)
+    tau = wreath((pid(d),) * n, 1, d)
+    assert pconj(wreath(comps, 0, d), tau) == wreath(comps[-1:] + comps[:-1],
+                                                     0, d)
 
 
-def test_unflatten_rejects_block_breaking_permutations():
-    straddle = (4, 1, 2, 3, 0) + tuple(range(5, 12))
-    with pytest.raises(ValueError):
-        unflatten(straddle, 3, 4)
-    swap_first_two = (1, 0) + tuple(range(2, 12))
-    assert unflatten(swap_first_two, 3, 4).shift == 0
-    assert unflatten(swap_first_two, 6, 2).shift == 0
+def test_conjugation_matrix_rejects_a_theta_breaking_blocks():
+    # a theta that carries a point across blocks takes an embedded F
+    # generator outside F^n, so its conjugate has no coordinates
+    seed = seed_pgl2(4)
+    d = seed.degree
+    straddle = perm_from_cycles(5 * d, [(0, d)])
+    with pytest.raises(ValueError, match="not invariant"):
+        conjugation_matrix(seed, straddle)
 
 
 def test_theta_orders_and_lengths():
@@ -88,15 +82,16 @@ def test_theta_orders_and_lengths():
         seed = seed_pgl2(q)
         theta = build_theta(seed)
         assert wreath_length(seed) == q + 1
-        assert theta.n == q + 1
-        assert porder(flatten(theta, seed.degree)) == order
+        assert len(theta) == (q + 1) * seed.degree
+        assert porder(theta) == order
     seed = seed_psl28_gamma()
     theta = build_theta(seed)
     assert wreath_length(seed) == 21
-    assert porder(flatten(theta, seed.degree)) == 63
+    assert porder(theta) == 63
     # single deviating coordinate carries the identity
-    assert theta.components[1] == pid(seed.degree)
-    assert all(theta.components[i] == seed.b for i in range(21) if i != 1)
+    comps = [seed.b] * 21
+    comps[1] = pid(seed.degree)
+    assert theta == wreath(comps, 1, seed.degree)
 
 
 def test_trailing_square_reading_is_rejected_by_order():
@@ -122,7 +117,7 @@ def test_product_intersection_walk_catches_a_wrong_index():
                 dataclasses.replace(seed, index_XT=index), theta)
     with pytest.raises(VerificationError, match="not prime to n"):
         verify_product_intersection_with_cycle(
-            seed, WreathElement(theta.components, 2))
+            seed, wreath((pid(seed.degree),) * 8, 2, seed.degree))
 
 
 def test_conjugation_matrix_shapes_and_orders():
@@ -139,7 +134,9 @@ def test_pure_shift_conjugation_matrix_is_a_permutation():
     seed = seed_pgl2(4)
     n = 5
     f = len(seed.F)
-    conj, prime = conjugation_matrix(seed, wtau(n, seed.degree))
+    conj, prime = conjugation_matrix(seed,
+                                     wreath((pid(seed.degree),) * n, 1,
+                                            seed.degree))
     for i in range(n):
         for j in range(f):
             row = conj[i * f + j]
@@ -350,20 +347,23 @@ def test_twisted_centralizer_of_pure_shift_is_diagonal():
     seed = seed_pgl2(4)
     T = seed.T
     d = seed.degree
-    tc = twisted_centralizer(T, wtau(3, d))
+    tc = twisted_centralizer(T, wreath((pid(d),) * 3, 1, d))
     assert tc.centralizer.order() == 60
     assert tc.normalizer.order() == 60
     sample = T.gens[0]
-    diag = flatten(WreathElement((sample,) * 3, 0), d)
+    diag = wreath((sample,) * 3, 0, d)
     assert tc.centralizer.contains(diag)
     assert sorted(tc.by_exponent) == [1]
 
 
 def test_twisted_centralizer_requires_full_cycle():
     seed = seed_pgl2(4)
-    broken = WreathElement((pid(seed.degree),) * 4, 2)
+    broken = wreath((pid(seed.degree),) * 4, 2, seed.degree)
     with pytest.raises(ValueError, match="n-cycle"):
         twisted_centralizer(seed.T, broken)
+    straddle = perm_from_cycles(4 * seed.degree, [(0, seed.degree)])
+    with pytest.raises(ValueError, match="does not respect the blocks"):
+        twisted_centralizer(seed.T, straddle)
 
 
 def test_valency64_twisted_centralizer():
@@ -415,7 +415,7 @@ def test_theta_reading_comparison():
 def test_embedding_blocks_commute_disjointly():
     seed = seed_pgl2(4)
     d = seed.degree
-    a = flatten(embed_block(seed.F[0], 0, 3), d)
-    b = flatten(embed_block(seed.F[1], 2, 3), d)
+    a = wreath((seed.F[0], pid(d), pid(d)), 0, d)
+    b = wreath((pid(d), pid(d), seed.F[1]), 0, d)
     assert pmul(a, b) == pmul(b, a)
-    assert wid(3, d).components == (pid(d),) * 3
+    assert wreath((pid(d),) * 3, 0, d) == pid(3 * d)

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from patgraphs.cli import main
-from patgraphs.construct import embed_block, flatten
+from patgraphs.construct import wreath
 from patgraphs.gf import make_field
 from patgraphs.graphcert import (
     _COMMON_KEYS,
@@ -39,6 +39,7 @@ from patgraphs.permgrp import (
     coset_action,
     filtered_intersection_with_product,
     perm_from_cycles,
+    pid,
     pinv,
     pmul,
 )
@@ -126,8 +127,9 @@ def test_local_certificate_matches_enumeration(k4_setup, petersen_setup):
         cert = local_certificate(G, H, g)
         assert cert.valency == sg.degree(0)
         assert cert.connected == graph_is_connected(sg)
-        ca = coset_action(G, H)
-        orbit_count = two_arc_orbit_count(sg, list(ca.group.gens))
+        # the graph carries G's action on its vertices, the coset action
+        assert sg.vertex_action == tuple(coset_action(G, H).group.gens)
+        orbit_count = two_arc_orbit_count(sg, list(sg.vertex_action))
         assert cert.locally_2transitive == (orbit_count == 1)
         assert cert.all_conditions
         assert cert.valency * cert.intersection_order == cert.stabilizer_order
@@ -394,7 +396,8 @@ def test_diagonal_type_needs_every_projection_injective(bip5_symmetric):
     bip = bip5_symmetric
     cert = certify(bip)
     payload = json.loads(json.dumps(certificate_payload(cert)))
-    a0 = flatten(embed_block(bip.seed.a, 0, bip.n), bip.block_degree)
+    d = bip.block_degree
+    a0 = wreath((bip.seed.a,) + (pid(d),) * (bip.n - 1), 0, d)
     payload["generators"]["H"] = [list(a0), list(bip.bold_b)]
     report = verify_certificate(payload)
     assert ("checks.diagonal_type: stated True, recomputed False"

@@ -375,7 +375,7 @@ def test_socle_groups_match_bounded_sift(kind, value):
     if kind == "q":
         pa = product_action_construction(value)
         groups = [pa.G]
-        extra = [x for x in (pa.o, pa.theta_perm) if x is not None]
+        extra = [x for x in (pa.o, pa.theta) if x is not None]
         extra += list(pa.H.gens)
     else:
         bc = bipartite_construction(value)
@@ -665,7 +665,7 @@ def test_schreier_generators_use_transversal_inverses(pa7):
                     perm_from_cycles(5, [(0, 1)])])
     a4 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
                     perm_from_cycles(5, [(0, 1), (2, 3)])])
-    theta = PermGroup([pa7.theta_perm])
+    theta = PermGroup([pa7.theta])
     for group, sub in ((s5, a4), (_wreath_s5_c3(), DirectPower(s5, 3)),
                        (pa7.H, theta)):
         walk = permgrp._coset_walk(group.gens, pid(group.degree),
