@@ -29,7 +29,7 @@ for p, family in ((5, "symmetric"), (5, "pgl2"), (7, "pgl2")):
     print(f"  connected {lc.connected}, locally 2-transitive "
           f"{lc.locally_2transitive}")
     print(f"  diagonal type {cert.diagonal_type} "
-          f"(|T^(p-1) meet H| = {bc.meet.order()}, injective projections)")
+          f"(|T^(p-1) meet H| = {cert.meet.order()}, injective projections)")
     print(f"  standard double cover verdict: {cert.double_cover_verdict}")
     print()
 

@@ -9,13 +9,13 @@ the same local certificate.
 
 Every verdict of a certificate has one derivation, _derive, which both
 certify (from a construction's groups) and verify_certificate (from the
-groups rebuilt out of a payload's generators) call: socle transitivity,
-the diagonal type of T^n meet H from the projections of its generators,
-the parameter and Theorem 1 case from the valency, the family, and the
-bipartite index, half-swap and double-cover verdicts.  T^n meet H is
-never enumerated.  The format has one writer, certificate_payload:
-verify_certificate compares its output for the rebuilt groups with the
-payload, leaf by leaf.
+groups rebuilt out of a payload's generators) call: T^n meet H, walked
+there once and never enumerated, socle transitivity, the diagonal type
+from the projections of its generators, the parameter and Theorem 1
+case from the valency, the family, and the bipartite index, half-swap
+and double-cover verdicts; certify alone checks them.  The format has
+one writer, certificate_payload: verify_certificate compares its output
+for the rebuilt groups with the payload, leaf by leaf.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .permgrp import (
     pid,
     pmul,
     porder,
+    ppow,
     socle_group,
 )
 
@@ -256,7 +257,7 @@ def local_certificate(G: PermGroup, H: PermGroup, g: Perm
 class CosetGraphCertificate:
     """The verdicts of a certificate, with the groups they were derived
     from: G, the vertex stabilizer H, the edge element g, the socle
-    M = T^n and, for a bipartite graph, G*."""
+    M = T^n, T^n meet H and its projections, and G* if bipartite."""
     kind: str
     family: str | None
     parameter: int
@@ -272,6 +273,8 @@ class CosetGraphCertificate:
     H: PermGroup
     g: Perm
     M: DirectPower
+    meet: PermGroup
+    projections: tuple[PermGroup, ...]
     gstar: PermGroup | None = None
     gstar_index: int | None = None
     g_swaps_halves: bool | None = None
@@ -329,26 +332,29 @@ def _family(kind: str, T: PermGroup, n: int,
 
 
 def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
-            meet: PermGroup, fit: tuple[str, int] | None,
+            fit: tuple[str, int] | None,
             gstar: PermGroup | None = None) -> CosetGraphCertificate:
     """Every verdict of a certificate, from the groups alone: G with the
     vertex stabilizer H and edge element g, G* when the graph is
-    bipartite, the socle M = T^n, the fit (family and parameter) that
-    _family finds for it, and meet = M meet H, read through its generators,
-    never its elements.  certify and verify_certificate both call it."""
+    bipartite, the socle M = T^n and the fit (family and parameter) that
+    _family finds for it.  Once local_certificate has checked that H and
+    g lie in G, T^n meet H is walked, its one derivation, and projected
+    through its generators.  certify and verify_certificate call it."""
     local = local_certificate(G, H, g)
+    meet = filtered_intersection_with_product(H, M)
+    projections = tuple(M.projection(meet, i) for i in range(M.copies))
     valency = local.valency
     family, fitted = fit or (None, None)
     top = G if gstar is None else gstar
     fields = dict(
-        local=local, G=G, H=H, g=g, M=M,
+        local=local, G=G, H=H, g=g, M=M, meet=meet, projections=projections,
         # the socle is transitive on the cosets of H in top
         socle_transitive=(all(top.contains(x) for x in H.gens)
                           and M.order() * H.order()
                           == top.order() * meet.order()),
         # every projection pi_i of T^n meet H is injective
-        diagonal_type=all(M.projection(meet, i).order() == meet.order()
-                          for i in range(M.copies)),
+        diagonal_type=all(proj.order() == meet.order()
+                          for proj in projections),
         # |T^n| = |G:H| * valency: the socle is regular on the arcs
         arc_regular_socle=M.order() * H.order() == G.order() * valency,
     )
@@ -375,10 +381,10 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
 
 def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     """Certificate for a product-action or bipartite construction, from
-    its groups and the T^n meet H it computed: T^n must be transitive on
-    the cosets of H, and T^n meet H of diagonal type exactly when the
-    graph is bipartite.  g defaults to the replicated seed involution;
-    the valency-64 family passes its searched element."""
+    its groups and the socle M its G was built over; the one place that
+    checks the verdicts a construction must have.  g defaults to the
+    replicated seed involution; the valency-64 family passes its
+    searched element."""
     if isinstance(construction, Valency64Construction):
         return certify(construction.pa, construction.g)
     if isinstance(construction, PAConstruction):
@@ -394,14 +400,39 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     if construction.G is None:
         raise ValueError("construction is missing the assembled G")
     seed = construction.seed
-    cert = _derive(construction.G, construction.H, g,
-                   DirectPower(seed.T, construction.n), construction.meet,
+    cert = _derive(construction.G, construction.H, g, construction.M,
                    _family(kind, seed.T, construction.n, seed.field), gstar)
     check(cert.family == seed.family, f"the groups show family "
           f"{cert.family!r}, not the seed's {seed.family!r}")
     check(cert.socle_transitive, "T^n is not transitive on the coset space")
     check(cert.diagonal_type == (kind == "bipartite"),
           f"diagonal type {cert.diagonal_type} for a {kind} construction")
+    check(cert.local.all_conditions,
+          f"certificate conditions failed: {cert.local}")
+    if kind == "bipartite":
+        check(cert.gstar_index == 2, "Gstar does not have index 2")
+        check(cert.g_swaps_halves, "g lies in Gstar")
+        # |<a, b^2>| is divisible by the coprime p and (p - 1)/2
+        p, a = construction.p, construction.bold_a
+        b2 = ppow(construction.bold_b, 2)
+        check(porder(a) == p and porder(b2) == (p - 1) // 2
+              and cert.meet.order() == p * (p - 1) // 2
+              and cert.meet.contains(a) and cert.meet.contains(b2),
+              "T^(p-1) meet H is not <a, b^2>")
+        return cert
+    # subdirect; equal orders and generators of one inside the other
+    # make two subgroups equal
+    if seed.family != "psl28-gamma":
+        target = filtered_intersection_with_product(seed.R, seed.T)
+        name = "R meet T"
+    else:
+        target, name = cert.projections[0], "projection 0"
+        check(1 < target.order() < seed.T.order(),
+              "projection 0 of T^n meet H is not proper nontrivial")
+    for i, proj in enumerate(cert.projections):
+        check(proj.order() == target.order()
+              and all(target.contains(x) for x in proj.gens),
+              f"projection {i} of T^n meet H is not {name}")
     return cert
 
 
@@ -415,6 +446,8 @@ def enumerate_small_graph(G: PermGroup, H: PermGroup, g: Perm,
     double coset HgH.  G acts on them by its coset action, built once
     under the limit."""
     g = tuple(g)
+    if not G.contains(g):
+        raise ValueError("g must lie in G")
     if not H.contains(pmul(g, g)):
         raise ValueError("g squared must lie in H")
     if H.contains(g):
@@ -526,7 +559,8 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
     from the given seed, derive every verdict with certify's own code,
     serialize it with certificate_payload and compare the JSON trees
     leaf by leaf.  Before any walk of cosets of T^n, the socle factor
-    must be transitive and fit a family, and H and g must lie in G."""
+    must be transitive and fit a family; _derive then checks that H and
+    g lie in G before it walks the cosets of H or of T^n."""
     _check_shape(payload)
     verdict = payload["double_cover_verdict"]
     check(payload["kind"] == "bipartite" or verdict == "untested",
@@ -543,11 +577,9 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
     g = tuple(gens["g"])
     # orders are proven from the generators; the payload's are only compared
     G = socle_group(gens["G"], M)
-    check(all(G.contains(x) for x in [*H.gens, g]), "H or g is not in G")
     gstar = (socle_group(gens["gstar"], M)
              if payload["kind"] == "bipartite" else None)
-    cert = _derive(G, H, g, M, filtered_intersection_with_product(H, M),
-                   fit, gstar)
+    cert = _derive(G, H, g, M, fit, gstar)
     stated, written = _leaves(payload), certificate_payload(cert)
     failures = tuple(_mismatch(path, stated[path], value)
                      for path, value in _leaves(written).items()

@@ -141,7 +141,7 @@ def test_criterion_5_pipeline_q7():
         proj = PermGroup([tuple(y - i * d for y in x) for x in proj],
                          degree=d)
         assert proj.order() == 21, f"projection {i}"
-    assert pa.meet.order() == meet.order() > 21
+    assert cert.meet.order() == meet.order() > 21
     assert not cert.diagonal_type
     assert cert.theorem1_case == "iii"
 
@@ -216,7 +216,7 @@ def test_criterion_7_bipartite_p5():
         assert bc.G.order() == 60**4 * 16
         assert cert.double_cover_verdict == "is_not"
         assert cert.diagonal_type
-        meet = bc.meet
+        meet = cert.meet
         assert meet.order() == 10
         d = bc.block_degree
         for i in range(bc.n):

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from patgraphs import cli, gf, graphcert, permgrp
-from patgraphs.atlas import projective_scaling
+from patgraphs import atlas, cli, construct, gf, graphcert, permgrp
+from patgraphs.atlas import projective_scaling, seed_pgl2
 from patgraphs.cli import main, parse_generators, parse_permutation
 from patgraphs.graphcert import _leaves, certificate_payload, certify
 from patgraphs.permgrp import DirectPower, PermGroup
@@ -277,6 +277,47 @@ def _record_completed_chains(monkeypatch):
 
     monkeypatch.setattr(permgrp.PermGroup, "_complete", recording)
     return completed
+
+
+def test_build_theta_builds_no_chain_on_all_points(monkeypatch):
+    # theta^n is a constant tuple, so <theta^n> and <b^2> x <c> compare
+    # on one block of d points
+    seed = seed_pgl2(11)
+    completed = _record_completed_chains(monkeypatch)
+    theta = construct.build_theta(seed)
+    assert completed
+    assert all(len(x) == seed.degree < len(theta)
+               for gens in completed for x in gens)
+
+
+def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
+    # construct, bipartite and verify each build one DirectPower and
+    # walk the cosets of T^n under H once, in _derive
+    powers, walks = [], []
+    init = permgrp.DirectPower.__init__
+    meet = permgrp.filtered_intersection_with_product
+
+    def building(self, factor, copies):
+        powers.append(copies)
+        init(self, factor, copies)
+
+    def walking(small, big):
+        walks.append(frozenset(small.gens))
+        return meet(small, big)
+
+    monkeypatch.setattr(permgrp.DirectPower, "__init__", building)
+    for module in (permgrp, atlas, graphcert):
+        monkeypatch.setattr(module, "filtered_intersection_with_product",
+                            walking)
+    for command in (["construct", "--q", "7"], ["bipartite", "--p", "5"]):
+        cert = tmp_path / f"{command[0]}.json"
+        for argv in (command + ["--out", str(cert)], ["verify", str(cert)]):
+            powers.clear()
+            walks.clear()
+            assert main(argv) == 0
+            H = frozenset(tuple(x) for x in
+                          json.loads(cert.read_text())["generators"]["H"])
+            assert len(powers) == 1 and walks.count(H) == 1, argv
 
 
 def test_every_chain_sifts_from_the_run_seed(tmp_path, monkeypatch):
@@ -615,6 +656,21 @@ def test_toy_disconnected_graphs_agree(capsys):
     assert "degrees [3]" in out and "connected False" in out
     assert "locally 2-transitive False, connected False" in out
     assert "agrees with enumeration: True" in out
+
+
+def test_negative_component_index_is_out_of_range(capsys):
+    for argv in (["construct", "--q", "4", "--component-index", "-1"],
+                 ["example-2-6", "--component-index", "-1"]):
+        assert main(argv) == 2
+        assert "out of range" in capsys.readouterr().err
+
+
+def test_toy_rejects_g_outside_G(capsys):
+    # g was looked up among the cosets of H before, and the coset action
+    # failed with an internal message
+    assert main(["toy", "--degree", "3", "--group", "(0 1 2)",
+                 "--subgroup", "()", "--g", "(0 1)"]) == 2
+    assert "rejected: g must lie in G" in capsys.readouterr().err
 
 
 def test_toy_validation_errors(capsys):

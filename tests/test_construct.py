@@ -21,11 +21,11 @@ from patgraphs.construct import (
     regular_components,
     twisted_centralizer,
     verify_code_model_similarity,
-    verify_product_intersection_with_cycle,
     wreath,
     wreath_length,
 )
 from patgraphs.eqcode import Code, decompose_invariant
+from patgraphs.graphcert import certify
 from patgraphs.permgrp import (
     DirectPower,
     PermGroup,
@@ -98,26 +98,6 @@ def test_trailing_square_reading_is_rejected_by_order():
     seed = seed_psl28_gamma()
     with pytest.raises(VerificationError, match="order 21"):
         build_theta(seed, "trailing-square")
-
-
-def test_product_intersection_divisor_rule():
-    for q in (4, 7):
-        seed = seed_pgl2(q)
-        verify_product_intersection_with_cycle(seed, build_theta(seed))
-
-
-def test_product_intersection_walk_catches_a_wrong_index():
-    # only the powers of theta^n are walked; a wrong |X:T| still shows
-    # at the first of them whose membership it misstates
-    seed = seed_pgl2(7)
-    theta = build_theta(seed)
-    for index, e in ((1, 8), (3, 16)):
-        with pytest.raises(VerificationError, match=f"theta\\^{e} "):
-            verify_product_intersection_with_cycle(
-                dataclasses.replace(seed, index_XT=index), theta)
-    with pytest.raises(VerificationError, match="not prime to n"):
-        verify_product_intersection_with_cycle(
-            seed, wreath((pid(seed.degree),) * 8, 2, seed.degree))
 
 
 def test_conjugation_matrix_shapes_and_orders():
@@ -265,7 +245,21 @@ def test_assembled_G_q4(pa4):
     assert pa4.G.order() // pa4.H.order() == 16_200_000
     meet = filtered_intersection_with_product(pa4.H,
                                               DirectPower(pa4.seed.T, 5))
-    assert meet.order() == pa4.meet.order() == 48
+    assert meet.order() == certify(pa4).meet.order() == 48
+
+
+def test_assemble_G_proves_the_meet_of_T_n_and_theta(pa7):
+    # |G| = |T|^n * n * |X:T| holds exactly when T^n meets <theta> in
+    # <theta^(n |X:T|)>; a wrong |X:T|, or a theta whose shift is not
+    # prime to n, fails it
+    seed = pa7.seed
+    wrong = [dataclasses.replace(pa7, seed=dataclasses.replace(
+        seed, index_XT=index)) for index in (1, 3)]
+    shift2 = wreath((pid(seed.degree),) * 8, 2, seed.degree)
+    wrong.append(dataclasses.replace(pa7, theta=shift2))
+    for pa in wrong:
+        with pytest.raises(VerificationError, match="G has the wrong order"):
+            assemble_G(pa)
 
 
 def test_assemble_G_compares_projections_by_membership(pa4):
@@ -277,10 +271,10 @@ def test_assemble_G_compares_projections_by_membership(pa4):
              if not all(rt.contains(pconj(y, x)) for y in rt.gens))
     R = PermGroup([pconj(x, t) for x in seed.R.gens], degree=seed.degree)
     moved = dataclasses.replace(pa4, seed=dataclasses.replace(seed, R=R),
-                                G=None, meet=None)
+                                G=None, M=None)
     with pytest.raises(VerificationError,
                        match="projection 0 of T\\^n meet H is not R meet T"):
-        assemble_G(moved)
+        certify(assemble_G(moved))
 
 
 def test_assembled_G_q7(pa7):
@@ -294,7 +288,7 @@ def test_assembled_G_q7(pa7):
         proj = {x[i * d:(i + 1) * d] for x in elements}
         assert len(proj) == 21
     # non-diagonal: pi_0 has a nontrivial kernel
-    assert pa7.meet.order() == 147 > 21
+    assert certify(pa7).meet.order() == 147 > 21
 
 
 def test_G_is_certified_by_its_socle_bound():
@@ -327,7 +321,7 @@ def test_bipartite_p5(bip5_symmetric, bip5_pgl2):
         assert bc.K.order() == 16
         assert bc.Gstar.order() == 60**4 * 8
         assert bc.G.order() == 60**4 * 16
-        assert bc.meet.order() == 10
+        assert certify(bc).meet.order() == 10
         assert porder(bc.o) == 2
         assert not bc.Gstar.contains(bc.o)
         assert pconj(bc.bold_b, bc.o) == pinv(bc.bold_b)
@@ -340,7 +334,7 @@ def test_bipartite_p7():
     assert bc.H.order() == 7 * 36
     assert bc.K.order() == 36
     assert bc.G.order() == 2520**6 * 24
-    assert bc.meet.order() == 21
+    assert certify(bc).meet.order() == 21
 
 
 def test_twisted_centralizer_of_pure_shift_is_diagonal():

@@ -1,0 +1,84 @@
+"""Forged certificates, one broken premise each.  A forgery's payload
+is written by certificate_payload for the forged groups, so every leaf
+is what today's walks derive for them; each is pinned by the sha256 of
+its JSON.  verify must accept a forgery as written and reject it with a
+verdict flipped, and certify must reject the forged construction on the
+verdict that is really false."""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from patgraphs.cli import main
+from patgraphs.construct import BipartiteConstruction
+from patgraphs.graphcert import _derive, _family, certificate_payload, certify
+from patgraphs.numth import VerificationError
+from patgraphs.permgrp import PermGroup, ppow
+
+# sha256 of json.dumps(payload, sort_keys=True)
+DIGESTS = {
+    # H = <E, theta^3>: of order 80, not locally 2-transitive
+    "q4-theta-cubed":
+        "002eac7ca144c485fbf069fd954788f2d49b6715d7cf1bdeeebed7bc97a46ec8",
+    # H = <E minus its first generator, theta>: the same group, since
+    # theta's conjugates of the rest span E, with another generator list
+    "q4-E-first-dropped":
+        "6d1ac71f2cf54079cd2bc41282701b93b9b88eb12c0b99ad5da534b69b92376a",
+    # H = <a, b>: of order 20, T^4 not transitive on its cosets in G*
+    "p5-tau-dropped":
+        "2aee233b733c660bccd8ed1fbaf0cb631488c4bf614af60703dd08f09a87e623",
+}
+
+
+@pytest.fixture
+def forged(request):
+    """The forged construction of each name: the built one with H
+    replaced."""
+    def build(name):
+        if name == "p5-tau-dropped":
+            bc = request.getfixturevalue("bip5_symmetric")
+            gens = [bc.bold_a, bc.bold_b]
+        else:
+            bc = request.getfixturevalue("pa4")
+            gens = ([*bc.E, ppow(bc.theta, 3)] if name == "q4-theta-cubed"
+                    else [*bc.E[1:], bc.theta])
+        return dataclasses.replace(bc, H=PermGroup(gens, degree=bc.H.degree))
+    return build
+
+
+def _payload(c) -> dict:
+    bipartite = isinstance(c, BipartiteConstruction)
+    kind = "bipartite" if bipartite else "product-action"
+    cert = _derive(c.G, c.H, c.o, c.M, _family(kind, c.seed.T, c.n),
+                   c.Gstar if bipartite else None)
+    return certificate_payload(cert)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_forged_payload_is_pinned_and_verified(tmp_path, capsys, forged,
+                                               name):
+    payload = _payload(forged(name))
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+    path = tmp_path / "forged.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 0
+    checks = payload["checks"]
+    checks["locally_2transitive"] = not checks["locally_2transitive"]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    assert "checks.locally_2transitive: stated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,message", [
+    ("q4-theta-cubed", "certificate conditions failed"),
+    ("p5-tau-dropped", "T\\^n is not transitive on the coset space"),
+])
+def test_certify_rejects_the_forged_construction(forged, name, message):
+    # certify walks T^n meet H for the H it is given: |T^5 meet H| is 16
+    # for <E, theta^3>, and T^5 is transitive on its cosets
+    with pytest.raises(VerificationError, match=message):
+        certify(forged(name))

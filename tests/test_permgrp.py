@@ -12,6 +12,7 @@ from patgraphs.construct import (
     product_action_construction,
 )
 from patgraphs.gf import GF
+from patgraphs.graphcert import certify
 from patgraphs.numth import VerificationError
 from patgraphs.permgrp import (
     DirectPower,
@@ -428,9 +429,9 @@ def test_projections_by_generators_match_enumeration(kind, value, request):
     elif kind == "p":
         c = bipartite_construction(value)
     else:
-        c = request.getfixturevalue("v64").pa
-    M = DirectPower(c.seed.T, c.n)
-    injective = _projections_against_enumeration(M, c.meet)
+        c = request.getfixturevalue("v64")
+    cert = certify(c)
+    injective = _projections_against_enumeration(cert.M, cert.meet)
     # the bipartite meet is diagonal, the product-action one is not
     assert all(injective) == (kind == "p")
 
