@@ -36,6 +36,7 @@ from patgraphs.permgrp import (
     pinv,
     pmul,
     porder,
+    ppow,
 )
 
 
@@ -248,10 +249,24 @@ def test_assembled_G_q4(pa4):
     assert meet.order() == certify(pa4).meet.order() == 48
 
 
-def test_assemble_G_proves_the_meet_of_T_n_and_theta(pa7):
+def test_product_intersection_divisor_rule(pa4, pa7):
+    # T^n meets <theta> in <theta^m>, m = n |X:T|: theta^m lies in T^n
+    # and theta^(m/r) does not for any prime r dividing m, which is the
+    # fact assemble_G's order |G| = |T|^n * n * |X:T| proves
+    for pa in (pa4, pa7):
+        seed = pa.seed
+        m = pa.n * seed.index_XT
+        assert pa.G.order() == seed.T.order()**pa.n * m
+        assert pa.M.contains(ppow(pa.theta, m))
+        for r in {r for r in range(2, m + 1)
+                  if m % r == 0 and all(r % s for s in range(2, r))}:
+            assert not pa.M.contains(ppow(pa.theta, m // r))
+
+
+def test_product_intersection_walk_catches_a_wrong_index(pa7):
     # |G| = |T|^n * n * |X:T| holds exactly when T^n meets <theta> in
     # <theta^(n |X:T|)>; a wrong |X:T|, or a theta whose shift is not
-    # prime to n, fails it
+    # prime to n, fails assemble_G's order check
     seed = pa7.seed
     wrong = [dataclasses.replace(pa7, seed=dataclasses.replace(
         seed, index_XT=index)) for index in (1, 3)]
