@@ -43,6 +43,7 @@ from .permgrp import (
     porder,
     ppow,
     same_double_coset,
+    socle_generates,
     socle_group,
 )
 
@@ -478,17 +479,16 @@ def valency64_construction(seed: AlmostSimpleSeed,
     check(set(_two_elements(cent))
           == set(_two_elements(tc.normalizer_elements)),
           "normalizer has 2-elements outside the centralizer")
-    # candidate edge elements: 2-elements of G joining H up to G, |G| bound
+    # candidate edge elements: 2-elements of G joining H up to G, decided
+    # through the socle; the others are kept if <H, x> = H u Hx
     candidates = []
     h_normalizers = []
     for x in _two_elements(tc.normalizer_elements):
         check(pa.G.contains(x), "a 2-element of N_M(<theta>) is not in G")
-        joined = PermGroup(list(pa.H.gens) + [x], degree=pa.G.degree,
-                           upper_bound=pa.G.order(),
-                           seed=pa.H.seed).order()
-        if joined == pa.G.order():
+        if socle_generates([*pa.H.gens, x], pa.M, pa.G.order()):
             candidates.append(x)
-        elif joined == 2 * pa.H.order():
+        elif (all(pa.H.contains(pconj(h, x)) for h in pa.H.gens)
+              and pa.H.contains(pmul(x, x)) and not pa.H.contains(x)):
             h_normalizers.append(x)
     check(bool(candidates), "no 2-element of N_M(<theta>) joins H up to G")
     classes = []

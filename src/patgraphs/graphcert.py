@@ -2,10 +2,14 @@
 
 The large constructions cannot be enumerated, so 2-arc-transitivity is
 certified locally: the edge stabilizer H meet H^g, the valency, local
-2-transitivity of H on the neighborhood, and connectivity via the order
-of <H, g>: H and g lie in G, so <H, g> is sifted to the proven bound
-|G|.  Toy instances are enumerated in full and cross-checked against
-the same local certificate.
+2-transitivity of H on the neighborhood, and connectivity, <H, g> = G
+for H and g checked to lie in G.  Connectivity is proven through G's
+socle T^n by permgrp.socle_generates, with no chain of <H, g>; it needs
+T simple, which the family fit proves, so certify and
+verify_certificate fit the family first.  Toy instances have no socle:
+<H, g> is sifted to the proven bound |G| there, and they are
+enumerated in full and cross-checked against the same local
+certificate.
 
 Every verdict of a certificate has one derivation, _derive, which both
 certify (from a construction's groups) and verify_certificate (from the
@@ -26,7 +30,7 @@ from math import factorial, gcd, isqrt
 from .atlas import psl2
 from .construct import BipartiteConstruction, PAConstruction, Valency64Construction
 from .gf import GF, make_field
-from .numth import check, classify_valency_case, prime_power
+from .numth import check, classify_valency_case, is_prime, prime_power
 from .permgrp import (
     DirectPower,
     Perm,
@@ -40,6 +44,7 @@ from .permgrp import (
     pmul,
     porder,
     ppow,
+    socle_generates,
     socle_group,
 )
 
@@ -226,24 +231,30 @@ def edge_stabilizer(H: PermGroup, g: Perm) -> PermGroup:
     return coset_stabilizer(H, H, g)[0]
 
 
-def local_certificate(G: PermGroup, H: PermGroup, g: Perm
-                      ) -> LocalCertificate:
+def local_certificate(G: PermGroup, H: PermGroup, g: Perm,
+                      M: DirectPower | None = None) -> LocalCertificate:
     """The valency is the length of the orbit of Hg under H, and local
     2-transitivity is read off H's action on that orbit, both from the
-    walk that gives edge_stabilizer.  H and g must lie in G, so <H, g>
-    is sifted to the proven bound |G|, which it meets exactly when the
-    graph is connected."""
+    walk that gives edge_stabilizer.  H and g must lie in G, and the
+    graph is connected exactly when <H, g> = G.  Given G's socle M, with
+    a factor that _family has fitted and so proven simple, that is
+    decided through M by socle_generates; otherwise <H, g> is sifted to
+    the proven bound |G|, which it meets exactly when it is G."""
     check(all(G.contains(x) for x in [*H.gens, g]), "H or g is not in G")
     meet, neighbours = coset_stabilizer(H, H, g)
     valency = neighbours.degree
-    joined = PermGroup(list(H.gens) + [g], degree=H.degree,
-                       upper_bound=G.order(), seed=H.seed).order()
+    if M is None:
+        connected = PermGroup([*H.gens, g], degree=H.degree,
+                              upper_bound=G.order(),
+                              seed=H.seed).order() == G.order()
+    else:
+        connected = socle_generates([*H.gens, g], M, G.order())
     return LocalCertificate(
         group_order=G.order(),
         stabilizer_order=H.order(),
         intersection_order=meet.order(),
         valency=valency,
-        connected=joined == G.order(),
+        connected=connected,
         locally_2transitive=is_two_transitive(neighbours),
         g_square_in_H=H.contains(pmul(g, g)),
         g_outside_H=not H.contains(g),
@@ -302,14 +313,16 @@ def _family(kind: str, T: PermGroup, n: int,
             field: GF | None = None) -> tuple[str, int] | None:
     """The seed family whose socle is T^n, with its parameter q (the
     valency when bipartite), from T's degree d, the number n of blocks
-    and |T|; None if none fits or q is not a prime power.  The shapes
-    of d and n exclude one another, so at most one family fits.  T is
-    A_q on q points in the symmetric families, proven by |T| alone, as
-    A_q is the only subgroup of S_q of index 2.  Otherwise T is PSL(2, q)
-    on the atlas's q + 1 projective points, proven by |T| and the atlas
+    and |T|; None if none fits or q is too small.  The shapes of d and n
+    exclude one another, so at most one family fits.  T is A_q on q
+    points in the symmetric families, proven by |T| alone, as A_q is the
+    only subgroup of S_q of index 2.  Otherwise T is PSL(2, q) on the
+    atlas's q + 1 projective points, proven by |T| and the atlas
     generators of PSL(2, q) lying in T; `field` is GF(q) if the caller
-    has it.  |T| is compared only once d and n fit: a factorial only of
-    d, bounded by the payload."""
+    has it.  A fit proves T nonabelian simple: q is a prime power, at
+    least 4 for PSL(2, q) and 5 for A_q, and a prime of at least 5 in the
+    bipartite families, as their seeds require.  |T| is compared only
+    once d and n fit: a factorial only of d, bounded by the payload."""
     d = T.degree
     shapes = {
         "product-action": [("pgl2", d - 1, n == d),
@@ -318,8 +331,10 @@ def _family(kind: str, T: PermGroup, n: int,
         "bipartite": [("pgl2-bipartite", d - 1, n == d - 2),
                       ("symmetric-bipartite", d, n == d - 1)],
     }
+    bipartite = kind == "bipartite"
     for family, q, fits in shapes[kind]:
-        if not (fits and prime_power(q)
+        if not (fits and q >= (5 if bipartite or q == d else 4)
+                and (is_prime(q) if bipartite else prime_power(q))
                 and T.order() == (factorial(q) // 2 if q == d
                                   else q * (q * q - 1) // gcd(2, q - 1))):
             continue
@@ -332,19 +347,20 @@ def _family(kind: str, T: PermGroup, n: int,
 
 
 def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
-            fit: tuple[str, int] | None,
+            fit: tuple[str, int],
             gstar: PermGroup | None = None) -> CosetGraphCertificate:
     """Every verdict of a certificate, from the groups alone: G with the
     vertex stabilizer H and edge element g, G* when the graph is
     bipartite, the socle M = T^n and the fit (family and parameter) that
-    _family finds for it.  Once local_certificate has checked that H and
-    g lie in G, T^n meet H is walked, its one derivation, and projected
-    through its generators.  certify and verify_certificate call it."""
-    local = local_certificate(G, H, g)
+    _family finds for it, which proves T simple for the connectivity
+    proof through M.  Once local_certificate has checked that H and g lie
+    in G, T^n meet H is walked, its one derivation, and projected through
+    its generators.  certify and verify_certificate call it."""
+    local = local_certificate(G, H, g, M)
     meet = filtered_intersection_with_product(H, M)
     projections = tuple(M.projection(meet, i) for i in range(M.copies))
     valency = local.valency
-    family, fitted = fit or (None, None)
+    family, fitted = fit
     top = G if gstar is None else gstar
     fields = dict(
         local=local, G=G, H=H, g=g, M=M, meet=meet, projections=projections,
@@ -400,8 +416,10 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     if construction.G is None:
         raise ValueError("construction is missing the assembled G")
     seed = construction.seed
-    cert = _derive(construction.G, construction.H, g, construction.M,
-                   _family(kind, seed.T, construction.n, seed.field), gstar)
+    fit = _family(kind, seed.T, construction.n, seed.field)
+    check(fit is not None, "the socle factor fits no family")
+    cert = _derive(construction.G, construction.H, g, construction.M, fit,
+                   gstar)
     check(cert.family == seed.family, f"the groups show family "
           f"{cert.family!r}, not the seed's {seed.family!r}")
     check(cert.socle_transitive, "T^n is not transitive on the coset space")
@@ -423,8 +441,7 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     # subdirect; equal orders and generators of one inside the other
     # make two subgroups equal
     if seed.family != "psl28-gamma":
-        target = filtered_intersection_with_product(seed.R, seed.T)
-        name = "R meet T"
+        target, name = seed.R_meet_T, "R meet T"
     else:
         target, name = cert.projections[0], "projection 0"
         check(1 < target.order() < seed.T.order(),

@@ -242,3 +242,44 @@ def test_verify_fails_edited_fields_under_optimize_flag(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3, proc.stderr
         assert f"FAILED: {name}: stated" in proc.stderr
+
+
+def test_socle_connectivity_survives_optimize_flag():
+    # the full diagonal of A_5^2 with the block swap is disconnected on
+    # the socle path, as by the sift; socle_generates fails a generator
+    # that does not permute the blocks, and certify a socle factor that
+    # fits no family, each by its own check
+    code = ("import dataclasses\n"
+            "from patgraphs.construct import product_action_construction\n"
+            "from patgraphs.graphcert import certify, local_certificate\n"
+            "from patgraphs.numth import VerificationError\n"
+            "from patgraphs.permgrp import DirectPower, PermGroup, "
+            "perm_from_cycles, socle_generates, socle_group\n"
+            "a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),\n"
+            "                perm_from_cycles(5, [(0, 1, 2, 3, 4)])])\n"
+            "M = DirectPower(a5, 2)\n"
+            "swap = tuple(range(5, 10)) + tuple(range(5))\n"
+            "G = socle_group([*M.gens, swap], M)\n"
+            "H = PermGroup([t + tuple(5 + v for v in t) for t in a5.gens])\n"
+            "cert = local_certificate(G, H, swap, M)\n"
+            "if cert.connected or cert != local_certificate(G, H, swap):\n"
+            "    raise SystemExit(f'the full diagonal gave {cert}')\n"
+            "pa = product_action_construction(4)\n"
+            "s5 = PermGroup([perm_from_cycles(5, [(0, 1)]),\n"
+            "                perm_from_cycles(5, [(0, 1, 2, 3, 4)])])\n"
+            "unfit = dataclasses.replace(pa, seed=dataclasses.replace(\n"
+            "    pa.seed, T=s5))\n"
+            "cross = perm_from_cycles(10, [(0, 5)])\n"
+            "for run, message in (\n"
+            "        (lambda: socle_generates([cross], M, G.order()),\n"
+            "         'does not permute the blocks'),\n"
+            "        (lambda: certify(unfit), 'fits no family')):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except VerificationError as exc:\n"
+            "        if message in str(exc):\n"
+            "            continue\n"
+            "        raise SystemExit(str(exc))\n"
+            "    raise SystemExit(f'passed without {message!r}')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr

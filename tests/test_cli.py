@@ -292,7 +292,9 @@ def test_build_theta_builds_no_chain_on_all_points(monkeypatch):
 
 def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
     # construct, bipartite and verify each build one DirectPower and
-    # walk the cosets of T^n under H once, in _derive
+    # walk the cosets of T^n under H once, in _derive; construct walks
+    # R meet T once, in the atlas, and certify reads it off the seed
+    R = frozenset(seed_pgl2(7).R.gens)
     powers, walks = [], []
     init = permgrp.DirectPower.__init__
     meet = permgrp.filtered_intersection_with_product
@@ -318,6 +320,21 @@ def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
             H = frozenset(tuple(x) for x in
                           json.loads(cert.read_text())["generators"]["H"])
             assert len(powers) == 1 and walks.count(H) == 1, argv
+            assert walks.count(R) == (argv[:3] == ["construct", "--q", "7"])
+
+
+def test_connectivity_builds_no_chain_of_H_and_g(tmp_path, monkeypatch):
+    # <H, g> = G is proven through the socle: construct, bipartite and
+    # verify complete no chain whose generators include g
+    completed = _record_completed_chains(monkeypatch)
+    for command in (["construct", "--q", "11"], ["bipartite", "--p", "13"]):
+        cert = tmp_path / f"{command[0]}.json"
+        for argv in (command + ["--out", str(cert)], ["verify", str(cert)]):
+            completed.clear()
+            assert main(argv) == 0
+            g = tuple(json.loads(cert.read_text())["generators"]["g"])
+            assert completed
+            assert not [gens for gens in completed if g in gens], argv
 
 
 def test_every_chain_sifts_from_the_run_seed(tmp_path, monkeypatch):
@@ -342,7 +359,7 @@ def test_every_chain_sifts_from_the_run_seed(tmp_path, monkeypatch):
 
 def test_G_and_Gstar_need_no_chain(tmp_path, monkeypatch):
     # G and G* are ordered and tested through the socle, in construct
-    # and in verify; <H, g> and the stabilizers still sift
+    # and in verify; the stabilizers still sift
     completed = _record_completed_chains(monkeypatch)
     for command in (["construct", "--q", "7"], ["bipartite", "--p", "5"]):
         cert = tmp_path / f"{command[0]}.json"

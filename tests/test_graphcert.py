@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from patgraphs.atlas import psl2
 from patgraphs.cli import main
 from patgraphs.construct import wreath
 from patgraphs.gf import make_field
@@ -42,6 +43,7 @@ from patgraphs.permgrp import (
     pid,
     pinv,
     pmul,
+    socle_group,
 )
 
 
@@ -151,6 +153,71 @@ def test_local_certificate_of_a_disconnected_graph():
     assert not cert.locally_2transitive
     ca = coset_action(G, H)
     assert two_arc_orbit_count(sg, list(ca.group.gens)) == 2
+
+
+def _a5_wreath(n):
+    """M = T^n for T = A_5 on blocks of 5 points, G = T wr C_n, and the
+    shift that generates C_n."""
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    M = DirectPower(a5, n)
+    shift = wreath((pid(5),) * n, 1, 5)
+    return M, socle_group([*M.gens, shift], M), shift
+
+
+def test_socle_path_reports_a_full_diagonal_disconnected(monkeypatch):
+    # H the full diagonal {(t, t)} of A_5^2 and g the block swap: K =
+    # <H, g> meet T^2 is H, a full diagonal in two blocks, so no residue
+    # witnesses blocks 0 and 1 unlinked and pi_01(K), sifted to |T|^2,
+    # has order |T|
+    M, G, swap = _a5_wreath(2)
+    H = PermGroup([wreath((t, t), 0, 5) for t in M.factor.gens])
+    bounds = []
+    complete = PermGroup._complete
+
+    def recording(self, ident):
+        bounds.append((self.degree, self._upper_bound))
+        return complete(self, ident)
+
+    monkeypatch.setattr(PermGroup, "_complete", recording)
+    cert = local_certificate(G, H, swap, M)
+    assert (10, 60**2) in bounds
+    assert not cert.connected
+    assert cert == local_certificate(G, H, swap)
+
+
+def test_socle_path_agrees_with_the_sift():
+    # <H, g> = G exactly when the bounded sift says so: through a proper
+    # <H, g>M, a proper projection, full diagonals and several orbits on
+    # the blocks, against the sift of <H, g> to |G|
+    e = pid(5)
+    M2, G2, swap = _a5_wreath(2)
+    M3, G3, cycle = _a5_wreath(3)
+    t0, t1 = M2.factor.gens
+    cases = [
+        # T x 1 and the swap: T wr C_2
+        (M2, G2, [wreath((t, e), 0, 5) for t in (t0, t1)], swap, True),
+        # <H, g> = T^2, of index 2 in G
+        (M2, G2, [wreath((t, t), 0, 5) for t in (t0, t1)],
+         wreath((t0, e), 0, 5), False),
+        # <(t0, 1), swap> = <t0> wr C_2: pi_0(K) has order 3
+        (M2, G2, [wreath((t0, e), 0, 5)], swap, False),
+        # G = T^2 with blocks 0 and 1 in orbits of their own
+        (M2, socle_group(M2.gens, M2), [wreath((t, t), 0, 5)
+                                         for t in (t0, t1)],
+         wreath((t0, e), 0, 5), True),
+        # a diagonal over blocks 0 and 1, and T on block 2: the 3-cycle
+        # moves the diagonal, and together they give T^3
+        (M3, G3, [wreath((t, t, e), 0, 5) for t in (t0, t1)]
+         + [wreath((e, e, t), 0, 5) for t in (t0, t1)], cycle, True),
+        # the full diagonal of T^3
+        (M3, G3, [wreath((t, t, t), 0, 5) for t in (t0, t1)], cycle, False),
+    ]
+    for M, G, gens, g, connected in cases:
+        H = PermGroup(gens, degree=M.degree)
+        cert = local_certificate(G, H, g, M)
+        assert cert.connected == connected
+        assert cert == local_certificate(G, H, g)
 
 
 def test_local_certificate_needs_g_in_G(petersen_setup):
@@ -377,6 +444,15 @@ def test_family_needs_the_atlas_group(pa7):
     assert _family("product-action", pa7.seed.T, 8) == ("pgl2", 7)
     # d = 7 would give q = 6 for pgl2, which is not a prime power
     assert _family("product-action", sym(7), 7) is None
+    # a fit proves T simple: PSL(2, 3) is A_4, and A_4 and A_3 are not
+    # simple; the bipartite families need a prime q >= 5
+    assert _family("product-action", psl2(make_field(3), 0), 4) is None
+    a4 = PermGroup([perm_from_cycles(4, [(0, 1, 2)]),
+                    perm_from_cycles(4, [(1, 2, 3)])])
+    assert a4.order() == 12
+    assert _family("product-action", a4, 5) is None
+    assert _family("bipartite", a4, 3) is None
+    assert _family("bipartite", PermGroup([(1, 2, 0)]), 2) is None
 
 
 def test_verify_rejects_a_socle_factor_outside_the_atlas(pa7, tmp_path,
