@@ -9,7 +9,7 @@ that is returned is already a checked certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial, gcd
 
 from .gf import GF, make_field
@@ -31,9 +31,7 @@ from .permgrp import (
 @dataclass(frozen=True)
 class AlmostSimpleSeed:
     """A verified seed (X, T, R = F:(<b> x <c>)) over GF(q) with its
-    distinguished elements; `a` and `o` may be absent by family, and
-    R_meet_T, the group F:<b, c^|X:T|> proven equal to R meet T, is
-    present for the standard pgl2 and symmetric seeds only."""
+    distinguished elements; `a` and `o` may be absent by family."""
     family: str
     q: int
     field: GF
@@ -47,7 +45,6 @@ class AlmostSimpleSeed:
     b: Perm
     c: Perm | None
     o: Perm | None
-    R_meet_T: PermGroup | None = None
 
 
 # -- projective-line permutations -------------------------------------
@@ -118,9 +115,8 @@ def least_nonresidue(p: int) -> int:
 # -- shared verification ----------------------------------------------
 
 
-def _verify_affine_pair(seed: AlmostSimpleSeed) -> PermGroup:
-    """The invariants every standard seed must satisfy; returns
-    F:<b, c^|X:T|>, proven equal to R meet T by one walk."""
+def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
+    """The invariants every standard seed must satisfy."""
     q = seed.q
     two = gcd(2, q - 1)
     sift = seed.T.seed
@@ -152,7 +148,6 @@ def _verify_affine_pair(seed: AlmostSimpleSeed) -> PermGroup:
     full = PermGroup(list(seed.F) + [seed.b, seed.c, o], degree=seed.degree,
                      seed=sift)
     check(full.order() == seed.X.order(), "<F, b, c, o> is not all of X")
-    return expected
 
 
 def _verify_bipartite_pair(seed: AlmostSimpleSeed) -> None:
@@ -245,7 +240,8 @@ def seed_pgl2(q: int, bipartite: bool = False,
     check(pconj(a, o) == pinv(a), "o does not invert a")
     R = PermGroup(list(F) + [b, c], degree=degree, seed=seed)
     out = AlmostSimpleSeed("pgl2", q, k, degree, X, T, R, two, F, a, b, c, o)
-    return replace(out, R_meet_T=_verify_affine_pair(out))
+    _verify_affine_pair(out)
+    return out
 
 
 def seed_symmetric(p: int, bipartite: bool = False,
@@ -300,7 +296,7 @@ def seed_symmetric(p: int, bipartite: bool = False,
     R = PermGroup(list(F) + [b, c], degree=degree, seed=seed)
     out = AlmostSimpleSeed("symmetric", p, k, degree, X, T, R, 2, F, a, b, c,
                            o)
-    out = replace(out, R_meet_T=_verify_affine_pair(out))
+    _verify_affine_pair(out)
     check(PermGroup(list(F) + [b, o], degree=degree, seed=seed).order()
           == T.order(), "<F, b, o> is not all of the socle")
     return out

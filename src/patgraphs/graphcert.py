@@ -441,7 +441,10 @@ def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
     # subdirect; equal orders and generators of one inside the other
     # make two subgroups equal
     if seed.family != "psl28-gamma":
-        target, name = seed.R_meet_T, "R meet T"
+        # the atlas proved R meet T = F:<b, c^|X:T|> when it built the seed
+        target = PermGroup([*seed.F, seed.b, ppow(seed.c, seed.index_XT)],
+                           degree=seed.degree, seed=seed.T.seed)
+        name = "R meet T"
     else:
         target, name = cert.projections[0], "projection 0"
         check(1 < target.order() < seed.T.order(),

@@ -35,10 +35,6 @@ INDEX_LIMIT = 10**6
 # (without one, 16); the longest quiet run measured before progress was 510
 BOUND_QUIET_CAP = 2000
 
-# consecutive sift steps with no new level and no new witness after which
-# socle_generates decides the pairs of blocks still without a witness
-WITNESS_QUIET_CAP = 16
-
 
 def pid(d: int) -> Perm:
     return tuple(range(d))
@@ -136,30 +132,6 @@ def orbit_partition(gens, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _random_elements(gens, seed: int):
-    """Random elements of <gens>, without end, drawn from the seed: the
-    running product of a product-replacement walk on a pool of at least
-    eight copies of the generators.  None for no generators."""
-    if not gens:
-        return
-    rng = random.Random(seed)
-    pool = list(gens)
-    while len(pool) < 8:
-        pool.append(pool[len(pool) % len(gens)])
-    acc = pid(len(pool[0]))
-    while True:
-        i = rng.randrange(len(pool))
-        j = rng.randrange(len(pool))
-        while j == i:
-            j = rng.randrange(len(pool))
-        if rng.random() < 0.5:
-            pool[i] = pmul(pool[i], pool[j])
-        else:
-            pool[i] = pmul(pool[j], pool[i])
-        acc = pmul(acc, pool[i])
-        yield acc
-
-
 class _Level:
     __slots__ = ("beta", "gens", "transversal", "inverse")
 
@@ -248,14 +220,12 @@ class PermGroup:
         return out
 
     def _new_level(self, mover: Perm) -> _Level:
-        lvl = _Level(self._base_point(mover))
-        lvl.transversal[lvl.beta] = pid(self.degree)
-        lvl.inverse[lvl.beta] = lvl.transversal[lvl.beta]
+        beta = min(i for i in range(self.degree) if mover[i] != i)
+        lvl = _Level(beta)
+        lvl.transversal[beta] = pid(self.degree)
+        lvl.inverse[beta] = lvl.transversal[beta]
         self._levels.append(lvl)
         return lvl
-
-    def _base_point(self, mover: Perm) -> int:
-        return min(i for i in range(self.degree) if mover[i] != i)
 
     def _strip(self, x: Perm, start: int = 0) -> tuple[Perm, int]:
         for j in range(start, len(self._levels)):
@@ -339,12 +309,28 @@ class PermGroup:
         then run the Schreier check if the bound was not met."""
         bound = self._upper_bound
         cap = 16 if bound is None else BOUND_QUIET_CAP
+        rng = random.Random(self._seed)
+        pool = list(self.gens)
+        while pool and len(pool) < 8:
+            pool.append(pool[len(pool) % len(self.gens)])
+        acc = ident
         quiet = 0
-        for x in _random_elements(self.gens, self._seed):
-            if quiet >= cap or (bound is not None
-                                and self._orbit_product() >= bound):
+        while pool and quiet < cap:
+            if bound is not None and self._orbit_product() >= bound:
                 break
-            quiet = 0 if self._update(x, ident) else quiet + 1
+            i = rng.randrange(len(pool))
+            j = rng.randrange(len(pool))
+            while j == i and len(pool) > 1:
+                j = rng.randrange(len(pool))
+            if rng.random() < 0.5:
+                pool[i] = pmul(pool[i], pool[j])
+            else:
+                pool[i] = pmul(pool[j], pool[i])
+            acc = pmul(acc, pool[i])
+            if self._update(acc, ident):
+                quiet = 0
+            else:
+                quiet += 1
         self.certified_by = "bound"
         if bound is None or self._orbit_product() < bound:
             self._verify(ident)
@@ -444,7 +430,7 @@ class DirectPower(PermGroup):
     def piece(self, x: Perm, i: int) -> Perm:
         """The images of block i's points under x, moved to 0, ..., d-1."""
         off = i * self.factor.degree
-        return tuple(map((-off).__add__, x[off:off + self.factor.degree]))
+        return tuple(v - off for v in x[off:off + self.factor.degree])
 
     def projection(self, sub: PermGroup, i: int) -> PermGroup:
         """pi_i(sub) for a subgroup of this power, the group of the pieces
@@ -464,10 +450,10 @@ class DirectPower(PermGroup):
         d = self.factor.degree
         for i in range(self.copies):
             piece = self.piece(x, i)
+            if min(piece) < 0 or max(piece) >= d:
+                return False
             inside = self._pieces.get(piece)
             if inside is None:
-                if min(piece) < 0 or max(piece) >= d:
-                    return False
                 inside = self._pieces[piece] = self.factor.contains(piece)
             if not inside:
                 return False
@@ -492,20 +478,19 @@ class _CanonicalCosets:
 
 class _PowerCosets:
     """Labels right cosets of a direct power M without building a chain
-    for M: My = Mr exactly when y*r^-1 lies in M, tested against the
-    cosets in y's bucket.  The bucket is the block that each block's
-    first point lands in, the same across My when y permutes the blocks,
-    as every element of a group normalizing M does.  A y that does not
-    lies in no coset of such an element, so it matches none."""
+    for M: which blocks each block of points lands in is the same across
+    a coset My, and My = Mr exactly when y*r^-1 lies in M."""
 
     def __init__(self, M: DirectPower):
         self.M = M
         self.count = 0
-        self.buckets: dict[tuple[int, ...], list[tuple[int, Perm]]] = {}
+        self.buckets: dict[tuple[frozenset[int], ...],
+                           list[tuple[int, Perm]]] = {}
 
     def __call__(self, y: Perm) -> int:
         d = self.M.factor.degree
-        key = tuple(map(d.__rfloordiv__, y[::d]))
+        key = tuple(frozenset(y[p] // d for p in range(i, i + d))
+                    for i in range(0, len(y), d))
         near = self.buckets.setdefault(key, [])
         for label, rinv in near:
             if self.M.contains(pmul(y, rinv)):
@@ -663,22 +648,13 @@ class _SocleExtension(PermGroup):
         return self._locate(x) < self._index
 
 
-def _check_permutes_blocks(gens, d: int) -> None:
-    """Each generator carries every block of d consecutive points onto
-    one block, as _PowerCosets needs; an element normalizing T^n does so
-    when T is transitive."""
-    check(all(x[p] // d == x[p - p % d] // d
-              for x in gens for p in range(len(x))),
-          "a generator does not permute the blocks of T^n")
-
-
 def socle_group(gens, M: DirectPower) -> _SocleExtension:
     """<gens> for generators that list every generator of the direct
     power M and normalize it, as a _SocleExtension ordered through M from
     one walk of the orbit of the coset M.  Only the generators outside M
     are walked: those inside act trivially on the cosets.  A list missing
-    one of M's generators, or with a generator that does not normalize M
-    or permute its blocks, fails."""
+    one of M's generators, or with a generator that does not normalize M,
+    fails."""
     gens = [tuple(g) for g in gens]
     for g in gens:
         if not _is_permutation(g, M.degree):
@@ -688,68 +664,36 @@ def socle_group(gens, M: DirectPower) -> _SocleExtension:
     outside = [g for g in gens if not M.contains(g)]
     check(all(M.contains(pconj(m, g)) for g in outside for m in M.gens),
           "a generator does not normalize T^n")
-    _check_permutes_blocks(outside, M.factor.degree)
     locate = M._coset_labeler()
     index = len(_coset_walk(outside, pid(M.degree), locate).transversal)
     return _SocleExtension(gens, M, locate, index)
 
 
-class _BlockChain(PermGroup):
-    """A stabilizer chain of elements of a subgroup K of the direct power
-    M, stored as permutations of M's whole domain, with every base point
-    in block i.  Its orbit product is a lower bound on |pi_i(K)|: each
-    level's group fixes the pieces of the base points above it."""
-
-    def __init__(self, M: DirectPower, i: int):
-        super().__init__([], degree=M.degree, seed=M.seed)
-        self._levels = []
-        d = M.factor.degree
-        self._block = range(i * d, (i + 1) * d)
-
-    def _base_point(self, mover: Perm) -> int:
-        return next(p for p in self._block if mover[p] != p)
-
-    def sift(self, x: Perm) -> Perm | None:
-        """Strip x through the chain.  A residue that moves block i
-        joins the chain; one that fixes it pointwise is returned."""
-        r, j = self._strip(x)
-        if any(r[p] != p for p in self._block):
-            self._add_residue(r, j)
-            return None
-        return r
-
-
 def socle_generates(gens, M: DirectPower, order: int) -> bool:
     """<gens> has the given order, for generators that lie in a group G of
     that order in which the direct power M = T^n is normal, T nonabelian
-    simple; a generator that does not permute M's blocks fails.  Decided
-    through M, with no chain of <gens>: L = <gens> is G exactly when
-    LM = G and K = L meet M is M.
+    simple and transitive, so that G permutes M's orbits, its blocks.
+    Decided through M, with no chain of <gens>: L = <gens> is G exactly
+    when LM = G and K = L meet M is M.
 
     One walk of the cosets of M under L gives |LM : M| and, by Schreier's
     lemma, generators of K.  K is normal in L, so for blocks i and j in
     one orbit of L, pi_j(K) is a conjugate of pi_i(K).  For one block i
-    of each orbit, K's generators and then random products of them are
-    sifted into a _BlockChain: an orbit product of |T| proves
-    pi_i(K) = T, and otherwise pi_i(K) is ordered from its generators'
-    pieces, and K is not M if it is smaller.  K is then subdirect in
-    T^n, so by Scott's lemma it is a direct product of full diagonals
-    over a partition of the blocks, which L permutes; and K = M exactly
-    when no block i of the above is linked to another block j.  L carries
-    any linked pair to one holding the block i of its orbit, so these
-    pairs suffice.  A residue of the sift that is trivial on block i but
-    not on block j is a witness that they are not linked; a pair still
-    without one once the sift runs quiet is decided by |pi_ij(K)|, which
-    is |T|^2 or, for a full diagonal, |T|."""
+    of each orbit, pi_i(K) is ordered from the pieces of K's generators
+    with the bound |T|, and K is not M if it is smaller.  K is then
+    subdirect in T^n, so by Scott's lemma it is a direct product of full
+    diagonals over a partition of the blocks, which L permutes; L carries
+    any linked pair of blocks to one holding the block i of its orbit.
+    So K = M exactly when, for each such i and every block j != i, the
+    pieces on 2d points give pi_ij(K) = T^2, ordered with the bound
+    |T|^2: a full diagonal has order |T|."""
     gens = [tuple(g) for g in gens]
     top, d, n = M.factor.order(), M.factor.degree, M.copies
-    ident = pid(M.degree)
     # a generator inside M fixes every coset of M, so only the others are
     # walked, and those inside join the walk with a trivial action
     inside = [x for x in gens if M.contains(x)]
     outside = [x for x in gens if x not in inside]
-    _check_permutes_blocks(outside, d)
-    walk = _coset_walk(outside, ident, M._coset_labeler())
+    walk = _coset_walk(outside, pid(M.degree), M._coset_labeler())
     index = len(walk.transversal)
     if M.order() * index != order:
         return False
@@ -758,38 +702,16 @@ def socle_generates(gens, M: DirectPower, order: int) -> bool:
     kgens = list(walk.schreier_generators())
     on_blocks = [tuple(v // d for v in x[::d]) for x in outside]
     for i, *_ in orbit_partition(on_blocks, n):
-        chain = _BlockChain(M, i)
-        witnessed = {i}
-
-        def progress(x: Perm) -> bool:
-            r = chain.sift(x)
-            if r is None:
-                return True
-            fresh = {j for j in range(n) if j not in witnessed
-                     and r[j * d:(j + 1) * d] != ident[j * d:(j + 1) * d]}
-            witnessed.update(fresh)
-            return bool(fresh)
-
-        def done() -> bool:
-            return chain._orbit_product() >= top and len(witnessed) == n
-
-        for x in kgens:
-            if done():
-                break
-            progress(x)
-        quiet = 0
-        for x in _random_elements(kgens, M.seed):
-            if quiet >= WITNESS_QUIET_CAP or done():
-                break
-            quiet = 0 if progress(x) else quiet + 1
-        if chain._orbit_product() < top and PermGroup(
-                [M.piece(x, i) for x in kgens], degree=d, upper_bound=top,
-                seed=M.seed).order() < top:
+        pieces = [M.piece(x, i) for x in kgens]
+        if PermGroup(pieces, degree=d, upper_bound=top,
+                     seed=M.seed).order() < top:
             return False
-        for j in sorted(set(range(n)) - witnessed):
-            pieces = [M.piece(x, i) + tuple(d + v for v in M.piece(x, j))
-                      for x in kgens]
-            if PermGroup(pieces, degree=2 * d, upper_bound=top * top,
+        for j in range(n):
+            if j == i:
+                continue
+            pair = [p + tuple(d + v for v in M.piece(x, j))
+                    for p, x in zip(pieces, kgens)]
+            if PermGroup(pair, degree=2 * d, upper_bound=top * top,
                          seed=M.seed).order() < top * top:
                 return False
     return True

@@ -293,7 +293,8 @@ def test_build_theta_builds_no_chain_on_all_points(monkeypatch):
 def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
     # construct, bipartite and verify each build one DirectPower and
     # walk the cosets of T^n under H once, in _derive; construct walks
-    # R meet T once, in the atlas, and certify reads it off the seed
+    # R meet T once, in the atlas, and certify builds the group that the
+    # atlas proved equal to it from the seed's F, b and c
     R = frozenset(seed_pgl2(7).R.gens)
     powers, walks = [], []
     init = permgrp.DirectPower.__init__

@@ -279,17 +279,16 @@ def test_product_intersection_walk_catches_a_wrong_index(pa7):
 
 def test_assemble_G_compares_projections_by_membership(pa4):
     # a conjugate of R meets T in a subgroup of the same order as R meet
-    # T, so equal orders alone would pass it; the seed carries R meet T
-    # as the atlas proved it, and for R^t, t in T, that is (R meet T)^t
+    # T, so equal orders alone would pass it; the seed is conjugated with
+    # F, b and c, from which certify builds R meet T
     seed = pa4.seed
-    rt = seed.R_meet_T
+    rt = filtered_intersection_with_product(seed.R, seed.T)
     t = next(x for x in seed.T.gens
              if not all(rt.contains(pconj(y, x)) for y in rt.gens))
-    R, RT = (PermGroup([pconj(x, t) for x in grp.gens], degree=seed.degree)
-             for grp in (seed.R, rt))
-    assert RT.order() == filtered_intersection_with_product(R, seed.T).order()
-    moved = dataclasses.replace(
-        pa4, seed=dataclasses.replace(seed, R=R, R_meet_T=RT), G=None, M=None)
+    R = PermGroup([pconj(x, t) for x in seed.R.gens], degree=seed.degree)
+    moved = dataclasses.replace(pa4, seed=dataclasses.replace(
+        seed, R=R, F=tuple(pconj(x, t) for x in seed.F),
+        b=pconj(seed.b, t), c=pconj(seed.c, t)), G=None, M=None)
     with pytest.raises(VerificationError,
                        match="projection 0 of T\\^n meet H is not R meet T"):
         certify(assemble_G(moved))

@@ -167,9 +167,8 @@ def _a5_wreath(n):
 
 def test_socle_path_reports_a_full_diagonal_disconnected(monkeypatch):
     # H the full diagonal {(t, t)} of A_5^2 and g the block swap: K =
-    # <H, g> meet T^2 is H, a full diagonal in two blocks, so no residue
-    # witnesses blocks 0 and 1 unlinked and pi_01(K), sifted to |T|^2,
-    # has order |T|
+    # <H, g> meet T^2 is H, a full diagonal in two blocks, so pi_0(K) is
+    # T but pi_01(K), sifted to |T|^2 on 10 points, has order |T|
     M, G, swap = _a5_wreath(2)
     H = PermGroup([wreath((t, t), 0, 5) for t in M.factor.gens])
     bounds = []
