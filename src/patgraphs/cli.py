@@ -152,13 +152,9 @@ def _run_example_2_6(args: argparse.Namespace) -> int:
     psl28 = seed_psl28_gamma(seed=args.seed)
     reports = compare_theta_readings(psl28)
     chosen = next(r for r in reports if r.reading == args.reading)
-    if chosen.rejected is not None:
-        raise VerificationError(chosen.rejected)
-    components = chosen.components
-    orders = [build_E_and_H(psl28, components.theta, i, components).H.order()
+    v64 = valency64_construction(psl28, chosen, args.component_index)
+    orders = [build_E_and_H(psl28, chosen.components, i).H.order()
               for i in range(6)]
-    v64 = valency64_construction(psl28, args.component_index, args.reading,
-                                 components, chosen.tc)
     cert = certify(v64)
     _emit(args.out, certificate_payload(cert))
     for rep in reports:

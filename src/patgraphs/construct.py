@@ -255,23 +255,20 @@ def coordinate_column_spaces(k: GF, witness, f: int) -> list[tuple]:
             for i in range(len(witness[0]) // f)]
 
 
-def build_E_and_H(seed: AlmostSimpleSeed, theta: Perm,
-                  component_index: int = 0,
-                  components: RegularComponents | None = None) -> PAConstruction:
+def build_E_and_H(seed: AlmostSimpleSeed, components: RegularComponents,
+                  component_index: int = 0) -> PAConstruction:
     """Cut E out of F^n via the invariant decomposition of the measured
     conjugation matrix, then verify the affine structure of H = E:<theta>.
-    `components` is regular_components(seed, theta), computed here when
-    not given.  E is never listed: the coefficient table inverts an
+    theta is components.theta, the element whose conjugation matrix
+    `components` decomposes, and E is cut from the regular component of
+    the given index.  E is never listed: the coefficient table inverts an
     isomorphism phi: GF(p)^f -> F, and phi^n maps the witness span onto E;
     its 2f generators are built by `wreath` from the witness rows, block
     by block, and read back through the table."""
+    theta = components.theta
     d = seed.degree
     n = len(theta) // d
     q = seed.q
-    if components is None:
-        components = regular_components(seed, theta)
-    check(components.theta == theta,
-          "regular components were computed for another theta")
     qualifying = components.codes
     check(bool(qualifying), "no regular component of dimension 2f found")
     if not 0 <= component_index < len(qualifying):
@@ -362,8 +359,8 @@ def product_action_construction(q: int, family: str = "pgl2",
         base = seed_symmetric(q, seed=seed)
     else:
         raise ValueError(f"unknown family {family!r}")
-    theta = build_theta(base)
-    pa = build_E_and_H(base, theta, component_index)
+    pa = build_E_and_H(base, regular_components(base, build_theta(base)),
+                       component_index)
     verify_code_model_similarity(base, pa.conj_matrix)
     return assemble_G(pa)
 
@@ -394,6 +391,7 @@ def twisted_centralizer(T: PermGroup, theta: Perm) -> TwistedCentralizer:
     and those of its powers, are read back from its blocks."""
     d = T.degree
     dcomp, s = _wreath_parts(theta, d)
+    dinv = [pinv(x) for x in dcomp]
     n = len(dcomp)
     if gcd(s, n) != 1:
         raise ValueError("theta's shift must be an n-cycle on coordinates")
@@ -410,7 +408,7 @@ def twisted_centralizer(T: PermGroup, theta: Perm) -> TwistedCentralizer:
         for t0 in t_elements:
             t = {0: t0}
             for i in walk[:-1]:
-                t[(i + s) % n] = pmul(pmul(pinv(dcomp[i]), t[i]), fcomp[i])
+                t[(i + s) % n] = pmul(pmul(dinv[i], t[i]), fcomp[i])
             last = walk[-1]
             if pmul(dcomp[last], t[0]) == pmul(t[last], fcomp[last]):
                 found.append(wreath([t[i] for i in range(n)], 0, d))
@@ -445,15 +443,15 @@ def _two_elements(elements) -> list[Perm]:
     return out
 
 
-def valency64_construction(seed: AlmostSimpleSeed,
-                           component_index: int = 0,
-                           reading: str = "primary",
-                           components: RegularComponents | None = None,
-                           tc: TwistedCentralizer | None = None,
+def valency64_construction(seed: AlmostSimpleSeed, report: ReadingReport,
+                           component_index: int = 0
                            ) -> Valency64Construction:
     """The valency-64 family over the psl28-gamma seed: PSL(2,8)^21
     twisted by the order-63 element, with the edge element g found
-    among the 2-elements of N_M(<theta>).
+    among the 2-elements of N_M(<theta>).  `report` is the reading's
+    ReadingReport from theta_reading_counts: theta, the regular
+    components E is cut from and the twisted centralizer are its own,
+    and a rejected reading fails with the report's reason.
 
     The commuting part C_M(theta) carries the S_3 structure; the full
     normalizer is three times larger, but its 2-elements coincide with
@@ -461,14 +459,11 @@ def valency64_construction(seed: AlmostSimpleSeed,
     involutions, exactly one normalizes H; the other two generate G
     with H, and conjugation by the first swaps their double cosets, so
     the edge class is unique up to that explicit graph isomorphism.
-    `components` is passed on to build_E_and_H; `tc` is
-    twisted_centralizer(T, theta), computed here when not given.
     """
-    theta = build_theta(seed, reading)
-    pa = build_E_and_H(seed, theta, component_index, components)
-    pa = assemble_G(pa)
-    if tc is None:
-        tc = twisted_centralizer(seed.T, theta)
+    if report.rejected is not None:
+        raise VerificationError(report.rejected)
+    pa = assemble_G(build_E_and_H(seed, report.components, component_index))
+    tc = report.tc
     cent = tc.by_exponent[1]
     check(tc.centralizer.order() == 6, "C_M(theta) does not have order 6")
     check(not all(pmul(x, y) == pmul(y, x)
@@ -506,7 +501,7 @@ def valency64_construction(seed: AlmostSimpleSeed,
           f"H-normalizing involution, got {len(classes)} double cosets "
           f"and {reduced} after reduction")
     return Valency64Construction(pa, tc, classes[0], len(classes), reduced,
-                                 h_norm, reading)
+                                 h_norm, report.reading)
 
 
 @dataclass(frozen=True)

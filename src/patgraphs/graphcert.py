@@ -395,22 +395,21 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
         double_cover_verdict="untested", **fields)
 
 
-def certify(construction, g: Perm | None = None) -> CosetGraphCertificate:
+def certify(construction) -> CosetGraphCertificate:
     """Certificate for a product-action or bipartite construction, from
     its groups and the socle M its G was built over; the one place that
-    checks the verdicts a construction must have.  g defaults to the
-    replicated seed involution; the valency-64 family passes its
-    searched element."""
+    checks the verdicts a construction must have.  The edge element g is
+    the searched one of a valency-64 construction, and the replicated
+    seed involution o of any other."""
     if isinstance(construction, Valency64Construction):
-        return certify(construction.pa, construction.g)
-    if isinstance(construction, PAConstruction):
+        g, construction = construction.g, construction.pa
         kind, gstar = "product-action", None
+    elif isinstance(construction, PAConstruction):
+        kind, gstar, g = "product-action", None, construction.o
     elif isinstance(construction, BipartiteConstruction):
-        kind, gstar = "bipartite", construction.Gstar
+        kind, gstar, g = "bipartite", construction.Gstar, construction.o
     else:
         raise TypeError(f"cannot certify {type(construction).__name__}")
-    if g is None:
-        g = construction.o
     if g is None:
         raise ValueError("no edge element available for this seed")
     if construction.G is None:

@@ -196,10 +196,8 @@ class PermGroup:
                 raise ValueError("generator is not a permutation of the domain")
         ident = pid(degree)
         self.degree = degree
-        self.gens = []
-        for g in gens:
-            if g != ident and g not in self.gens:
-                self.gens.append(g)
+        # first occurrences in order, so generator lists read as given
+        self.gens = [g for g in dict.fromkeys(gens) if g != ident]
         # known_order is upper_bound's former name, which perfbench still uses
         self._upper_bound = known_order if upper_bound is None else upper_bound
         self._seed = seed
@@ -623,18 +621,24 @@ def same_double_coset(group: PermGroup, x, y) -> bool:
 
 class _SocleExtension(PermGroup):
     """<gens> for generators that normalize a direct power M and include
-    all of M's generators.  Then M is normal in <gens>, so the order is
-    |M| times the length of the orbit of the coset M, and x lies in the
-    group exactly when the coset Mx is in that orbit: the order meets its
-    proven bound by containment, with no chain.  Any other query builds
-    the chain, sifted to that order."""
+    all of M's generators, both checked here.  Then M is normal in
+    <gens>, so the order is |M| times the length of the orbit of the
+    coset M, and x lies in the group exactly when the coset Mx is in that
+    orbit: the order meets its proven bound by containment, with no
+    chain.  Any other query builds the chain, sifted to that order."""
 
-    def __init__(self, gens, M: DirectPower, locate: _PowerCosets,
-                 index: int):
-        super().__init__(gens, degree=M.degree, upper_bound=M.order() * index,
-                         seed=M.seed)
-        self._locate = locate
-        self._index = index
+    def __init__(self, gens, M: DirectPower):
+        super().__init__(gens, degree=M.degree, seed=M.seed)
+        check(set(M.gens) <= set(self.gens),
+              "the generators do not list every generator of T^n")
+        # those inside M act trivially on the cosets, and are not walked
+        outside = [g for g in self.gens if not M.contains(g)]
+        check(all(M.contains(pconj(m, g)) for g in outside for m in M.gens),
+              "a generator does not normalize T^n")
+        self._locate = M._coset_labeler()
+        self._index = len(_coset_walk(outside, pid(M.degree),
+                                      self._locate).transversal)
+        self._upper_bound = M.order() * self._index
         self.certified_by = "bound"
 
     def order(self) -> int:
@@ -651,22 +655,11 @@ class _SocleExtension(PermGroup):
 def socle_group(gens, M: DirectPower) -> _SocleExtension:
     """<gens> for generators that list every generator of the direct
     power M and normalize it, as a _SocleExtension ordered through M from
-    one walk of the orbit of the coset M.  Only the generators outside M
-    are walked: those inside act trivially on the cosets.  A list missing
-    one of M's generators, or with a generator that does not normalize M,
+    one walk of the orbit of the coset M.  Each generator is checked to
+    be a permutation once, as the group is made.  A list missing one of
+    M's generators, or with a generator that does not normalize M,
     fails."""
-    gens = [tuple(g) for g in gens]
-    for g in gens:
-        if not _is_permutation(g, M.degree):
-            raise ValueError("generator is not a permutation of the domain")
-    check(set(M.gens) <= set(gens),
-          "the generators do not list every generator of T^n")
-    outside = [g for g in gens if not M.contains(g)]
-    check(all(M.contains(pconj(m, g)) for g in outside for m in M.gens),
-          "a generator does not normalize T^n")
-    locate = M._coset_labeler()
-    index = len(_coset_walk(outside, pid(M.degree), locate).transversal)
-    return _SocleExtension(gens, M, locate, index)
+    return _SocleExtension(gens, M)
 
 
 def socle_generates(gens, M: DirectPower, order: int) -> bool:

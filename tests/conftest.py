@@ -7,6 +7,7 @@ from patgraphs.atlas import seed_psl28_gamma
 from patgraphs.construct import (
     bipartite_construction,
     product_action_construction,
+    theta_reading_counts,
     valency64_construction,
 )
 
@@ -23,7 +24,8 @@ def pa7():
 
 @pytest.fixture(scope="session")
 def v64():
-    return valency64_construction(seed_psl28_gamma())
+    seed = seed_psl28_gamma()
+    return valency64_construction(seed, theta_reading_counts(seed, "primary"))
 
 
 @pytest.fixture(scope="session")

@@ -161,7 +161,7 @@ def test_criterion_6_valency64():
     assert linear_elapsed < 60.0, "linear-algebra part over budget"
 
     t0 = time.perf_counter()
-    v64 = valency64_construction(psl28)
+    v64 = valency64_construction(psl28, first)
     cert = certify(v64)
     # the order-6 S_3 normalizing group: non-abelian with three
     # involutions; it is the centralizer of theta in the socle, and the

@@ -135,8 +135,7 @@ def test_normalizer_and_primary_part_checks_survive_optimize_flag():
             "bad = tuple(5 + x for x in perm_from_cycles(5, [(0, 1, 2)]))\n"
             "bad += theta[5:]\n"
             "try:\n"
-            "    build_E_and_H(seed, bad,\n"
-            "                  components=dataclasses.replace(rc, theta=bad))\n"
+            "    build_E_and_H(seed, dataclasses.replace(rc, theta=bad))\n"
             "    raise SystemExit('E was normalized by a non-normalizer')\n"
             "except VerificationError as exc:\n"
             "    if 'does not normalize E' not in str(exc):\n"
@@ -171,7 +170,7 @@ def test_code_coordinate_checks_survive_optimize_flag():
             "          'disagrees with the conjugation matrix')]\n"
             "for bad, comps, message in cases:\n"
             "    try:\n"
-            "        build_E_and_H(bad, theta, components=comps)\n"
+            "        build_E_and_H(bad, comps)\n"
             "    except VerificationError as exc:\n"
             "        if message in str(exc):\n"
             "            continue\n"
@@ -209,9 +208,10 @@ def test_socle_normalizer_check_survives_optimize_flag():
             "import dataclasses\n"
             "from patgraphs.atlas import seed_pgl2\n"
             "from patgraphs.construct import assemble_G, build_E_and_H, "
-            "build_theta\n"
+            "build_theta, regular_components\n"
             "seed = seed_pgl2(4)\n"
-            "pa = build_E_and_H(seed, build_theta(seed))\n"
+            "pa = build_E_and_H(seed, regular_components(seed, "
+            "build_theta(seed)))\n"
             "bad = perm_from_cycles(pa.n * pa.block_degree, [(0, 5)])\n"
             "try:\n"
             "    assemble_G(dataclasses.replace(pa, theta=bad))\n"
@@ -275,5 +275,26 @@ def test_socle_connectivity_survives_optimize_flag():
             "        raise SystemExit(str(exc))\n"
             "else:\n"
             "    raise SystemExit('an unfit socle factor passed')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_forged_socle_transitivity_check_survives_optimize_flag():
+    # the p5-tau-squared forgery: H = <a, b, tau^2> stays on two orbits
+    # of blocks, and certify fails it by the socle-transitivity check
+    code = ("import dataclasses\n"
+            "from patgraphs.construct import bipartite_construction\n"
+            "from patgraphs.graphcert import certify\n"
+            "from patgraphs.numth import VerificationError\n"
+            "from patgraphs.permgrp import PermGroup, ppow\n"
+            "bc = bipartite_construction(5)\n"
+            "H = PermGroup([bc.bold_a, bc.bold_b, ppow(bc.tau, 2)],\n"
+            "              degree=bc.H.degree)\n"
+            "try:\n"
+            "    certify(dataclasses.replace(bc, H=H))\n"
+            "except VerificationError as exc:\n"
+            "    message = 'T^n is not transitive on the coset space'\n"
+            "    raise SystemExit(0 if message in str(exc) else str(exc))\n"
+            "raise SystemExit('a disconnected H passed certify')\n")
     proc = _run_optimized(code)
     assert proc.returncode == 0, proc.stderr

@@ -226,6 +226,20 @@ def test_construct_builds_its_field_once(monkeypatch):
     assert built == [(2, 3), (2, 1)]
 
 
+def test_example_2_6_builds_theta_once_per_reading(monkeypatch):
+    built = []
+    build = construct.build_theta
+
+    def counting(seed, reading="primary"):
+        built.append(reading)
+        return build(seed, reading)
+
+    monkeypatch.setattr(construct, "build_theta", counting)
+    assert main(["example-2-6"]) == 0
+    # the chosen reading is built from its report, with the theta there
+    assert built == list(construct.THETA_READINGS)
+
+
 def test_verify_builds_its_field_once(tmp_path, monkeypatch):
     cert = tmp_path / "q8.json"
     assert main(["construct", "--q", "8", "--out", str(cert)]) == 0

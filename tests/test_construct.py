@@ -19,7 +19,9 @@ from patgraphs.construct import (
     conjugation_matrix,
     product_action_construction,
     regular_components,
+    theta_reading_counts,
     twisted_centralizer,
+    valency64_construction,
     verify_code_model_similarity,
     wreath,
     wreath_length,
@@ -101,6 +103,17 @@ def test_trailing_square_reading_is_rejected_by_order():
         build_theta(seed, "trailing-square")
 
 
+def test_valency64_construction_fails_a_rejected_reading():
+    # the report of the trailing-square reading holds no theta, and the
+    # construction fails with the reason the report gives
+    seed = seed_psl28_gamma()
+    report = theta_reading_counts(seed, "trailing-square")
+    assert "order 21" in report.rejected
+    with pytest.raises(VerificationError) as err:
+        valency64_construction(seed, report)
+    assert str(err.value) == report.rejected
+
+
 def test_conjugation_matrix_shapes_and_orders():
     for q, size, p, order in ((4, 10, 2, 15), (7, 8, 7, 48)):
         seed = seed_pgl2(q)
@@ -135,7 +148,7 @@ def test_valency64_conjugation_matrix():
 def test_E_and_H_frozen_orders():
     for q, e_order, h_order, qualifying in ((4, 16, 240, 2), (7, 49, 2352, 4)):
         seed = seed_pgl2(q)
-        pa = build_E_and_H(seed, build_theta(seed))
+        pa = build_E_and_H(seed, regular_components(seed, build_theta(seed)))
         E = PermGroup(pa.E, degree=pa.n * pa.block_degree)
         assert E.order() == e_order
         assert pa.H.order() == h_order
@@ -157,9 +170,9 @@ def test_E_and_H_are_certified_by_their_bounds(monkeypatch):
     for seed in (0, 1, 2, 3):
         for q in (4, 8):
             base = seed_pgl2(q, seed=seed)
-            theta = build_theta(base)
+            rc = regular_components(base, build_theta(base))
             made.clear()
-            pa = build_E_and_H(base, theta)
+            pa = build_E_and_H(base, rc)
             [H] = made
             assert H.order() == q * q * (q * q - 1)
             assert H.certified_by == "bound"
@@ -182,7 +195,7 @@ def test_E_and_H_list_no_codeword(monkeypatch, make, q):
 
     monkeypatch.setattr(Code, "codewords", refuse)
     seed = _seed(make, q)
-    pa = build_E_and_H(seed, build_theta(seed))
+    pa = build_E_and_H(seed, regular_components(seed, build_theta(seed)))
     assert pa.H.order() == seed.q**2 * (seed.q**2 - 1)
     assert len(pa.E) == 2 * seed.field.f
 
@@ -192,7 +205,7 @@ def test_column_spaces_match_a_codeword_oracle(make, q):
     # the rank-based projection and kernel verdicts against the
     # projections and kernels of every codeword, coordinate by coordinate
     seed = _seed(make, q)
-    pa = build_E_and_H(seed, build_theta(seed))
+    pa = build_E_and_H(seed, regular_components(seed, build_theta(seed)))
     prime = seed.field.prime_field
     f = len(seed.F)
     code = Code(prime, len(pa.code_witness[0]), pa.code_witness)
@@ -218,11 +231,11 @@ def test_column_spaces_match_a_codeword_oracle(make, q):
 
 def test_component_index_selects_other_components():
     seed = seed_pgl2(7)
-    theta = build_theta(seed)
-    pa = build_E_and_H(seed, theta, component_index=3)
+    rc = regular_components(seed, build_theta(seed))
+    pa = build_E_and_H(seed, rc, component_index=3)
     assert pa.H.order() == 2352
     with pytest.raises(ValueError, match="out of range"):
-        build_E_and_H(seed, theta, component_index=4)
+        build_E_and_H(seed, rc, component_index=4)
 
 
 def test_theta_must_be_transitive_on_E():
@@ -237,8 +250,7 @@ def test_theta_must_be_transitive_on_E():
               if c.code.dim == 6 and c.order == 21]
     with pytest.raises(VerificationError,
                        match="theta-conjugation is not transitive"):
-        build_E_and_H(seed, theta,
-                      components=dataclasses.replace(rc, codes=(slow,)))
+        build_E_and_H(seed, dataclasses.replace(rc, codes=(slow,)))
 
 
 def test_assembled_G_q4(pa4):

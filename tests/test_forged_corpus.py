@@ -26,9 +26,28 @@ DIGESTS = {
     # theta's conjugates of the rest span E, with another generator list
     "q4-E-first-dropped":
         "6d1ac71f2cf54079cd2bc41282701b93b9b88eb12c0b99ad5da534b69b92376a",
+    # H = <E, theta^2, theta>: the same group with one generator more
+    "q4-extra-generator":
+        "573d239bb8d2b63b5c359c80d95419eb8ad829bf787a14beef6437e46efda2d1",
     # H = <a, b>: of order 20, T^4 not transitive on its cosets in G*
     "p5-tau-dropped":
         "2aee233b733c660bccd8ed1fbaf0cb631488c4bf614af60703dd08f09a87e623",
+    # H = <a, b, tau^2>: of order 40, on two orbits of blocks, so T^4 is
+    # not transitive on its cosets in G* and the graph is disconnected
+    "p5-tau-squared":
+        "269e978744cb18083ae8fa5938b6634742e45439aab257091ec0fefbb5726be1",
+}
+
+
+# each forgery's construction fixture and its H generators from it
+FORGED_H = {
+    "q4-theta-cubed": ("pa4", lambda c: [*c.E, ppow(c.theta, 3)]),
+    "q4-E-first-dropped": ("pa4", lambda c: [*c.E[1:], c.theta]),
+    "q4-extra-generator": ("pa4",
+                           lambda c: [*c.E, ppow(c.theta, 2), c.theta]),
+    "p5-tau-dropped": ("bip5_symmetric", lambda c: [c.bold_a, c.bold_b]),
+    "p5-tau-squared": ("bip5_symmetric",
+                       lambda c: [c.bold_a, c.bold_b, ppow(c.tau, 2)]),
 }
 
 
@@ -37,14 +56,10 @@ def forged(request):
     """The forged construction of each name: the built one with H
     replaced."""
     def build(name):
-        if name == "p5-tau-dropped":
-            bc = request.getfixturevalue("bip5_symmetric")
-            gens = [bc.bold_a, bc.bold_b]
-        else:
-            bc = request.getfixturevalue("pa4")
-            gens = ([*bc.E, ppow(bc.theta, 3)] if name == "q4-theta-cubed"
-                    else [*bc.E[1:], bc.theta])
-        return dataclasses.replace(bc, H=PermGroup(gens, degree=bc.H.degree))
+        fixture, gens = FORGED_H[name]
+        bc = request.getfixturevalue(fixture)
+        return dataclasses.replace(bc, H=PermGroup(gens(bc),
+                                                   degree=bc.H.degree))
     return build
 
 
@@ -76,6 +91,7 @@ def test_forged_payload_is_pinned_and_verified(tmp_path, capsys, forged,
 @pytest.mark.parametrize("name,message", [
     ("q4-theta-cubed", "certificate conditions failed"),
     ("p5-tau-dropped", "T\\^n is not transitive on the coset space"),
+    ("p5-tau-squared", "T\\^n is not transitive on the coset space"),
 ])
 def test_certify_rejects_the_forged_construction(forged, name, message):
     # certify walks T^n meet H for the H it is given: |T^5 meet H| is 16

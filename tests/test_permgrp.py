@@ -10,6 +10,7 @@ from patgraphs.construct import (
     build_E_and_H,
     build_theta,
     product_action_construction,
+    regular_components,
 )
 from patgraphs.gf import GF
 from patgraphs.graphcert import certify
@@ -313,6 +314,26 @@ def test_socle_bound():
         socle_group(list(M.gens) + [perm_from_cycles(15, [(0, 5)])], M)
     with pytest.raises(ValueError, match="not a permutation"):
         socle_group([(0,) * 15], M)
+
+
+def test_socle_group_validates_each_generator_once(monkeypatch):
+    # PermGroup.__init__ checks the list; socle_group checks it no more
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    M = DirectPower(a5, 3)
+    tau = tuple((x + 5) % 15 for x in range(15))
+    gens = list(M.gens) + [tau]
+    checked = []
+    is_permutation = permgrp._is_permutation
+
+    def counting(x, degree):
+        if degree == M.degree:
+            checked.append(x)
+        return is_permutation(x, degree)
+
+    monkeypatch.setattr(permgrp, "_is_permutation", counting)
+    assert socle_group(gens, M).order() == 60**3 * 3
+    assert checked == gens
 
 
 def test_socle_extension_orders_and_tests_membership_without_a_chain():
@@ -689,7 +710,7 @@ def test_point_walk_matches_the_coset_walk(pa7):
     # generators of the generic walk labeled by y[0], in the same order,
     # on H's action on the neighbours at q = 7 and q = 27
     seed = seed_pgl2(27)
-    pa27 = build_E_and_H(seed, build_theta(seed))
+    pa27 = build_E_and_H(seed, regular_components(seed, build_theta(seed)))
     for pa in (pa7, pa27):
         action = permgrp.coset_stabilizer(pa.H, pa.H, pa.o)[1]
         assert action.degree == pa.seed.q**2
@@ -707,7 +728,7 @@ def test_two_transitivity_stops_early_at_q27(monkeypatch):
     # generator at a time and stops once the other points are one class,
     # so on H's action on the neighbours at q = 27 it takes fewer than all
     seed = seed_pgl2(27)
-    pa27 = build_E_and_H(seed, build_theta(seed))
+    pa27 = build_E_and_H(seed, regular_components(seed, build_theta(seed)))
     action = permgrp.coset_stabilizer(pa27.H, pa27.H, pa27.o)[1]
     full = list(permgrp._point_walk(action, 0).schreier_generators())
     taken = []
