@@ -259,7 +259,11 @@ def _run_toy(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     with open(args.certificate) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            # the parser recurses once per level of nesting
+            raise ValueError("certificate nests too deeply to parse") from None
     report = verify_certificate(payload, seed=args.seed)
     if report.ok:
         print(f"certificate OK: recomputed {report.recomputed}")

@@ -609,16 +609,21 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
                               {**recomputed, "valency": written["valency"]})
 
 
-def _leaves(tree, path: tuple = ()) -> dict:
+def _leaves(tree) -> dict:
     """Each leaf of a JSON tree by its path, the tuple of keys leading to
-    it: a nonempty object is not a leaf, anything else, lists included,
-    is.  Distinct trees have distinct leaves: the top-level key
-    "orders.G" and the key G under orders are two paths."""
-    if not (isinstance(tree, dict) and tree):
-        return {path: tree}
+    it, in document order: a nonempty object is not a leaf, anything
+    else, lists included, is.  Distinct trees have distinct leaves: the
+    top-level key "orders.G" and the key G under orders are two paths.
+    The walk keeps its own stack, so no nesting depth overflows Python's."""
     out = {}
-    for key, value in tree.items():
-        out.update(_leaves(value, (*path, key)))
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, dict) and node:
+            stack.extend(((*path, key), value)
+                         for key, value in reversed(node.items()))
+        else:
+            out[path] = node
     return out
 
 

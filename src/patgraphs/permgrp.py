@@ -7,14 +7,18 @@ Schreier sifting, certified by a proven upper bound on the order or
 by the full Schreier check, so orders, membership tests, and the
 derived reports are exact, never Monte Carlo.  socle_group orders a
 group whose generators list and normalize those of a direct power M by
-one walk over M's cosets, and tests membership there, with no chain;
-socle_generates decides whether a subgroup of such a group is all of
-it, through M and Scott's lemma, on chains of one and two blocks.  A
-subgroup's projection to one block of M is generated by its generators'
-pieces.  Intersections, and stabilizers of right cosets and of points,
-come from walking the orbit of a coset (orbit-stabilizer and Schreier
-generators), not from enumerating the group.  A transversal entry t_p*h
-gets its inverse by one product, h^-1 * t_p^-1.
+one walk over M's cosets, and tests membership there, with no chain:
+a coset of M is bucketed by the least image of each block, and M's
+membership verdict for each block is cached under its raw slice of
+images.  socle_generates decides whether a subgroup of such a group is
+all of it, through M and Scott's lemma, on chains of one block and of
+one pair of blocks per minimal class of the subgroup's invariant
+partitions of the blocks.  A subgroup's projection to one block of M is
+generated by its generators' pieces.  Intersections, and stabilizers of
+right cosets and of points, come from walking the orbit of a coset
+(orbit-stabilizer and Schreier generators), not from enumerating the
+group.  A transversal entry t_p*h gets its inverse by one product,
+h^-1 * t_p^-1.
 """
 
 from __future__ import annotations
@@ -419,8 +423,9 @@ class DirectPower(PermGroup):
         super().__init__(gens, degree=d * copies,
                          upper_bound=factor.order() ** copies,
                          seed=factor.seed)
-        # membership of each block's piece in the factor, as tested
-        self._pieces: dict[Perm, bool] = {}
+        # per block, whether a raw slice of images is a piece in the factor
+        self._slices: list[dict[Perm, bool]] = [{} for _ in range(copies)]
+        self._points = pid(d * copies)
 
     def order(self) -> int:
         return self.factor.order() ** self.copies
@@ -428,7 +433,7 @@ class DirectPower(PermGroup):
     def piece(self, x: Perm, i: int) -> Perm:
         """The images of block i's points under x, moved to 0, ..., d-1."""
         off = i * self.factor.degree
-        return tuple(v - off for v in x[off:off + self.factor.degree])
+        return tuple(map((-off).__add__, x[off:off + self.factor.degree]))
 
     def projection(self, sub: PermGroup, i: int) -> PermGroup:
         """pi_i(sub) for a subgroup of this power, the group of the pieces
@@ -442,17 +447,26 @@ class DirectPower(PermGroup):
                          degree=self.factor.degree, seed=self.seed)
 
     def contains(self, x) -> bool:
+        """x maps each block into itself by a piece in the factor.  Each
+        block's verdict on a piece is cached under the raw slice of x
+        that holds it, so a slice seen before costs one lookup and no
+        piece is built for it."""
         x = tuple(x)
         if len(x) != self.degree:
             raise ValueError("domain mismatch")
         d = self.factor.degree
-        for i in range(self.copies):
-            piece = self.piece(x, i)
-            if min(piece) < 0 or max(piece) >= d:
-                return False
-            inside = self._pieces.get(piece)
+        for off, seen in zip(range(0, self.degree, d), self._slices):
+            raw = x[off:off + d]
+            inside = seen.get(raw)
             if inside is None:
-                inside = self._pieces[piece] = self.factor.contains(piece)
+                piece = tuple(map((-off).__add__, raw))
+                if min(piece) < 0 or max(piece) >= d:
+                    return False
+                # the stored key holds the domain's own ints, not x's: an
+                # x built through pinv has fresh ones, which would stay
+                # alive, d of them per entry
+                inside = seen[pmul(raw, self._points)] = \
+                    self.factor.contains(piece)
             if not inside:
                 return False
         return True
@@ -476,19 +490,19 @@ class _CanonicalCosets:
 
 class _PowerCosets:
     """Labels right cosets of a direct power M without building a chain
-    for M: which blocks each block of points lands in is the same across
-    a coset My, and My = Mr exactly when y*r^-1 lies in M."""
+    for M.  An element m of M maps each block of points onto itself, so
+    the set y sends block k to, and its least point, is the same on all
+    of the coset My: the tuple of those least points keys a bucket, and
+    My = Mr exactly when y*r^-1 lies in M."""
 
     def __init__(self, M: DirectPower):
         self.M = M
         self.count = 0
-        self.buckets: dict[tuple[frozenset[int], ...],
-                           list[tuple[int, Perm]]] = {}
+        self.buckets: dict[tuple[int, ...], list[tuple[int, Perm]]] = {}
 
     def __call__(self, y: Perm) -> int:
         d = self.M.factor.degree
-        key = tuple(frozenset(y[p] // d for p in range(i, i + d))
-                    for i in range(0, len(y), d))
+        key = tuple(min(y[k:k + d]) for k in range(0, len(y), d))
         near = self.buckets.setdefault(key, [])
         for label, rinv in near:
             if self.M.contains(pmul(y, rinv)):
@@ -677,9 +691,12 @@ def socle_generates(gens, M: DirectPower, order: int) -> bool:
     subdirect in T^n, so by Scott's lemma it is a direct product of full
     diagonals over a partition of the blocks, which L permutes; L carries
     any linked pair of blocks to one holding the block i of its orbit.
-    So K = M exactly when, for each such i and every block j != i, the
-    pieces on 2d points give pi_ij(K) = T^2, ordered with the bound
-    |T|^2: a full diagonal has order |T|."""
+    If j is linked to i, so is every block in i's class of the finest
+    L-invariant partition joining i and j, and that class holds an
+    inclusion-minimal one among the classes for all j != i.  So K = M
+    exactly when, for each such i and one block j from each minimal
+    class, the pieces on 2d points give pi_ij(K) = T^2, ordered with the
+    bound |T|^2: a full diagonal has order |T|."""
     gens = [tuple(g) for g in gens]
     top, d, n = M.factor.order(), M.factor.degree, M.copies
     # a generator inside M fixes every coset of M, so only the others are
@@ -694,16 +711,23 @@ def socle_generates(gens, M: DirectPower, order: int) -> bool:
                    action=walk.action + (tuple(range(index)),) * len(inside))
     kgens = list(walk.schreier_generators())
     on_blocks = [tuple(v // d for v in x[::d]) for x in outside]
-    for i, *_ in orbit_partition(on_blocks, n):
-        pieces = [M.piece(x, i) for x in kgens]
-        if PermGroup(pieces, degree=d, upper_bound=top,
+    firsts = [i for i, *_ in orbit_partition(on_blocks, n)]
+    pieces = {i: [M.piece(x, i) for x in kgens] for i in firsts}
+    # Scott's partition needs K subdirect, so every pi_i(K) comes first
+    for i in firsts:
+        if PermGroup(pieces[i], degree=d, upper_bound=top,
                      seed=M.seed).order() < top:
             return False
-        for j in range(n):
-            if j == i:
-                continue
+    for i in firsts:
+        classes = {j: next(c for c in _minimal_blocks(on_blocks, n, i, j)
+                           if i in c) for j in range(n) if j != i}
+        kept: list[int] = []
+        for j in sorted(classes, key=lambda j: len(classes[j])):
+            if not any(k in classes[j] for k in kept):
+                kept.append(j)
+        for j in kept:
             pair = [p + tuple(d + v for v in M.piece(x, j))
-                    for p, x in zip(pieces, kgens)]
+                    for p, x in zip(pieces[i], kgens)]
             if PermGroup(pair, degree=2 * d, upper_bound=top * top,
                          seed=M.seed).order() < top * top:
                 return False
@@ -746,11 +770,12 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _minimal_blocks(gens, degree: int, omega: int):
-    """The finest block system whose block containing 0 also holds
-    omega, by merge-and-close; returns the partition."""
+def _minimal_blocks(gens, degree: int, a: int, b: int):
+    """The finest partition invariant under the generators that puts a
+    and b in one class, by merge-and-close; for a transitive group, the
+    finest block system whose block containing a also holds b."""
     parent = list(range(degree))
-    queue = [(0, omega)]
+    queue = [(a, b)]
     while queue:
         a, b = queue.pop()
         ra, rb = _find(parent, a), _find(parent, b)
@@ -808,7 +833,7 @@ def action_report(group: PermGroup) -> ActionReport:
         primitive = True
         # a 2-transitive group is primitive, so only the others are searched
         for omega in range(1, 1 if two_transitive else d):
-            system = _minimal_blocks(group.gens, d, omega)
+            system = _minimal_blocks(group.gens, d, 0, omega)
             if len(system) > 1:
                 primitive = False
                 blocks = system

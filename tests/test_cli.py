@@ -352,6 +352,42 @@ def test_connectivity_builds_no_chain_of_H_and_g(tmp_path, monkeypatch):
             assert not [gens for gens in completed if g in gens], argv
 
 
+def test_connectivity_orders_one_pair_per_minimal_class(tmp_path,
+                                                       monkeypatch):
+    # <H, g> cycles the 12 blocks regularly, so the classes of the finest
+    # invariant partitions joining block 0 to another are the cosets of
+    # the subgroups of Z_12, and the minimal ones are of orders 2 and 3:
+    # socle_generates orders pi_0j(K) to |T|^2 for two blocks j, not 11
+    pairs, inside = [], []
+    generates = permgrp.socle_generates
+    complete = permgrp.PermGroup._complete
+
+    def deciding(gens, M, order):
+        inside.append(M)
+        try:
+            return generates(gens, M, order)
+        finally:
+            inside.pop()
+
+    def recording(self, ident):
+        if inside:
+            T = inside[-1].factor
+            if (self.degree, self._upper_bound) == (2 * T.degree,
+                                                    T.order() ** 2):
+                pairs.append(self.gens)
+        return complete(self, ident)
+
+    monkeypatch.setattr(permgrp.PermGroup, "_complete", recording)
+    for module in (construct, graphcert):
+        monkeypatch.setattr(module, "socle_generates", deciding)
+    for command in (["construct", "--q", "11"], ["bipartite", "--p", "13"]):
+        cert = tmp_path / f"{command[0]}.json"
+        for argv in (command + ["--out", str(cert)], ["verify", str(cert)]):
+            pairs.clear()
+            assert main(argv) == 0
+            assert len(pairs) == 2, argv
+
+
 def test_every_chain_sifts_from_the_run_seed(tmp_path, monkeypatch):
     # the seed is passed down and inherited, never read from a global
     seeds = []
@@ -633,6 +669,26 @@ def test_verify_rejects_unreadable_input(tmp_path, capsys):
     schema = tmp_path / "schema.json"
     schema.write_text("{}")
     assert main(["verify", str(schema)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    # an array too deep for the parser
+    lambda cert: "[" * 200_000 + "]" * 200_000,
+    # a certificate with about 995 levels of objects under one key, near
+    # the parser's own limit: where the parser takes it, the leaf walk
+    # must not overflow
+    lambda cert: (cert[:-1] + ', "extra": ' + '{"k": ' * 995 + "1"
+                  + "}" * 995 + "}"),
+], ids=["deep-array", "deep-object"])
+def test_verify_rejects_deeply_nested_json(tmp_path, capsys,
+                                           small_certificates, text):
+    # each was a RecursionError traceback with exit 1
+    nested = tmp_path / "nested.json"
+    nested.write_text(text(json.dumps(small_certificates["construct"])))
+    capsys.readouterr()
+    assert main(["verify", str(nested)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected:") and "Traceback" not in err
 
 
 def test_toy_presets(tmp_path, capsys):

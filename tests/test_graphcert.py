@@ -212,11 +212,32 @@ def test_socle_path_agrees_with_the_sift():
         # the full diagonal of T^3
         (M3, G3, [wreath((t, t, t), 0, 5) for t in (t0, t1)], cycle, False),
     ]
+    # K a product of full diagonals over the cosets of a subgroup of
+    # Z_n, which the n-cycle permutes: diag{0, 2} x diag{1, 3} in T^4,
+    # and in T^6 over {0, 2, 4}, {1, 3, 5} and over {0, 3}, {1, 4},
+    # {2, 5}; each is found by the pair of one minimal class
+    for n, step in ((4, 2), (6, 2), (6, 3)):
+        M, G, shift = _a5_wreath(n)
+        gens = [wreath(tuple(t if k % step == r else e for k in range(n)),
+                       0, 5) for r in range(step) for t in (t0, t1)]
+        cases.append((M, G, gens, shift, False))
     for M, G, gens, g, connected in cases:
         H = PermGroup(gens, degree=M.degree)
         cert = local_certificate(G, H, g, M)
         assert cert.connected == connected
         assert cert == local_certificate(G, H, g)
+
+
+def test_leaves_walk_any_depth():
+    # the walk keeps its own stack: a tree far deeper than Python's
+    # recursion limit has one leaf, and leaves come in document order
+    tree = leaf = {}
+    for _ in range(5_000):
+        leaf["k"] = leaf = {}
+    leaf["k"] = 1
+    assert list(_leaves(tree).values()) == [1]
+    assert list(_leaves({"b": {"y": 1, "x": {}}, "a": [2]})) == [
+        ("b", "y"), ("b", "x"), ("a",)]
 
 
 def test_local_certificate_needs_g_in_G(petersen_setup):

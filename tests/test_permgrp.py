@@ -248,11 +248,61 @@ def test_direct_power():
     odd[0], odd[1] = 1, 0
     crossing = list(range(25))
     crossing[0], crossing[5] = 5, 0
-    # the second round answers from the per-piece memo
+    # the second round answers from the per-block cache
     for _ in range(2):
         assert dp.contains(tuple(inside))
         assert not dp.contains(tuple(odd))
         assert not dp.contains(tuple(crossing))
+
+
+def test_slice_keyed_socle_kernels_match_the_per_piece_definitions():
+    # DirectPower.contains caches each block's verdict under its raw
+    # slice, and _PowerCosets buckets cosets by each block's least image;
+    # both must agree with the per-piece definitions: x lies in M = T^n
+    # when every block's piece lies in T, and My = Mr when y*r^-1 does
+    a5 = PermGroup([perm_from_cycles(5, [(0, 1, 2)]),
+                    perm_from_cycles(5, [(0, 1, 2, 3, 4)])])
+    n, d = 4, 5
+    M = DirectPower(a5, n)
+
+    def in_M(x):
+        pieces = [tuple(v - i * d for v in x[i * d:(i + 1) * d])
+                  for i in range(n)]
+        return all(min(p) >= 0 and max(p) < d and a5.contains(p)
+                   for p in pieces)
+
+    # G = S_5 wr C_4; its odd elements and block-crossing permutations
+    # lie outside M
+    odd = perm_from_cycles(20, [(0, 1)])
+    tau = tuple((x + d) % 20 for x in range(20))
+    G = list(M.gens) + [odd, tau]
+    rng = random.Random(24)
+
+    def word(gens, length):
+        x = pid(20)
+        for _ in range(length):
+            x = pmul(x, rng.choice(gens))
+        return x
+
+    queries = [word(G, 12) for _ in range(20)]
+    queries += [pmul(word(G, 6), perm_from_cycles(20, [(2, 7)]))
+                for _ in range(5)]
+    queries += [tuple(rng.sample(range(20), 20)) for _ in range(5)]
+    assert any(map(in_M, queries)) and not all(map(in_M, queries))
+    # an image past either end of the domain, tested before the identity
+    broken = [(*range(19), -1), (20, *range(1, 20)), pid(20)]
+    # the second round answers from the per-block cache
+    for x in 2 * (broken + queries):
+        assert M.contains(x) == in_M(x)
+    # each query again, moved within its coset by an element of M
+    ys = queries + [pmul(word(list(M.gens), 8), y) for y in queries]
+    locate = M._coset_labeler()
+    labels = [locate(y) for y in ys]
+    # labels are handed out in order of first sight
+    assert list(dict.fromkeys(labels)) == list(range(len(set(labels))))
+    for y, label in zip(ys, labels):
+        for r, other in zip(ys, labels):
+            assert (label == other) == in_M(pmul(y, pinv(r)))
 
 
 def test_arbitrary_precision_orders():
