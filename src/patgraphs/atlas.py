@@ -203,7 +203,7 @@ def seed_pgl2(q: int, bipartite: bool = False,
     else:
         ps = validate_parameters(q)
         if not ps.valid:
-            raise ValueError(f"q = {q} rejected: {ps.violation}")
+            raise ValueError(f"q = {q}: {ps.violation}")
         if q == 3:
             raise ValueError("q = 3 is excluded: PSL(2,3) is not simple")
     k = make_field(q)
@@ -263,7 +263,7 @@ def seed_symmetric(p: int, bipartite: bool = False,
                              f"p >= 7, got {p}")
         ps = validate_parameters(p)
         if not ps.valid:
-            raise ValueError(f"p = {p} rejected: {ps.violation}")
+            raise ValueError(f"p = {p}: {ps.violation}")
     degree = p
     k = make_field(p)
     trans = residue_translation(p)

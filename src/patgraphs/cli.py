@@ -38,7 +38,7 @@ from .graphcert import (
     two_arc_orbit_count,
     verify_certificate,
 )
-from .numth import VerificationError, check, validate_parameters
+from .numth import VerificationError, check
 from .permgrp import PermGroup, perm_from_cycles
 
 EXIT_OK = 0
@@ -64,10 +64,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _run_edc(args: argparse.Namespace) -> int:
     q = args.q
-    ps = validate_parameters(q)
-    if not ps.valid:
-        print(f"rejected: q = {q}: {ps.violation}", file=sys.stderr)
-        return EXIT_REJECTED
     res = equidistant_code_pipeline(q)
     code = res.code
     if not is_regular_on_nonzero(code, res.shift):
@@ -218,8 +214,8 @@ def _run_toy(args: argparse.Namespace) -> int:
     if args.preset is not None:
         degree, group_gens, subgroup_gens, edge = _PRESETS[args.preset]
     else:
-        if not (args.degree and args.group_gens
-                and args.subgroup_gens and args.edge_element):
+        if None in (args.degree, args.group_gens, args.subgroup_gens,
+                    args.edge_element):
             print("rejected: toy needs --preset or all of --degree, "
                   "--group, --subgroup, --g", file=sys.stderr)
             return EXIT_REJECTED

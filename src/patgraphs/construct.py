@@ -43,7 +43,6 @@ from .permgrp import (
     porder,
     ppow,
     same_double_coset,
-    socle_generates,
     socle_group,
 )
 
@@ -225,7 +224,6 @@ class PAConstruction:
     conj_matrix: tuple[tuple[int, ...], ...]
     qualifying: int
     G: PermGroup | None = None
-    M: DirectPower | None = None
 
 
 @dataclass(frozen=True)
@@ -335,7 +333,7 @@ def build_E_and_H(seed: AlmostSimpleSeed, components: RegularComponents,
 
 
 def assemble_G(pa: PAConstruction) -> PAConstruction:
-    """G = T^n <theta>, with the socle M = T^n it was built over.  Its
+    """G = T^n <theta>, which holds the socle T^n it was built over.  Its
     order proves T^n meet <theta> = <theta^(n |X:T|)>: |G : T^n| is
     |<theta> : <theta> meet T^n|, and a cyclic group has one subgroup of
     each order.  A wrong |X:T|, or a shift not prime to n, fails it."""
@@ -345,7 +343,7 @@ def assemble_G(pa: PAConstruction) -> PAConstruction:
     G = socle_group(list(M.gens) + [pa.theta], M)
     check(G.order() == T.order()**pa.n * pa.n * seed.index_XT,
           "G has the wrong order")
-    return replace(pa, G=G, M=M)
+    return replace(pa, G=G)
 
 
 def product_action_construction(q: int, family: str = "pgl2",
@@ -480,7 +478,7 @@ def valency64_construction(seed: AlmostSimpleSeed, report: ReadingReport,
     h_normalizers = []
     for x in _two_elements(tc.normalizer_elements):
         check(pa.G.contains(x), "a 2-element of N_M(<theta>) is not in G")
-        if socle_generates([*pa.H.gens, x], pa.M, pa.G.order()):
+        if pa.G.generated_by([*pa.H.gens, x]):
             candidates.append(x)
         elif (all(pa.H.contains(pconj(h, x)) for h in pa.H.gens)
               and pa.H.contains(pmul(x, x)) and not pa.H.contains(x)):
@@ -575,7 +573,6 @@ class BipartiteConstruction:
     G: PermGroup
     H: PermGroup
     K: PermGroup
-    M: DirectPower
 
 
 def bipartite_construction(p: int, family: str = "symmetric",
@@ -613,4 +610,4 @@ def bipartite_construction(p: int, family: str = "symmetric",
     check(H.order() == p * (p - 1)**2 and K.order() == (p - 1)**2,
           "H or K has the wrong order")
     return BipartiteConstruction(p, base, n, d, bold_a, bold_b, tau, o,
-                                 Gstar, G, H, K, M)
+                                 Gstar, G, H, K)

@@ -475,7 +475,7 @@ def equidistant_code_pipeline(q: int) -> EqcodeResult:
     faithful two-dimensional component."""
     ps = validate_parameters(q)
     if not ps.valid:
-        raise ValueError(f"q = {q} rejected: {ps.violation}")
+        raise ValueError(f"q = {q}: {ps.violation}")
     field = GF(ps.p, ps.f)
     shift = build_shift_matrix(field)
     dec = decompose_invariant(shift.rows(), field)

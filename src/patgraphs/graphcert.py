@@ -3,13 +3,13 @@
 The large constructions cannot be enumerated, so 2-arc-transitivity is
 certified locally: the edge stabilizer H meet H^g, the valency, local
 2-transitivity of H on the neighborhood, and connectivity, <H, g> = G
-for H and g checked to lie in G.  Connectivity is proven through G's
-socle T^n by permgrp.socle_generates, with no chain of <H, g>; it needs
-T simple, which the family fit proves, so certify and
-verify_certificate fit the family first.  Toy instances have no socle:
-<H, g> is sifted to the proven bound |G| there, and they are
-enumerated in full and cross-checked against the same local
-certificate.
+for H and g checked to lie in G, a question G itself answers
+(PermGroup.generated_by).  A G built over its socle T^n answers it
+through T^n, with no chain of <H, g>; that needs T simple, which the
+family fit proves, so certify and verify_certificate fit the family
+first.  Toy instances have no socle: <H, g> is sifted to the proven
+bound |G| there, and they are enumerated in full and cross-checked
+against the same local certificate.
 
 Every verdict of a certificate has one derivation, _derive, which both
 certify (from a construction's groups) and verify_certificate (from the
@@ -44,7 +44,6 @@ from .permgrp import (
     pmul,
     porder,
     ppow,
-    socle_generates,
     socle_group,
 )
 
@@ -66,7 +65,7 @@ _TYPES = {
 # the keys certificate_payload writes, for every kind and for each kind,
 # with the type of each
 _COMMON_KEYS = {
-    "format": "str", "kind": "str", "family": "str",
+    "format": "str", "kind": "str", "family": "str?",
     "degree": "count", "blocks": "count", "block_degree": "count",
     "valency": "count", "parameter": "count", "theorem1_case": "str?",
     "ii_possible": "bool?", "case_witness": "count?",
@@ -231,30 +230,23 @@ def edge_stabilizer(H: PermGroup, g: Perm) -> PermGroup:
     return coset_stabilizer(H, H, g)[0]
 
 
-def local_certificate(G: PermGroup, H: PermGroup, g: Perm,
-                      M: DirectPower | None = None) -> LocalCertificate:
+def local_certificate(G: PermGroup, H: PermGroup,
+                      g: Perm) -> LocalCertificate:
     """The valency is the length of the orbit of Hg under H, and local
     2-transitivity is read off H's action on that orbit, both from the
     walk that gives edge_stabilizer.  H and g must lie in G, and the
-    graph is connected exactly when <H, g> = G.  Given G's socle M, with
-    a factor that _family has fitted and so proven simple, that is
-    decided through M by socle_generates; otherwise <H, g> is sifted to
-    the proven bound |G|, which it meets exactly when it is G."""
+    graph is connected exactly when <H, g> = G, which G decides: a G
+    built over its socle through it, once _family has fitted the socle's
+    factor and so proven it simple, and any other by the sift of
+    <H, g> to the proven bound |G|."""
     check(all(G.contains(x) for x in [*H.gens, g]), "H or g is not in G")
     meet, neighbours = coset_stabilizer(H, H, g)
-    valency = neighbours.degree
-    if M is None:
-        connected = PermGroup([*H.gens, g], degree=H.degree,
-                              upper_bound=G.order(),
-                              seed=H.seed).order() == G.order()
-    else:
-        connected = socle_generates([*H.gens, g], M, G.order())
     return LocalCertificate(
         group_order=G.order(),
         stabilizer_order=H.order(),
         intersection_order=meet.order(),
-        valency=valency,
-        connected=connected,
+        valency=neighbours.degree,
+        connected=G.generated_by([*H.gens, g]),
         locally_2transitive=is_two_transitive(neighbours),
         g_square_in_H=H.contains(pmul(g, g)),
         g_outside_H=not H.contains(g),
@@ -267,8 +259,8 @@ def local_certificate(G: PermGroup, H: PermGroup, g: Perm,
 @dataclass(frozen=True)
 class CosetGraphCertificate:
     """The verdicts of a certificate, with the groups they were derived
-    from: G, the vertex stabilizer H, the edge element g, the socle
-    M = T^n, T^n meet H and its projections, and G* if bipartite."""
+    from: G, which holds the socle T^n, the vertex stabilizer H, the edge
+    element g, T^n meet H and its projections, and G* if bipartite."""
     kind: str
     family: str | None
     parameter: int
@@ -283,7 +275,6 @@ class CosetGraphCertificate:
     G: PermGroup
     H: PermGroup
     g: Perm
-    M: DirectPower
     meet: PermGroup
     projections: tuple[PermGroup, ...]
     gstar: PermGroup | None = None
@@ -300,13 +291,13 @@ def not_double_cover_test(H: PermGroup, M: DirectPower, p: int) -> str:
     standard double cover would force the replicated b, the generator of
     H with one nonidentity piece on every block and order p - 1, into
     the socle product M, so non-membership refutes it; membership decides
-    nothing."""
+    nothing, and without such a generator the chain cannot run."""
     for x in H.gens:
         pieces = {M.piece(x, i) for i in range(M.copies)}
         if len(pieces) == 1 and pid(M.factor.degree) not in pieces \
                 and porder(x) == p - 1:
             return "untested" if M.contains(x) else "is_not"
-    raise ValueError("H has no replicated generator of order p - 1")
+    return "untested"
 
 
 def _family(kind: str, T: PermGroup, n: int,
@@ -346,24 +337,24 @@ def _family(kind: str, T: PermGroup, n: int,
     return None
 
 
-def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
-            fit: tuple[str, int],
+def _derive(G: PermGroup, H: PermGroup, g: Perm, fit: tuple[str, int],
             gstar: PermGroup | None = None) -> CosetGraphCertificate:
-    """Every verdict of a certificate, from the groups alone: G with the
-    vertex stabilizer H and edge element g, G* when the graph is
-    bipartite, the socle M = T^n and the fit (family and parameter) that
-    _family finds for it, which proves T simple for the connectivity
+    """Every verdict of a certificate, from the groups alone: G, built
+    over its socle M = T^n, with the vertex stabilizer H and edge element
+    g, G* when the graph is bipartite, and the fit (family and parameter)
+    that _family finds for M, which proves T simple for the connectivity
     proof through M.  Once local_certificate has checked that H and g lie
     in G, T^n meet H is walked, its one derivation, and projected through
     its generators.  certify and verify_certificate call it."""
-    local = local_certificate(G, H, g, M)
+    M = G.socle
+    local = local_certificate(G, H, g)
     meet = filtered_intersection_with_product(H, M)
     projections = tuple(M.projection(meet, i) for i in range(M.copies))
     valency = local.valency
     family, fitted = fit
     top = G if gstar is None else gstar
     fields = dict(
-        local=local, G=G, H=H, g=g, M=M, meet=meet, projections=projections,
+        local=local, G=G, H=H, g=g, meet=meet, projections=projections,
         # the socle is transitive on the cosets of H in top
         socle_transitive=(all(top.contains(x) for x in H.gens)
                           and M.order() * H.order()
@@ -397,7 +388,7 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, M: DirectPower,
 
 def certify(construction) -> CosetGraphCertificate:
     """Certificate for a product-action or bipartite construction, from
-    its groups and the socle M its G was built over; the one place that
+    its groups, G among them built over its socle; the one place that
     checks the verdicts a construction must have.  The edge element g is
     the searched one of a valency-64 construction, and the replicated
     seed involution o of any other."""
@@ -417,8 +408,7 @@ def certify(construction) -> CosetGraphCertificate:
     seed = construction.seed
     fit = _family(kind, seed.T, construction.n, seed.field)
     check(fit is not None, "the socle factor fits no family")
-    cert = _derive(construction.G, construction.H, g, construction.M, fit,
-                   gstar)
+    cert = _derive(construction.G, construction.H, g, fit, gstar)
     check(cert.family == seed.family, f"the groups show family "
           f"{cert.family!r}, not the seed's {seed.family!r}")
     check(cert.socle_transitive, "T^n is not transitive on the coset space")
@@ -518,7 +508,7 @@ def certificate_payload(cert: CosetGraphCertificate) -> dict:
     the socle factor, and exact orders as decimal strings.  The one
     writer of the format: verify_certificate compares what it writes for
     the rebuilt groups with the payload it was given."""
-    local, M = cert.local, cert.M
+    local, M = cert.local, cert.G.socle
     payload = {
         "format": CERTIFICATE_FORMAT,
         "kind": cert.kind,
@@ -598,7 +588,7 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
     G = socle_group(gens["G"], M)
     gstar = (socle_group(gens["gstar"], M)
              if payload["kind"] == "bipartite" else None)
-    cert = _derive(G, H, g, M, fit, gstar)
+    cert = _derive(G, H, g, fit, gstar)
     stated, written = _leaves(payload), certificate_payload(cert)
     failures = tuple(_mismatch(path, stated[path], value)
                      for path, value in _leaves(written).items()
@@ -666,10 +656,12 @@ def _check_shape(payload) -> None:
                 or _TYPES[name.rstrip("?")](node)):
             raise ValueError(f"{kind} certificate has a {dotted} of the "
                              f"wrong type ({type(node).__name__})")
-    unknown = sorted(map(_dotted, leaves))
-    if unknown:
-        raise ValueError(f"{kind} certificate has unknown keys "
-                         f"{', '.join(unknown)}")
+    if leaves:
+        # one path, cut short, and a count: a deep object makes one long
+        path = _dotted(next(iter(leaves)))
+        path = path if len(path) <= 80 else path[:77] + "..."
+        more = f" and {len(leaves) - 1} more" if len(leaves) > 1 else ""
+        raise ValueError(f"{kind} certificate has unknown key {path}{more}")
     degree, g = payload["degree"], payload["generators"]["g"]
     if not (payload["blocks"] * payload["block_degree"] == degree == len(g)
             and sorted(g) == list(range(degree))):

@@ -10,15 +10,15 @@ group whose generators list and normalize those of a direct power M by
 one walk over M's cosets, and tests membership there, with no chain:
 a coset of M is bucketed by the least image of each block, and M's
 membership verdict for each block is cached under its raw slice of
-images.  socle_generates decides whether a subgroup of such a group is
-all of it, through M and Scott's lemma, on chains of one block and of
-one pair of blocks per minimal class of the subgroup's invariant
-partitions of the blocks.  A subgroup's projection to one block of M is
-generated by its generators' pieces.  Intersections, and stabilizers of
-right cosets and of points, come from walking the orbit of a coset
-(orbit-stabilizer and Schreier generators), not from enumerating the
-group.  A transversal entry t_p*h gets its inverse by one product,
-h^-1 * t_p^-1.
+images.  generated_by decides whether generators of a group generate it:
+by a sift to its order, or for such a group through M and Scott's lemma,
+on chains of one block and of one pair of blocks per minimal class of
+their invariant partitions of the blocks.  A subgroup's projection to one
+block of M is generated by its generators' pieces.  Intersections, and
+stabilizers of right cosets and of points, come from walking the orbit
+of a coset (orbit-stabilizer and Schreier generators), not from
+enumerating the group.  A transversal entry t_p*h gets its inverse by
+one product, h^-1 * t_p^-1.
 """
 
 from __future__ import annotations
@@ -403,6 +403,12 @@ class PermGroup:
         """A fresh labeling of this group's right cosets, for _coset_walk."""
         return _CanonicalCosets(self)
 
+    def generated_by(self, gens) -> bool:
+        """<gens> is this group, for generators in it: sifted to the proven
+        bound |self|, <gens> meets it exactly when it is the whole group."""
+        return PermGroup(gens, degree=self.degree, upper_bound=self.order(),
+                         seed=self.seed).order() == self.order()
+
 
 class DirectPower(PermGroup):
     """The direct power of a group acting on disjoint copies of its
@@ -634,26 +640,39 @@ def same_double_coset(group: PermGroup, x, y) -> bool:
 
 
 class _SocleExtension(PermGroup):
-    """<gens> for generators that normalize a direct power M and include
-    all of M's generators, both checked here.  Then M is normal in
-    <gens>, so the order is |M| times the length of the orbit of the
-    coset M, and x lies in the group exactly when the coset Mx is in that
-    orbit: the order meets its proven bound by containment, with no
-    chain.  Any other query builds the chain, sifted to that order."""
+    """<gens> for generators that normalize a direct power M, its socle,
+    and include all of M's generators, both checked here.  Then M is
+    normal in <gens>, so the order is |M| times the length of the orbit
+    of the coset M, and x lies in the group exactly when the coset Mx is
+    in that orbit: the order meets its proven bound by containment, with
+    no chain, and generated_by decides through M.  Any other query
+    builds the chain, sifted to that order."""
 
     def __init__(self, gens, M: DirectPower):
         super().__init__(gens, degree=M.degree, seed=M.seed)
-        check(set(M.gens) <= set(self.gens),
+        self.socle = M
+        listed = set(M.gens)
+        check(listed <= set(self.gens),
               "the generators do not list every generator of T^n")
-        # those inside M act trivially on the cosets, and are not walked
-        outside = [g for g in self.gens if not M.contains(g)]
-        check(all(M.contains(pconj(m, g)) for g in outside for m in M.gens),
+        check(all(M.contains(pconj(m, g)) for g in self.gens
+                  if g not in listed for m in M.gens),
               "a generator does not normalize T^n")
         self._locate = M._coset_labeler()
-        self._index = len(_coset_walk(outside, pid(M.degree),
-                                      self._locate).transversal)
+        self._index = len(self._walk(self.gens, self._locate).transversal)
         self._upper_bound = M.order() * self._index
         self.certified_by = "bound"
+
+    def _walk(self, gens, locate) -> _CosetOrbit:
+        """The orbit of the coset M under right multiplication by <gens>.
+        A generator inside M fixes every coset of M, so only the others
+        are walked, and those inside join the walk after them with a
+        trivial action."""
+        inside = [x for x in gens if self.socle.contains(x)]
+        walk = _coset_walk([x for x in gens if x not in inside],
+                           pid(self.degree), locate)
+        fixed = (tuple(range(len(walk.transversal))),) * len(inside)
+        return replace(walk, gens=walk.gens + tuple(inside),
+                       action=walk.action + fixed)
 
     def order(self) -> int:
         return self._upper_bound
@@ -665,6 +684,58 @@ class _SocleExtension(PermGroup):
         # a coset outside the orbit gets a fresh label, index or above
         return self._locate(x) < self._index
 
+    def generated_by(self, gens) -> bool:
+        """<gens> is the group G, for generators that lie in it, when T is
+        nonabelian simple and transitive: the socle M = T^n is normal in
+        G, so G permutes M's orbits, its blocks.  Decided through M, with
+        no chain of <gens>: L = <gens> is G exactly when LM = G and
+        K = L meet M is M.
+
+        One walk of the cosets of M under L gives |LM : M| and, by
+        Schreier's lemma, generators of K.  K is normal in L, so for
+        blocks i and j in one orbit of L, pi_j(K) is a conjugate of
+        pi_i(K).  For one block i of each orbit, pi_i(K) is ordered from
+        the pieces of K's generators with the bound |T|, and K is not M
+        if it is smaller.  K is then subdirect in T^n, so by Scott's
+        lemma it is a direct product of full diagonals over a partition
+        of the blocks, which L permutes; L carries any linked pair of
+        blocks to one holding the block i of its orbit.  If j is linked
+        to i, so is every block in i's class of the finest L-invariant
+        partition joining i and j, and that class holds an
+        inclusion-minimal one among the classes for all j != i.  So
+        K = M exactly when, for each such i and one block j from each
+        minimal class, the pieces on 2d points give pi_ij(K) = T^2,
+        ordered with the bound |T|^2: a full diagonal has order |T|."""
+        M = self.socle
+        top, d, n = M.factor.order(), M.factor.degree, M.copies
+        walk = self._walk([tuple(g) for g in gens], M._coset_labeler())
+        if M.order() * len(walk.transversal) != self.order():
+            return False
+        kgens = list(walk.schreier_generators())
+        # a generator inside M fixes every block
+        on_blocks = [tuple(v // d for v in x[::d]) for x in walk.gens]
+        firsts = [i for i, *_ in orbit_partition(on_blocks, n)]
+        pieces = {i: [M.piece(x, i) for x in kgens] for i in firsts}
+        # Scott's partition needs K subdirect, so every pi_i(K) comes first
+        for i in firsts:
+            if PermGroup(pieces[i], degree=d, upper_bound=top,
+                         seed=M.seed).order() < top:
+                return False
+        for i in firsts:
+            classes = {j: next(c for c in _minimal_blocks(on_blocks, n, i, j)
+                               if i in c) for j in range(n) if j != i}
+            kept: list[int] = []
+            for j in sorted(classes, key=lambda j: len(classes[j])):
+                if not any(k in classes[j] for k in kept):
+                    kept.append(j)
+            for j in kept:
+                pair = [p + tuple(d + v for v in M.piece(x, j))
+                        for p, x in zip(pieces[i], kgens)]
+                if PermGroup(pair, degree=2 * d, upper_bound=top * top,
+                             seed=M.seed).order() < top * top:
+                    return False
+        return True
+
 
 def socle_group(gens, M: DirectPower) -> _SocleExtension:
     """<gens> for generators that list every generator of the direct
@@ -674,64 +745,6 @@ def socle_group(gens, M: DirectPower) -> _SocleExtension:
     M's generators, or with a generator that does not normalize M,
     fails."""
     return _SocleExtension(gens, M)
-
-
-def socle_generates(gens, M: DirectPower, order: int) -> bool:
-    """<gens> has the given order, for generators that lie in a group G of
-    that order in which the direct power M = T^n is normal, T nonabelian
-    simple and transitive, so that G permutes M's orbits, its blocks.
-    Decided through M, with no chain of <gens>: L = <gens> is G exactly
-    when LM = G and K = L meet M is M.
-
-    One walk of the cosets of M under L gives |LM : M| and, by Schreier's
-    lemma, generators of K.  K is normal in L, so for blocks i and j in
-    one orbit of L, pi_j(K) is a conjugate of pi_i(K).  For one block i
-    of each orbit, pi_i(K) is ordered from the pieces of K's generators
-    with the bound |T|, and K is not M if it is smaller.  K is then
-    subdirect in T^n, so by Scott's lemma it is a direct product of full
-    diagonals over a partition of the blocks, which L permutes; L carries
-    any linked pair of blocks to one holding the block i of its orbit.
-    If j is linked to i, so is every block in i's class of the finest
-    L-invariant partition joining i and j, and that class holds an
-    inclusion-minimal one among the classes for all j != i.  So K = M
-    exactly when, for each such i and one block j from each minimal
-    class, the pieces on 2d points give pi_ij(K) = T^2, ordered with the
-    bound |T|^2: a full diagonal has order |T|."""
-    gens = [tuple(g) for g in gens]
-    top, d, n = M.factor.order(), M.factor.degree, M.copies
-    # a generator inside M fixes every coset of M, so only the others are
-    # walked, and those inside join the walk with a trivial action
-    inside = [x for x in gens if M.contains(x)]
-    outside = [x for x in gens if x not in inside]
-    walk = _coset_walk(outside, pid(M.degree), M._coset_labeler())
-    index = len(walk.transversal)
-    if M.order() * index != order:
-        return False
-    walk = replace(walk, gens=walk.gens + tuple(inside),
-                   action=walk.action + (tuple(range(index)),) * len(inside))
-    kgens = list(walk.schreier_generators())
-    on_blocks = [tuple(v // d for v in x[::d]) for x in outside]
-    firsts = [i for i, *_ in orbit_partition(on_blocks, n)]
-    pieces = {i: [M.piece(x, i) for x in kgens] for i in firsts}
-    # Scott's partition needs K subdirect, so every pi_i(K) comes first
-    for i in firsts:
-        if PermGroup(pieces[i], degree=d, upper_bound=top,
-                     seed=M.seed).order() < top:
-            return False
-    for i in firsts:
-        classes = {j: next(c for c in _minimal_blocks(on_blocks, n, i, j)
-                           if i in c) for j in range(n) if j != i}
-        kept: list[int] = []
-        for j in sorted(classes, key=lambda j: len(classes[j])):
-            if not any(k in classes[j] for k in kept):
-                kept.append(j)
-        for j in kept:
-            pair = [p + tuple(d + v for v in M.piece(x, j))
-                    for p, x in zip(pieces[i], kgens)]
-            if PermGroup(pair, degree=2 * d, upper_bound=top * top,
-                         seed=M.seed).order() < top * top:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -260,8 +260,9 @@ def test_socle_connectivity_survives_optimize_flag():
             "swap = tuple(range(5, 10)) + tuple(range(5))\n"
             "G = socle_group([*M.gens, swap], M)\n"
             "H = PermGroup([t + tuple(5 + v for v in t) for t in a5.gens])\n"
-            "cert = local_certificate(G, H, swap, M)\n"
-            "if cert.connected or cert != local_certificate(G, H, swap):\n"
+            "cert = local_certificate(G, H, swap)\n"
+            "sifted = PermGroup.generated_by(G, [*H.gens, swap])\n"
+            "if cert.connected or sifted:\n"
             "    raise SystemExit(f'the full diagonal gave {cert}')\n"
             "pa = product_action_construction(4)\n"
             "s5 = PermGroup([perm_from_cycles(5, [(0, 1)]),\n"
@@ -296,5 +297,29 @@ def test_forged_socle_transitivity_check_survives_optimize_flag():
             "    message = 'T^n is not transitive on the coset space'\n"
             "    raise SystemExit(0 if message in str(exc) else str(exc))\n"
             "raise SystemExit('a disconnected H passed certify')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_forged_b_squared_check_survives_optimize_flag():
+    # the p5-b-squared forgery: H = <a, b^2, tau> has valency 10, and
+    # certify fails it by the family check; with no replicated generator
+    # of order p - 1, the double-cover chain refutes nothing
+    code = ("import dataclasses\n"
+            "from patgraphs.construct import bipartite_construction\n"
+            "from patgraphs.graphcert import certify, not_double_cover_test\n"
+            "from patgraphs.numth import VerificationError\n"
+            "from patgraphs.permgrp import PermGroup, ppow\n"
+            "bc = bipartite_construction(5)\n"
+            "H = PermGroup([bc.bold_a, ppow(bc.bold_b, 2), bc.tau],\n"
+            "              degree=bc.H.degree)\n"
+            "if not_double_cover_test(H, bc.G.socle, 10) != 'untested':\n"
+            "    raise SystemExit('the chain refuted without b')\n"
+            "try:\n"
+            "    certify(dataclasses.replace(bc, H=H))\n"
+            "except VerificationError as exc:\n"
+            "    message = 'the groups show family None'\n"
+            "    raise SystemExit(0 if message in str(exc) else str(exc))\n"
+            "raise SystemExit('H = <a, b^2, tau> passed certify')\n")
     proc = _run_optimized(code)
     assert proc.returncode == 0, proc.stderr

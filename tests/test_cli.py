@@ -135,6 +135,33 @@ def test_construct_q5_rejected_with_clause(capsys):
     assert "2-part" in err and "odd" in err
 
 
+def test_parameter_rejections_say_rejected_once(capsys):
+    # the seeds and the code pipeline name the violated clause, and run
+    # adds the one "rejected:" prefix; edc prints the pipeline's text
+    for argv, line in (
+            (["construct", "--q", "2"],
+             "rejected: q = 2: n = 3 is too small (need n > 3)"),
+            (["edc", "--q", "2"],
+             "rejected: q = 2: n = 3 is too small (need n > 3)"),
+            (["construct", "--family", "symmetric", "--q", "13"],
+             "rejected: p = 13: n = 14 has 2-part 2**1 < 4 while q = 13 "
+             "is odd")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == line + "\n"
+
+
+def test_toy_reports_a_given_degree_of_zero(capsys):
+    # --degree 0 is given, so toy goes on to the real fault, a point
+    # outside the empty domain, and does not call --degree missing
+    assert main(["toy", "--degree", "0", "--group", "(0 1)",
+                 "--subgroup", "()", "--g", "()"]) == 2
+    assert capsys.readouterr().err == \
+        "rejected: point out of range in cycle (0 1)\n"
+    assert main(["toy", "--group", "(0 1)", "--subgroup", "()",
+                 "--g", "()"]) == 2
+    assert "needs --preset or all of --degree" in capsys.readouterr().err
+
+
 def test_construct_q4_certificate_roundtrip(tmp_path, capsys):
     cert = tmp_path / "c4.json"
     assert main(["construct", "--q", "4", "--out", str(cert)]) == 0
@@ -357,17 +384,20 @@ def test_connectivity_orders_one_pair_per_minimal_class(tmp_path,
     # <H, g> cycles the 12 blocks regularly, so the classes of the finest
     # invariant partitions joining block 0 to another are the cosets of
     # the subgroups of Z_12, and the minimal ones are of orders 2 and 3:
-    # socle_generates orders pi_0j(K) to |T|^2 for two blocks j, not 11
+    # G orders pi_0j(K) to |T|^2 for two blocks j, not 11, and agrees
+    # with the sift of <H, g> to |G|
     pairs, inside = [], []
-    generates = permgrp.socle_generates
+    generates = permgrp._SocleExtension.generated_by
     complete = permgrp.PermGroup._complete
 
-    def deciding(gens, M, order):
-        inside.append(M)
+    def deciding(self, gens):
+        inside.append(self.socle)
         try:
-            return generates(gens, M, order)
+            verdict = generates(self, gens)
         finally:
             inside.pop()
+        assert verdict == permgrp.PermGroup.generated_by(self, gens)
+        return verdict
 
     def recording(self, ident):
         if inside:
@@ -378,8 +408,7 @@ def test_connectivity_orders_one_pair_per_minimal_class(tmp_path,
         return complete(self, ident)
 
     monkeypatch.setattr(permgrp.PermGroup, "_complete", recording)
-    for module in (construct, graphcert):
-        monkeypatch.setattr(module, "socle_generates", deciding)
+    monkeypatch.setattr(permgrp._SocleExtension, "generated_by", deciding)
     for command in (["construct", "--q", "11"], ["bipartite", "--p", "13"]):
         cert = tmp_path / f"{command[0]}.json"
         for argv in (command + ["--out", str(cert)], ["verify", str(cert)]):
@@ -689,6 +718,35 @@ def test_verify_rejects_deeply_nested_json(tmp_path, capsys,
     assert main(["verify", str(nested)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("rejected:") and "Traceback" not in err
+    # the deep object's one unknown path is cut short
+    assert len(err) < 200
+
+
+def test_verify_names_one_unknown_key_and_a_count(tmp_path, capsys,
+                                                   small_certificates):
+    # 1,000 unknown keys were listed in full on one line
+    payload = dict(small_certificates["construct"])
+    payload.update({f"extra{i:04}": i for i in range(1000)})
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == ("rejected: product-action certificate "
+                                       "has unknown key extra0000 and 999 "
+                                       "more\n")
+
+
+def test_verify_compares_a_null_family(tmp_path, capsys,
+                                       small_certificates):
+    # certificate_payload writes a null family when the valency is not
+    # the fitted parameter, so null is well formed; on the q = 4
+    # certificate it is compared with the family and fails
+    payload = dict(small_certificates["construct"], family=None)
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    assert "family: stated None, recomputed 'pgl2'" in capsys.readouterr().err
 
 
 def test_toy_presets(tmp_path, capsys):

@@ -269,10 +269,10 @@ def test_product_intersection_divisor_rule(pa4, pa7):
         seed = pa.seed
         m = pa.n * seed.index_XT
         assert pa.G.order() == seed.T.order()**pa.n * m
-        assert pa.M.contains(ppow(pa.theta, m))
+        assert pa.G.socle.contains(ppow(pa.theta, m))
         for r in {r for r in range(2, m + 1)
                   if m % r == 0 and all(r % s for s in range(2, r))}:
-            assert not pa.M.contains(ppow(pa.theta, m // r))
+            assert not pa.G.socle.contains(ppow(pa.theta, m // r))
 
 
 def test_product_intersection_walk_catches_a_wrong_index(pa7):
@@ -300,7 +300,7 @@ def test_assemble_G_compares_projections_by_membership(pa4):
     R = PermGroup([pconj(x, t) for x in seed.R.gens], degree=seed.degree)
     moved = dataclasses.replace(pa4, seed=dataclasses.replace(
         seed, R=R, F=tuple(pconj(x, t) for x in seed.F),
-        b=pconj(seed.b, t), c=pconj(seed.c, t)), G=None, M=None)
+        b=pconj(seed.b, t), c=pconj(seed.c, t)), G=None)
     with pytest.raises(VerificationError,
                        match="projection 0 of T\\^n meet H is not R meet T"):
         certify(assemble_G(moved))

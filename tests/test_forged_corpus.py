@@ -36,6 +36,11 @@ DIGESTS = {
     # not transitive on its cosets in G* and the graph is disconnected
     "p5-tau-squared":
         "269e978744cb18083ae8fa5938b6634742e45439aab257091ec0fefbb5726be1",
+    # H = <a, b^2, tau>: b^2 does not act on <a> as a primitive root, H
+    # has no replicated generator of order p - 1 for the double-cover
+    # chain, and the valency is 10, not p
+    "p5-b-squared":
+        "623c2debd36de2fa545bad77645aca711ca4f07364b2b429862b8bca421cf999",
 }
 
 
@@ -48,6 +53,8 @@ FORGED_H = {
     "p5-tau-dropped": ("bip5_symmetric", lambda c: [c.bold_a, c.bold_b]),
     "p5-tau-squared": ("bip5_symmetric",
                        lambda c: [c.bold_a, c.bold_b, ppow(c.tau, 2)]),
+    "p5-b-squared": ("bip5_symmetric",
+                     lambda c: [c.bold_a, ppow(c.bold_b, 2), c.tau]),
 }
 
 
@@ -66,8 +73,11 @@ def forged(request):
 def _payload(c) -> dict:
     bipartite = isinstance(c, BipartiteConstruction)
     kind = "bipartite" if bipartite else "product-action"
-    cert = _derive(c.G, c.H, c.o, c.M, _family(kind, c.seed.T, c.n),
+    cert = _derive(c.G, c.H, c.o, _family(kind, c.seed.T, c.n),
                    c.Gstar if bipartite else None)
+    # G decides connectivity through its socle, as the sift to |G| does
+    assert cert.local.connected == PermGroup.generated_by(c.G,
+                                                          [*c.H.gens, c.o])
     return certificate_payload(cert)
 
 
@@ -92,6 +102,7 @@ def test_forged_payload_is_pinned_and_verified(tmp_path, capsys, forged,
     ("q4-theta-cubed", "certificate conditions failed"),
     ("p5-tau-dropped", "T\\^n is not transitive on the coset space"),
     ("p5-tau-squared", "T\\^n is not transitive on the coset space"),
+    ("p5-b-squared", "the groups show family None"),
 ])
 def test_certify_rejects_the_forged_construction(forged, name, message):
     # certify walks T^n meet H for the H it is given: |T^5 meet H| is 16

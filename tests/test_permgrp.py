@@ -502,7 +502,7 @@ def test_projections_by_generators_match_enumeration(kind, value, request):
     else:
         c = request.getfixturevalue("v64")
     cert = certify(c)
-    injective = _projections_against_enumeration(cert.M, cert.meet)
+    injective = _projections_against_enumeration(cert.G.socle, cert.meet)
     # the bipartite meet is diagonal, the product-action one is not
     assert all(injective) == (kind == "p")
 
