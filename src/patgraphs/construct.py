@@ -4,7 +4,9 @@ The central objects: a twisting element theta = d0*tau inside X wr C_n,
 the elementary abelian subgroup E cut out of F^n by the invariant
 decomposition of theta's measured conjugation matrix, the point
 stabilizer H = E:<theta>, the full group G = T^n<theta>, and the
-bipartite variant G = G*:<o>.  An element of X wr C_n is a plain
+bipartite variant G = G*:<o> with H = <a>:<b, tau>; both H are built as
+permgrp AffineGroups, whose orders |V| |C| are proven from their
+structure, with no Schreier check.  An element of X wr C_n is a plain
 permutation of the n*d points of its imprimitive action, built by
 `wreath` and multiplied like any other, and its component at block i is
 read back from the slice perm[i*d:(i+1)*d].  Everything is verified as
@@ -33,9 +35,11 @@ from .eqcode import (
 from .gf import GF
 from .numth import VerificationError, check
 from .permgrp import (
+    AffineGroup,
     DirectPower,
     Perm,
     PermGroup,
+    affine_group,
     pconj,
     pid,
     pinv,
@@ -316,16 +320,15 @@ def build_E_and_H(seed: AlmostSimpleSeed, components: RegularComponents,
     check(not classical or len(set(spaces)) == n,
           "coordinate kernels of E are not distinct")
 
-    # H is 2-transitive on the cosets of <theta>: E is normal in
-    # H = E<theta>, and |H| = |E| |theta|, the bound the sift meets,
-    # makes E meet <theta> trivially.  So H acts on those cosets as the
-    # affine group on E, where <theta> fixes the coset of 1 and, by the
-    # transitivity above, is transitive on the other q^2 - 1
+    # H = E:<theta> as an AffineGroup, which re-proves from the
+    # permutations that theta normalizes E and is transitive on E minus
+    # 1, and that E meets <theta> trivially; |H| = |E| |theta| is then the
+    # proven bound its chain is sifted to, and H acts on the cosets of
+    # <theta> 2-transitively, as the affine group on E
     check(porder(theta) == q * q - 1, "theta does not have order q^2-1")
-    H = PermGroup(list(E) + [theta], degree=n * d,
-                  upper_bound=q * q * (q * q - 1), seed=seed.T.seed)
-    check(H.order() == q * q * (q * q - 1),
-          "H does not have the affine order q^2(q^2-1)")
+    H = affine_group(list(E) + [theta], -1, degree=n * d, seed=seed.T.seed)
+    check(isinstance(H, AffineGroup) and H.order() == q * q * (q * q - 1),
+          "H is not the affine group E:<theta> of order q^2(q^2-1)")
 
     o = None if seed.o is None else wreath((seed.o,) * n, 0, d)
     return PAConstruction(seed, n, d, theta, E, H, o, witness,
@@ -605,9 +608,12 @@ def bipartite_construction(p: int, family: str = "symmetric",
     Gstar = socle_group(star_gens, M)
     check(Gstar.order() == T.order()**n * n * 2, "Gstar has the wrong order")
     G = socle_group(list(Gstar.gens) + [o], M)
-    H = PermGroup([bold_a, bold_b, tau], degree=n * d, seed=seed)
-    K = PermGroup([bold_b, tau], degree=n * d, seed=seed)
-    check(H.order() == p * (p - 1)**2 and K.order() == (p - 1)**2,
+    # H = <a>:K as an AffineGroup, K = <b, tau>: orders proven from the
+    # affine structure, with no Schreier check
+    H = affine_group([bold_a, bold_b, tau], 1, degree=n * d, seed=seed)
+    check(isinstance(H, AffineGroup) and H.order() == p * (p - 1)**2
+          and H.complement.order() == (p - 1)**2,
           "H or K has the wrong order")
+    K = H.complement
     return BipartiteConstruction(p, base, n, d, bold_a, bold_b, tau, o,
                                  Gstar, G, H, K)

@@ -4,7 +4,11 @@ The large constructions cannot be enumerated, so 2-arc-transitivity is
 certified locally: the edge stabilizer H meet H^g, the valency, local
 2-transitivity of H on the neighborhood, and connectivity, <H, g> = G
 for H and g checked to lie in G, a question G itself answers
-(PermGroup.generated_by).  A G built over its socle T^n answers it
+(PermGroup.generated_by).  The local facts are H's to answer
+(PermGroup.local_action): an affine H = V:C, rebuilt by affine_group
+with each premise proven from its generators, reads them from the
+affine lemma when g normalizes C, with no walk of the cosets of H; any
+other H walks the orbit of Hg.  A G built over its socle T^n answers it
 through T^n, with no chain of <H, g>; that needs T simple, which the
 family fit proves, so certify and verify_certificate fit the family
 first.  Toy instances have no socle: <H, g> is sifted to the proven
@@ -13,8 +17,9 @@ against the same local certificate.
 
 Every verdict of a certificate has one derivation, _derive, which both
 certify (from a construction's groups) and verify_certificate (from the
-groups rebuilt out of a payload's generators) call: T^n meet H, walked
-there once and never enumerated, socle transitivity, the diagonal type
+groups rebuilt out of a payload's generators) call: T^n meet H, derived
+there once (for an affine H by the Dedekind law, from a walk under C
+alone) and never enumerated, socle transitivity, the diagonal type
 from the projections of its generators, the parameter and Theorem 1
 case from the valency, the family, and the bipartite index, half-swap
 and double-cover verdicts; certify alone checks them.  The format has
@@ -35,10 +40,9 @@ from .permgrp import (
     DirectPower,
     Perm,
     PermGroup,
+    affine_group,
     coset_action,
     coset_stabilizer,
-    filtered_intersection_with_product,
-    is_two_transitive,
     orbit_partition,
     pid,
     pmul,
@@ -232,22 +236,25 @@ def edge_stabilizer(H: PermGroup, g: Perm) -> PermGroup:
 
 def local_certificate(G: PermGroup, H: PermGroup,
                       g: Perm) -> LocalCertificate:
-    """The valency is the length of the orbit of Hg under H, and local
-    2-transitivity is read off H's action on that orbit, both from the
-    walk that gives edge_stabilizer.  H and g must lie in G, and the
-    graph is connected exactly when <H, g> = G, which G decides: a G
-    built over its socle through it, once _family has fitted the socle's
-    factor and so proven it simple, and any other by the sift of
+    """H meet H^g, the valency and local 2-transitivity are what H's type
+    reads off (PermGroup.local_action): an AffineGroup V:C whose C g
+    normalizes, with V.gens[0]^(g^-1) outside H, has H meet H^g = C,
+    valency |V| and a 2-transitive local action by the affine lemma; any
+    other H walks the orbit of Hg under H, whose length is the valency
+    and whose action is H's on the neighbours.  H and g must lie in G,
+    and the graph is connected exactly when <H, g> = G, which G decides:
+    a G built over its socle through it, once _family has fitted the
+    socle's factor and so proven it simple, and any other by the sift of
     <H, g> to the proven bound |G|."""
     check(all(G.contains(x) for x in [*H.gens, g]), "H or g is not in G")
-    meet, neighbours = coset_stabilizer(H, H, g)
+    intersection, valency, two_transitive = H.local_action(g)
     return LocalCertificate(
         group_order=G.order(),
         stabilizer_order=H.order(),
-        intersection_order=meet.order(),
-        valency=neighbours.degree,
+        intersection_order=intersection,
+        valency=valency,
         connected=G.generated_by([*H.gens, g]),
-        locally_2transitive=is_two_transitive(neighbours),
+        locally_2transitive=two_transitive,
         g_square_in_H=H.contains(pmul(g, g)),
         g_outside_H=not H.contains(g),
     )
@@ -344,11 +351,14 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, fit: tuple[str, int],
     g, G* when the graph is bipartite, and the fit (family and parameter)
     that _family finds for M, which proves T simple for the connectivity
     proof through M.  Once local_certificate has checked that H and g lie
-    in G, T^n meet H is walked, its one derivation, and projected through
-    its generators.  certify and verify_certificate call it."""
+    in G, T^n meet H is derived once, by H's type (PermGroup.meet): for
+    an AffineGroup V:C with V in T^n as V (T^n meet C) by the Dedekind
+    law, otherwise by a walk of the cosets of T^n under H; it is
+    projected through its generators.  certify and verify_certificate
+    call it."""
     M = G.socle
     local = local_certificate(G, H, g)
-    meet = filtered_intersection_with_product(H, M)
+    meet = H.meet(M)
     projections = tuple(M.projection(meet, i) for i in range(M.copies))
     valency = local.valency
     family, fitted = fit
@@ -582,12 +592,15 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
            and _family(payload["kind"], T, payload["blocks"]))
     check(bool(fit), "the socle factor is intransitive or fits no family")
     M = DirectPower(T, payload["blocks"])
-    H = PermGroup(gens["H"], degree=payload["degree"], seed=seed)
-    g = tuple(gens["g"])
     # orders are proven from the generators; the payload's are only compared
     G = socle_group(gens["G"], M)
     gstar = (socle_group(gens["gstar"], M)
              if payload["kind"] == "bipartite" else None)
+    # H = E:<theta> lists E's generators, then theta; H = <a>:<b, tau>
+    # lists a first.  H is an AffineGroup only if every premise is proven
+    H = affine_group(gens["H"], 1 if payload["kind"] == "bipartite" else -1,
+                     degree=payload["degree"], seed=seed)
+    g = tuple(gens["g"])
     cert = _derive(G, H, g, fit, gstar)
     stated, written = _leaves(payload), certificate_payload(cert)
     failures = tuple(_mismatch(path, stated[path], value)

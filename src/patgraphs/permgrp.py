@@ -18,17 +18,22 @@ block of M is generated by its generators' pieces.  Intersections, and
 stabilizers of right cosets and of points, come from walking the orbit
 of a coset (orbit-stabilizer and Schreier generators), not from
 enumerating the group.  A transversal entry t_p*h gets its inverse by
-one product, h^-1 * t_p^-1.
+one product, h^-1 * t_p^-1.  affine_group makes an affine H = V:C, with
+every premise proven from the permutations, an AffineGroup: its order
+|V| |C| is a proven bound, and it reads H meet H^g, the valency and
+local 2-transitivity (local_action), and H meet M for V inside M
+(meet, by the Dedekind law), from its structure, walking only where a
+premise about g or M fails.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 
-from .numth import VerificationError, check
+from .numth import VerificationError, check, factorize, is_prime
 
 Perm = tuple[int, ...]
 
@@ -409,6 +414,17 @@ class PermGroup:
         return PermGroup(gens, degree=self.degree, upper_bound=self.order(),
                          seed=self.seed).order() == self.order()
 
+    def local_action(self, g) -> tuple[int, int, bool]:
+        """|self meet self^g|, the valency |self : self meet self^g|, and
+        whether self is 2-transitive on the cosets of self meet self^g,
+        from one walk of the orbit of the coset self*g (coset_stabilizer)."""
+        meet, neighbours = coset_stabilizer(self, self, g)
+        return meet.order(), neighbours.degree, is_two_transitive(neighbours)
+
+    def meet(self, big: PermGroup) -> PermGroup:
+        """self meet big, by filtered_intersection_with_product."""
+        return filtered_intersection_with_product(self, big)
+
 
 class DirectPower(PermGroup):
     """The direct power of a group acting on disjoint copies of its
@@ -745,6 +761,104 @@ def socle_group(gens, M: DirectPower) -> _SocleExtension:
     M's generators, or with a generator that does not normalize M,
     fails."""
     return _SocleExtension(gens, M)
+
+
+def _commute(gens) -> bool:
+    return all(pmul(x, y) == pmul(y, x)
+               for i, x in enumerate(gens) for y in gens[i + 1:])
+
+
+class AffineGroup(PermGroup):
+    """H = V:C, with V = translations elementary abelian and normal, C =
+    complement meeting it trivially and transitive on V minus 1 by
+    conjugation, all proven by affine_group.  Then |H| = |V| |C| is the
+    proven bound H's chain is sifted to, and H acts on the cosets of C as
+    V:C on V, 2-transitively (Dixon and Mortimer 1996, affine groups).
+    local_action and meet read H's local facts from that structure where
+    their premises about g and the big group hold, and walk otherwise."""
+
+    def __init__(self, gens, V: PermGroup, C: PermGroup):
+        super().__init__(gens, degree=V.degree,
+                         upper_bound=V.order() * C.order(), seed=V.seed)
+        self.translations = V
+        self.complement = C
+
+    def local_action(self, g) -> tuple[int, int, bool]:
+        """If g normalizes C and v^(g^-1) is not in H for v = V.gens[0],
+        then H meet H^g is C: it holds C, and C normalizes V meet H^g,
+        which is then 1 or V, and not V.  So the valency is |V| and H is
+        locally 2-transitive, with no walk."""
+        g = tuple(g)
+        V, C = self.translations, self.complement
+        if (all(C.contains(pconj(c, g)) for c in C.gens)
+                and not self.contains(pconj(V.gens[0], pinv(g)))):
+            return C.order(), V.order(), True
+        return super().local_action(g)
+
+    def meet(self, big: PermGroup) -> PermGroup:
+        """If V lies in the big group, H meet big = V (C meet big) by the
+        Dedekind law, of the proven order |V| |C meet big|; the walk is of
+        the cosets of big under C's generators alone."""
+        V = self.translations
+        if not all(big.contains(v) for v in V.gens):
+            return super().meet(big)
+        part = filtered_intersection_with_product(self.complement, big)
+        return PermGroup([*V.gens, *part.gens], degree=self.degree,
+                         upper_bound=V.order() * part.order(), seed=self.seed)
+
+
+def _orbit_is(v: Perm, cgens, size: int) -> bool:
+    """The orbit of v under conjugation by <cgens> has exactly size
+    elements.  For one generator c of order size, it does when no
+    c^(size/r), r a prime dividing size, commutes with v: the stabilizer
+    of v is then no proper subgroup of <c>, and the orbit is not
+    stored.  Otherwise it is listed until it exceeds size."""
+    if len(cgens) == 1 and porder(cgens[0]) == size:
+        powers = (ppow(cgens[0], size // r) for r in factorize(size))
+        return not any(pmul(c, v) == pmul(v, c) for c in powers)
+    orbit, queue = {v}, [v]
+    while queue and len(orbit) <= size:
+        x = queue.pop()
+        for c in cgens:
+            y = pconj(x, c)
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return len(orbit) == size
+
+
+def affine_group(gens, split: int, degree: int | None = None,
+                 seed: int = 0) -> PermGroup:
+    """<gens> as the AffineGroup V:C, with V = <gens[:split]> and C =
+    <gens[split:]> split from the generators as PermGroup keeps them, when
+    every premise is proven from the permutations:
+    - V's generators commute and have one prime order p, so |V| <= p^k
+      for k of them, the bound V's chain is sifted to, and |V| is at most
+      INDEX_LIMIT;
+    - C's generators commute, so |C| is at most the product of their
+      orders, C's bound, and they normalize V;
+    - v = V.gens[0] is not in C, and its orbit under conjugation by C
+      has |V| - 1 elements, so C is transitive on V minus 1, the only
+      C-invariant subgroups of V are 1 and V, and V meet C = 1.
+    Otherwise the plain PermGroup of the same generators."""
+    plain = PermGroup(gens, degree=degree, seed=seed)
+    vgens, cgens = plain.gens[:split], plain.gens[split:]
+    if not (vgens and cgens and _commute(vgens) and _commute(cgens)):
+        return plain
+    p = porder(vgens[0])
+    if not (is_prime(p) and all(porder(v) == p for v in vgens)):
+        return plain
+    V = PermGroup(vgens, degree=plain.degree, upper_bound=p ** len(vgens),
+                  seed=seed)
+    if V.order() > INDEX_LIMIT or not all(
+            V.contains(pconj(v, c)) for c in cgens for v in vgens):
+        return plain
+    C = PermGroup(cgens, degree=plain.degree,
+                  upper_bound=prod(map(porder, cgens)), seed=seed)
+    if C.contains(vgens[0]) or not _orbit_is(vgens[0], cgens,
+                                              V.order() - 1):
+        return plain
+    return AffineGroup(plain.gens, V, C)
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,41 @@ def test_socle_connectivity_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_affine_premises_survive_optimize_flag():
+    # the affine premises are plain branches: q = 4's H is an AffineGroup
+    # and reads its local facts from the lemma, H with E's first
+    # generator times theta is a plain PermGroup, and g = theta, which
+    # normalizes <theta> with E in H^g, is walked to valency 1 and fails
+    code = ("from patgraphs import permgrp\n"
+            "from patgraphs.construct import product_action_construction\n"
+            "from patgraphs.graphcert import (certificate_payload, certify,\n"
+            "                                 verify_certificate)\n"
+            "from patgraphs.numth import VerificationError\n"
+            "pa = product_action_construction(4)\n"
+            "H, g = pa.H, pa.o\n"
+            "if not isinstance(H, permgrp.AffineGroup):\n"
+            "    raise SystemExit('H = E:<theta> is not affine')\n"
+            "walk = permgrp.coset_stabilizer\n"
+            "permgrp.coset_stabilizer = None\n"
+            "if H.local_action(g) != (15, 16, True):\n"
+            "    raise SystemExit(f'the lemma gave {H.local_action(g)}')\n"
+            "permgrp.coset_stabilizer = walk\n"
+            "mixed = [permgrp.pmul(pa.E[0], pa.theta), *pa.E[1:], pa.theta]\n"
+            "if isinstance(permgrp.affine_group(mixed, -1),\n"
+            "              permgrp.AffineGroup):\n"
+            "    raise SystemExit('generators that do not commute passed')\n"
+            "payload = certificate_payload(certify(pa))\n"
+            "payload['generators']['g'] = list(pa.theta)\n"
+            "try:\n"
+            "    verify_certificate(payload)\n"
+            "except VerificationError as exc:\n"
+            "    message = 'valency 1 is not the square of a prime power'\n"
+            "    raise SystemExit(0 if message in str(exc) else str(exc))\n"
+            "raise SystemExit('g = theta passed verify')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_forged_socle_transitivity_check_survives_optimize_flag():
     # the p5-tau-squared forgery: H = <a, b, tau^2> stays on two orbits
     # of blocks, and certify fails it by the socle-transitivity check

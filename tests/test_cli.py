@@ -333,9 +333,11 @@ def test_build_theta_builds_no_chain_on_all_points(monkeypatch):
 
 def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
     # construct, bipartite and verify each build one DirectPower and
-    # walk the cosets of T^n under H once, in _derive; construct walks
-    # R meet T once, in the atlas, and certify builds the group that the
-    # atlas proved equal to it from the seed's F, b and c
+    # walk the cosets of T^n once, in _derive: under C, the complement of
+    # the AffineGroup H = V:C, since T^n meet H = V (T^n meet C) by the
+    # Dedekind law, and never under H itself; construct walks R meet T
+    # once, in the atlas, and certify builds the group that the atlas
+    # proved equal to it from the seed's F, b and c
     R = frozenset(seed_pgl2(7).R.gens)
     powers, walks = [], []
     init = permgrp.DirectPower.__init__
@@ -350,7 +352,7 @@ def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
         return meet(small, big)
 
     monkeypatch.setattr(permgrp.DirectPower, "__init__", building)
-    for module in (permgrp, atlas, graphcert):
+    for module in (permgrp, atlas):
         monkeypatch.setattr(module, "filtered_intersection_with_product",
                             walking)
     for command in (["construct", "--q", "7"], ["bipartite", "--p", "5"]):
@@ -359,10 +361,44 @@ def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
             powers.clear()
             walks.clear()
             assert main(argv) == 0
-            H = frozenset(tuple(x) for x in
-                          json.loads(cert.read_text())["generators"]["H"])
-            assert len(powers) == 1 and walks.count(H) == 1, argv
+            H = [tuple(x) for x in
+                 json.loads(cert.read_text())["generators"]["H"]]
+            # E's generators, then theta; a, then b and tau
+            C = frozenset(H[-1:] if command[0] == "construct" else H[1:])
+            assert len(powers) == 1 and walks.count(C) == 1, argv
+            assert frozenset(H) not in walks, argv
             assert walks.count(R) == (argv[:3] == ["construct", "--q", "7"])
+
+
+def test_each_run_reads_H_meet_H_g_from_the_affine_lemma(tmp_path,
+                                                          monkeypatch):
+    # construct, bipartite and verify label no coset of H: H meet H^g,
+    # the valency and the local action come from the affine structure of
+    # H, whose order meets its proven bound |V| |C|
+    derived, labelled = [], []
+    derive = graphcert._derive
+    label = permgrp._CanonicalCosets.__init__
+
+    def deriving(G, H, *args):
+        derived.append(H)
+        return derive(G, H, *args)
+
+    def labelling(self, group):
+        labelled.append(frozenset(group.gens))
+        label(self, group)
+
+    monkeypatch.setattr(graphcert, "_derive", deriving)
+    monkeypatch.setattr(permgrp._CanonicalCosets, "__init__", labelling)
+    for command in (["construct", "--q", "7"], ["bipartite", "--p", "5"]):
+        cert = tmp_path / f"{command[0]}.json"
+        for argv in (command + ["--out", str(cert)], ["verify", str(cert)]):
+            derived.clear()
+            labelled.clear()
+            assert main(argv) == 0
+            [H] = derived
+            assert isinstance(H, permgrp.AffineGroup), argv
+            assert H.certified_by == "bound", argv
+            assert frozenset(H.gens) not in labelled, argv
 
 
 def test_connectivity_builds_no_chain_of_H_and_g(tmp_path, monkeypatch):

@@ -29,6 +29,7 @@ from patgraphs.construct import (
 from patgraphs.eqcode import Code, decompose_invariant
 from patgraphs.graphcert import certify
 from patgraphs.permgrp import (
+    AffineGroup,
     DirectPower,
     PermGroup,
     filtered_intersection_with_product,
@@ -156,27 +157,33 @@ def test_E_and_H_frozen_orders():
 
 
 def test_E_and_H_are_certified_by_their_bounds(monkeypatch):
-    # E's order is proven in code coordinates, so H is the only group
-    # sifted; every sift seed meets its bound q^2 |theta|, so it never
-    # falls back to the full Schreier check
-    made = []
+    # E's order is proven in code coordinates; H = E:<theta> is an
+    # AffineGroup, so the chains sifted are H's and those of its
+    # generators' groups E and <theta>, and under every sift seed each
+    # meets its proven bound and never falls back to the full Schreier
+    # check
+    completed = []
+    complete = PermGroup._complete
 
-    class Recorded(PermGroup):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
+    def recording(self, ident):
+        complete(self, ident)
+        completed.append(self)
 
-    monkeypatch.setattr(construct, "PermGroup", Recorded)
+    monkeypatch.setattr(PermGroup, "_complete", recording)
     for seed in (0, 1, 2, 3):
         for q in (4, 8):
             base = seed_pgl2(q, seed=seed)
             rc = regular_components(base, build_theta(base))
-            made.clear()
+            completed.clear()
             pa = build_E_and_H(base, rc)
-            [H] = made
+            H = pa.H
+            assert isinstance(H, AffineGroup)
             assert H.order() == q * q * (q * q - 1)
-            assert H.certified_by == "bound"
-            assert H is pa.H
+            assert H.translations.order() == q * q
+            assert H.complement.order() == q * q - 1
+            assert {id(x) for x in completed} == {
+                id(H), id(H.translations), id(H.complement)}
+            assert all(x.certified_by == "bound" for x in completed)
 
 
 E_AND_H_SEEDS = [(seed_pgl2, 4), (seed_pgl2, 7), (seed_pgl2, 8),
