@@ -4,7 +4,10 @@ Each seed packages an almost simple group X with socle T, a regular
 normal subgroup F of an affine subgroup R = F:(<b> x <c>), and the
 distinguished elements used downstream to twist product-action groups.
 Construction verifies every structural claim it relies on, so a seed
-that is returned is already a checked certificate.
+that is returned is already a checked certificate.  Every affine R, the
+standard F:<b, c> and the bipartite <a>:<b>, is proven by
+permgrp.affine_group, which gives its order and R meet T with no chain
+of R; psl28-gamma's F:<sigma> is not affine and is a plain PermGroup.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from math import factorial, gcd
 from .gf import GF, make_field
 from .numth import VerificationError, check, is_prime, validate_parameters
 from .permgrp import (
+    AffineGroup,
     Perm,
     PermGroup,
-    filtered_intersection_with_product,
+    affine_group,
     orbit_partition,
     pconj,
     pid,
@@ -116,20 +120,21 @@ def least_nonresidue(p: int) -> int:
 
 
 def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
-    """The invariants every standard seed must satisfy."""
+    """The invariants every standard seed must satisfy.  R is affine_group's
+    F:<b, c>, which proves F elementary abelian of order at most q and
+    <b, c> of order at most |b| |c|, so |R| = q(q - 1) proves both."""
     q = seed.q
     two = gcd(2, q - 1)
     sift = seed.T.seed
-    check(PermGroup(seed.F, degree=seed.degree, seed=sift).order() == q,
-          "F does not have order q")
     check(porder(seed.b) == (q - 1) // two, "b has the wrong order")
     c_order = 1 if seed.c == pid(seed.degree) else porder(seed.c)
     check(c_order == two, "c has the wrong order")
-    check(seed.R.order() == q * (q - 1), "R is not AGL_1(q)")
+    check(isinstance(seed.R, AffineGroup) and seed.R.order() == q * (q - 1),
+          "R is not AGL_1(q)")
     for g in seed.R.gens:
         check(seed.X.contains(g), "R is not inside X")
-    # R meet T is F:<b, c^{|X:T|}>
-    meet = filtered_intersection_with_product(seed.R, seed.T)
+    # R meet T is F:<b, c^{|X:T|}>, walked under <b, c> alone
+    meet = seed.R.meet(seed.T)
     expected = PermGroup(list(seed.F) + [seed.b, ppow(seed.c, seed.index_XT)],
                          degree=seed.degree, seed=sift)
     check(meet.order() == expected.order() == q * (q - 1) // seed.index_XT,
@@ -141,7 +146,7 @@ def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
     check(o is not None and pmul(o, o) == pid(seed.degree)
           and o != pid(seed.degree), "o is not an involution")
     check(seed.T.contains(o), "o is not in the socle")
-    bc = PermGroup([seed.b, seed.c], degree=seed.degree, seed=sift)
+    bc = seed.R.complement
     for g in bc.gens:
         check(bc.contains(pconj(g, o)), "o does not normalize <b, c>")
     check(pmul(o, seed.c) == pmul(seed.c, o), "o does not commute with c")
@@ -157,7 +162,8 @@ def _verify_bipartite_pair(seed: AlmostSimpleSeed) -> None:
     p = seed.q
     check(porder(seed.a) == p, "a does not have order p")
     check(porder(seed.b) == p - 1, "b does not have order p-1")
-    check(seed.R.order() == p * (p - 1), "R is not AGL_1(p)")
+    check(isinstance(seed.R, AffineGroup) and seed.R.order() == p * (p - 1),
+          "R is not AGL_1(p)")
     c = seed.c
     check(pmul(c, c) == pid(seed.degree) and c != pid(seed.degree),
           "c is not an involution")
@@ -222,7 +228,7 @@ def seed_pgl2(q: int, bipartite: bool = False,
         a = projective_translation(k, 1)
         b = scale
         c = _reflection_off_socle(T, b, projective_inversion(k, 1), q)
-        R = PermGroup([a, b], degree=degree, seed=seed)
+        R = affine_group([a, b], 1, degree, seed)
         out = AlmostSimpleSeed("pgl2-bipartite", q, k, degree, X, T, R,
                                two, F, a, b, c, None)
         _verify_bipartite_pair(out)
@@ -238,7 +244,7 @@ def seed_pgl2(q: int, bipartite: bool = False,
             break
     check(o is not None, "no inversion map lands in the socle")
     check(pconj(a, o) == pinv(a), "o does not invert a")
-    R = PermGroup(list(F) + [b, c], degree=degree, seed=seed)
+    R = affine_group([*F, b, c], len(F), degree, seed)
     out = AlmostSimpleSeed("pgl2", q, k, degree, X, T, R, two, F, a, b, c, o)
     _verify_affine_pair(out)
     return out
@@ -278,7 +284,7 @@ def seed_symmetric(p: int, bipartite: bool = False,
         a = trans
         b = a_scale
         c = _reflection_off_socle(T, b, residue_scaled_inversion(p, 1), p)
-        R = PermGroup([a, b], degree=degree, seed=seed)
+        R = affine_group([a, b], 1, degree, seed)
         out = AlmostSimpleSeed("symmetric-bipartite", p, k, degree, X, T, R,
                                2, F, a, b, c, None)
         _verify_bipartite_pair(out)
@@ -293,7 +299,7 @@ def seed_symmetric(p: int, bipartite: bool = False,
     check(PermGroup([a, d], degree=degree, seed=seed).order() == 2 * (p - 1),
           "<a, d> is not dihedral of order 2(p-1)")
     check(pmul(c, d) == pmul(d, c), "c is not central in <a, d>")
-    R = PermGroup(list(F) + [b, c], degree=degree, seed=seed)
+    R = affine_group([*F, b, c], len(F), degree, seed)
     out = AlmostSimpleSeed("symmetric", p, k, degree, X, T, R, 2, F, a, b, c,
                            o)
     _verify_affine_pair(out)

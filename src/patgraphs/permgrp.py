@@ -18,12 +18,13 @@ block of M is generated by its generators' pieces.  Intersections, and
 stabilizers of right cosets and of points, come from walking the orbit
 of a coset (orbit-stabilizer and Schreier generators), not from
 enumerating the group.  A transversal entry t_p*h gets its inverse by
-one product, h^-1 * t_p^-1.  affine_group makes an affine H = V:C, with
-every premise proven from the permutations, an AffineGroup: its order
-|V| |C| is a proven bound, and it reads H meet H^g, the valency and
-local 2-transitivity (local_action), and H meet M for V inside M
-(meet, by the Dedekind law), from its structure, walking only where a
-premise about g or M fails.
+one product, h^-1 * t_p^-1.  affine_group is the one proof of an affine
+group H = V:C, every premise proven from the permutations: the
+AffineGroup it makes has the order |V| |C| with no chain of its own,
+and it reads H meet H^g, the valency and local 2-transitivity
+(local_action), and H meet M for V inside M (meet, by the Dedekind
+law), from its structure, walking only where a premise about g or M
+fails.
 """
 
 from __future__ import annotations
@@ -772,7 +773,8 @@ class AffineGroup(PermGroup):
     """H = V:C, with V = translations elementary abelian and normal, C =
     complement meeting it trivially and transitive on V minus 1 by
     conjugation, all proven by affine_group.  Then |H| = |V| |C| is the
-    proven bound H's chain is sifted to, and H acts on the cosets of C as
+    order, with no chain; a query that needs one (contains, coset
+    labels) builds it sifted to that bound.  H acts on the cosets of C as
     V:C on V, 2-transitively (Dixon and Mortimer 1996, affine groups).
     local_action and meet read H's local facts from that structure where
     their premises about g and the big group hold, and walk otherwise."""
@@ -782,6 +784,10 @@ class AffineGroup(PermGroup):
                          upper_bound=V.order() * C.order(), seed=V.seed)
         self.translations = V
         self.complement = C
+        self.certified_by = "bound"
+
+    def order(self) -> int:
+        return self._upper_bound
 
     def local_action(self, g) -> tuple[int, int, bool]:
         """If g normalizes C and v^(g^-1) is not in H for v = V.gens[0],

@@ -117,9 +117,10 @@ def test_shift_weight_check_survives_optimize_flag():
 
 
 def test_normalizer_and_primary_part_checks_survive_optimize_flag():
-    # H's order bound stands on theta normalizing E, checked generator by
-    # generator; a charpoly that disagrees with the matrix leaves a
-    # primary part short of its dimension
+    # H's order stands on theta normalizing E, which affine_group proves
+    # generator by generator: a theta that does not leaves H a plain
+    # group; a charpoly that disagrees with the matrix leaves a primary
+    # part short of its dimension
     code = ("import dataclasses\n"
             "from patgraphs import eqcode\n"
             "from patgraphs.atlas import seed_pgl2\n"
@@ -138,7 +139,7 @@ def test_normalizer_and_primary_part_checks_survive_optimize_flag():
             "    build_E_and_H(seed, dataclasses.replace(rc, theta=bad))\n"
             "    raise SystemExit('E was normalized by a non-normalizer')\n"
             "except VerificationError as exc:\n"
-            "    if 'does not normalize E' not in str(exc):\n"
+            "    if 'H is not the affine group' not in str(exc):\n"
             "        raise SystemExit(str(exc))\n"
             "eqcode.charpoly = lambda k, a: (2, 0, 1)  # (x - 1)(x - 2)\n"
             "try:\n"
@@ -151,23 +152,28 @@ def test_normalizer_and_primary_part_checks_survive_optimize_flag():
 
 
 def test_code_coordinate_checks_survive_optimize_flag():
-    # E's order stands on the coefficient table inverting an isomorphism
-    # GF(p)^f -> F, which needs commuting generators of order p; theta's
-    # transitivity on E stands on its conjugates matching the matrix
+    # E's generators come from the coefficient table inverting an
+    # isomorphism GF(p)^f -> F, which needs commuting generators of order
+    # p; H stands on the theta of its components record, whose
+    # transitivity on E affine_group proves: at q = 7 the record of
+    # theta^2, of order 24, leaves H a plain group
     code = ("import dataclasses\n"
             "from patgraphs.atlas import seed_pgl2\n"
             "from patgraphs.construct import build_E_and_H, build_theta, "
             "regular_components\n"
             "from patgraphs.eqcode import mat_mul\n"
             "from patgraphs.numth import VerificationError\n"
+            "from patgraphs.permgrp import pmul\n"
             "seed = seed_pgl2(4)\n"
-            "theta = build_theta(seed)\n"
-            "rc = regular_components(seed, theta)\n"
-            "square = mat_mul(seed.field.prime_field, rc.conj, rc.conj)\n"
+            "rc = regular_components(seed, build_theta(seed))\n"
+            "seed7 = seed_pgl2(7)\n"
+            "rc7 = regular_components(seed7, build_theta(seed7))\n"
+            "square = dataclasses.replace(\n"
+            "    rc7, theta=pmul(rc7.theta, rc7.theta),\n"
+            "    conj=mat_mul(seed7.field.prime_field, rc7.conj, rc7.conj))\n"
             "cases = [(dataclasses.replace(seed, F=(seed.F[0], seed.o)), rc,\n"
             "          'F is not elementary abelian'),\n"
-            "         (seed, dataclasses.replace(rc, conj=square),\n"
-            "          'disagrees with the conjugation matrix')]\n"
+            "         (seed7, square, 'H is not the affine group')]\n"
             "for bad, comps, message in cases:\n"
             "    try:\n"
             "        build_E_and_H(bad, comps)\n"
@@ -176,6 +182,33 @@ def test_code_coordinate_checks_survive_optimize_flag():
             "            continue\n"
             "        raise SystemExit(str(exc))\n"
             "    raise SystemExit(f'passed without {message!r}')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_seed_R_must_be_affine_under_optimize_flag():
+    # a seed's R is AGL_1 only as affine_group's proof of F:<b, c> or
+    # <a>:<b>: the same generators as a plain PermGroup, of the right
+    # order, fail both seed checks
+    code = ("import dataclasses\n"
+            "from patgraphs.atlas import (_verify_affine_pair,\n"
+            "                             _verify_bipartite_pair, seed_pgl2,\n"
+            "                             seed_symmetric)\n"
+            "from patgraphs.numth import VerificationError\n"
+            "from patgraphs.permgrp import PermGroup\n"
+            "for seed, verify in ((seed_pgl2(7), _verify_affine_pair),\n"
+            "                     (seed_symmetric(5, bipartite=True),\n"
+            "                      _verify_bipartite_pair)):\n"
+            "    plain = PermGroup(seed.R.gens, degree=seed.degree)\n"
+            "    if plain.order() != seed.R.order():\n"
+            "        raise SystemExit('the plain R has another order')\n"
+            "    try:\n"
+            "        verify(dataclasses.replace(seed, R=plain))\n"
+            "    except VerificationError as exc:\n"
+            "        if 'R is not AGL_1' in str(exc):\n"
+            "            continue\n"
+            "        raise SystemExit(str(exc))\n"
+            "    raise SystemExit(f'a plain R passed {verify.__name__}')\n")
     proc = _run_optimized(code)
     assert proc.returncode == 0, proc.stderr
 

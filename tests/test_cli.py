@@ -13,8 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from patgraphs import atlas, cli, construct, gf, graphcert, permgrp
-from patgraphs.atlas import projective_scaling, seed_pgl2
+from patgraphs import cli, construct, gf, graphcert, permgrp
+from patgraphs.atlas import (
+    projective_scaling,
+    seed_pgl2,
+    seed_psl28_gamma,
+    seed_symmetric,
+)
 from patgraphs.cli import main, parse_generators, parse_permutation
 from patgraphs.graphcert import _leaves, certificate_payload, certify
 from patgraphs.permgrp import DirectPower, PermGroup
@@ -321,14 +326,14 @@ def _record_completed_chains(monkeypatch):
 
 
 def test_build_theta_builds_no_chain_on_all_points(monkeypatch):
-    # theta^n is a constant tuple, so <theta^n> and <b^2> x <c> compare
-    # on one block of d points
-    seed = seed_pgl2(11)
+    # theta^n is the constant tuple b^2 c, and <b^2 c> = <b^2> x <c> is
+    # read from the orders of b^2, c and b^2 c: no chain at all
     completed = _record_completed_chains(monkeypatch)
-    theta = construct.build_theta(seed)
-    assert completed
-    assert all(len(x) == seed.degree < len(theta)
-               for gens in completed for x in gens)
+    for seed in (seed_pgl2(11), seed_pgl2(8), seed_symmetric(7),
+                 seed_psl28_gamma()):
+        completed.clear()
+        construct.build_theta(seed)
+        assert completed == [], seed.family
 
 
 def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
@@ -336,9 +341,12 @@ def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
     # walk the cosets of T^n once, in _derive: under C, the complement of
     # the AffineGroup H = V:C, since T^n meet H = V (T^n meet C) by the
     # Dedekind law, and never under H itself; construct walks R meet T
-    # once, in the atlas, and certify builds the group that the atlas
-    # proved equal to it from the seed's F, b and c
-    R = frozenset(seed_pgl2(7).R.gens)
+    # once, in the atlas, likewise under R's complement <b, c> and never
+    # under R, and certify builds the group that the atlas proved equal
+    # to it from the seed's F, b and c
+    R = seed_pgl2(7).R
+    assert isinstance(R, permgrp.AffineGroup)
+    bc = frozenset(R.complement.gens)
     powers, walks = [], []
     init = permgrp.DirectPower.__init__
     meet = permgrp.filtered_intersection_with_product
@@ -352,9 +360,8 @@ def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
         return meet(small, big)
 
     monkeypatch.setattr(permgrp.DirectPower, "__init__", building)
-    for module in (permgrp, atlas):
-        monkeypatch.setattr(module, "filtered_intersection_with_product",
-                            walking)
+    monkeypatch.setattr(permgrp, "filtered_intersection_with_product",
+                        walking)
     for command in (["construct", "--q", "7"], ["bipartite", "--p", "5"]):
         cert = tmp_path / f"{command[0]}.json"
         for argv in (command + ["--out", str(cert)], ["verify", str(cert)]):
@@ -367,7 +374,8 @@ def test_each_run_walks_T_n_meet_H_once(tmp_path, monkeypatch):
             C = frozenset(H[-1:] if command[0] == "construct" else H[1:])
             assert len(powers) == 1 and walks.count(C) == 1, argv
             assert frozenset(H) not in walks, argv
-            assert walks.count(R) == (argv[:3] == ["construct", "--q", "7"])
+            assert frozenset(R.gens) not in walks, argv
+            assert walks.count(bc) == (argv[:3] == ["construct", "--q", "7"])
 
 
 def test_each_run_reads_H_meet_H_g_from_the_affine_lemma(tmp_path,
@@ -399,6 +407,47 @@ def test_each_run_reads_H_meet_H_g_from_the_affine_lemma(tmp_path,
             assert isinstance(H, permgrp.AffineGroup), argv
             assert H.certified_by == "bound", argv
             assert frozenset(H.gens) not in labelled, argv
+
+
+def test_affine_groups_run_no_schreier_check(tmp_path, monkeypatch):
+    # every affine R and H is ordered by affine_group's proof: no
+    # AffineGroup runs the Schreier check in construct, bipartite or
+    # example-2-6, and the five example-2-6 H's built only for their
+    # orders (components 1 to 5) complete no chain of degree 189, while
+    # component 0's H, which the edge search queries, completes one
+    made, checked = [], []
+    init = permgrp.AffineGroup.__init__
+    verify = permgrp.PermGroup._verify
+
+    def making(self, gens, V, C):
+        made.append(V.degree)
+        init(self, gens, V, C)
+
+    def verifying(self, ident):
+        checked.append(self)
+        return verify(self, ident)
+
+    monkeypatch.setattr(permgrp.AffineGroup, "__init__", making)
+    monkeypatch.setattr(permgrp.PermGroup, "_verify", verifying)
+    completed = _record_completed_chains(monkeypatch)
+    for argv, degrees in ((["construct", "--q", "7"], {8, 64}),
+                          (["bipartite", "--p", "5"], {5, 20}),
+                          (["example-2-6"], {189})):
+        made.clear()
+        checked.clear()
+        completed.clear()
+        assert main(argv + ["--out", str(tmp_path / "c.json")]) == 0
+        assert set(made) == degrees, argv
+        assert checked, argv
+        assert not [x for x in checked
+                    if isinstance(x, permgrp.AffineGroup)], argv
+    psl28 = seed_psl28_gamma()
+    report = construct.theta_reading_counts(psl28, "primary")
+    H = [construct.build_E_and_H(psl28, report.components, i).H
+         for i in range(6)]
+    assert {x.degree for x in H} == {189}
+    assert frozenset(H[0].gens) in completed
+    assert not [x for x in H[1:] if frozenset(x.gens) in completed]
 
 
 def test_connectivity_builds_no_chain_of_H_and_g(tmp_path, monkeypatch):

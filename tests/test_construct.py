@@ -32,6 +32,7 @@ from patgraphs.permgrp import (
     AffineGroup,
     DirectPower,
     PermGroup,
+    affine_group,
     filtered_intersection_with_product,
     pconj,
     perm_from_cycles,
@@ -157,11 +158,11 @@ def test_E_and_H_frozen_orders():
 
 
 def test_E_and_H_are_certified_by_their_bounds(monkeypatch):
-    # E's order is proven in code coordinates; H = E:<theta> is an
-    # AffineGroup, so the chains sifted are H's and those of its
-    # generators' groups E and <theta>, and under every sift seed each
-    # meets its proven bound and never falls back to the full Schreier
-    # check
+    # H = E:<theta> is an AffineGroup, whose order |E| |theta| comes from
+    # affine_group's proof: the only chains sifted are those of E and
+    # <theta>, and under every sift seed each meets its proven bound and
+    # never falls back to the full Schreier check; H's order builds no
+    # chain of H
     completed = []
     complete = PermGroup._complete
 
@@ -182,8 +183,9 @@ def test_E_and_H_are_certified_by_their_bounds(monkeypatch):
             assert H.translations.order() == q * q
             assert H.complement.order() == q * q - 1
             assert {id(x) for x in completed} == {
-                id(H), id(H.translations), id(H.complement)}
+                id(H.translations), id(H.complement)}
             assert all(x.certified_by == "bound" for x in completed)
+            assert H.certified_by == "bound" and H._levels is None
 
 
 E_AND_H_SEEDS = [(seed_pgl2, 4), (seed_pgl2, 7), (seed_pgl2, 8),
@@ -248,16 +250,27 @@ def test_component_index_selects_other_components():
 def test_theta_must_be_transitive_on_E():
     # q = 8's invariant 6-dimensional component on which theta has order
     # 21: E is elementary abelian of order 64 and <E, theta> still has
-    # order 64 * 63, so only this check stands between it and H; the
-    # 2-transitivity of H on the cosets of <theta> is argued from it
+    # order 64 * 63.  build_E_and_H rejects it by its coordinate kernels
+    # first; affine_group makes a plain group of it too, as theta is not
+    # transitive on E minus 1, the premise that H's 2-transitivity on the
+    # cosets of <theta> is argued from
     seed = seed_pgl2(8)
     theta = build_theta(seed)
     rc = regular_components(seed, theta)
     [slow] = [c.code for c in rc.decomposition.components
               if c.code.dim == 6 and c.order == 21]
     with pytest.raises(VerificationError,
-                       match="theta-conjugation is not transitive"):
+                       match="coordinate kernels of E are not distinct"):
         build_E_and_H(seed, dataclasses.replace(rc, codes=(slow,)))
+    table = construct._coefficient_table(seed)
+    element = {coeffs: el for el, coeffs in table.items()}
+    n, d, f = len(theta) // seed.degree, seed.degree, len(seed.F)
+    E = [wreath([element[v[i * f:(i + 1) * f]] for i in range(n)], 0, d)
+         for v in slow.basis]
+    assert PermGroup(E, degree=n * d).order() == 64
+    assert PermGroup([*E, theta]).order() == 64 * 63
+    H = affine_group([*E, theta], -1, degree=n * d)
+    assert type(H) is PermGroup
 
 
 def test_assembled_G_q4(pa4):
