@@ -8,6 +8,9 @@ that is returned is already a checked certificate.  Every affine R, the
 standard F:<b, c> and the bipartite <a>:<b>, is proven by
 permgrp.affine_group, which gives its order and R meet T with no chain
 of R; psl28-gamma's F:<sigma> is not affine and is a plain PermGroup.
+Every group on d points is sifted to a bound proven from its generators
+(mobius_bound, alternating_bound), its checked relations, or the order of
+a group it is checked to lie in.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .permgrp import (
     Perm,
     PermGroup,
     affine_group,
+    alternating_bound,
     orbit_partition,
     pconj,
     pid,
@@ -75,22 +79,52 @@ def projective_frobenius(k: GF) -> Perm:
     return tuple(k.pow(x, k.p) for x in range(k.q)) + (k.q,)
 
 
+def mobius_bound(gens, k: GF) -> int | None:
+    """|PGL(2, q)| if every generator, a permutation of the q+1 projective
+    points, is a Mobius map x -> (alpha x + beta)/(gamma x + delta), and
+    |PSL(2, q)| if each alpha delta - beta gamma is a nonzero square too;
+    None otherwise.  A group that meets |PSL(2, q)| is the atlas's
+    PSL(2, q) (Dixon and Mortimer 1996, on PGL(2, q) on the projective
+    line).  The images A, B, C of infinity, 0 and 1 fix the matrix up to a
+    scalar, which scales the determinant by a square: in homogeneous
+    coordinates its columns are lam A and mu B with lam A + mu B = C, by
+    Cramer's rule.  The other q - 2 points confirm the map."""
+    q, square = k.q, True
+    for g in gens:
+        (a1, a2), (b1, b2), (c1, c2) = ((1, 0) if y == q else (y, 1)
+                                        for y in (g[q], g[0], g[1]))
+        lam = k.sub(k.mul(c1, b2), k.mul(c2, b1))
+        mu = k.sub(k.mul(a1, c2), k.mul(a2, c1))
+        al, be, ga, de = (k.mul(lam, a1), k.mul(mu, b1), k.mul(lam, a2),
+                          k.mul(mu, b2))
+        det = k.sub(k.mul(al, de), k.mul(be, ga))
+        if det == 0:
+            return None
+        for x in range(2, q):
+            den = k.add(k.mul(ga, x), de)
+            if g[x] != (q if den == 0 else
+                        k.mul(k.add(k.mul(al, x), be), k.inv(den))):
+                return None
+        square = square and (q % 2 == 0 or k.pow(det, (q - 1) // 2) == 1)
+    return q * (q * q - 1) // (gcd(2, q - 1) if square else 1)
+
+
 def pgl2(k: GF, seed: int) -> PermGroup:
-    """PGL(2, q) on the q+1 projective points."""
+    """PGL(2, q) on the q+1 projective points, sifted to mobius_bound."""
     mu = k.generator
     gens = [projective_translation(k, k.p**i) for i in range(k.f)]
     gens.append(projective_scaling(k, mu))
     gens.append(projective_inversion(k, k.neg(1)))
-    return PermGroup(gens, seed=seed)
+    return PermGroup(gens, upper_bound=mobius_bound(gens, k), seed=seed)
 
 
 def psl2(k: GF, seed: int) -> PermGroup:
-    """PSL(2, q) on the q+1 projective points."""
+    """PSL(2, q) on the q+1 projective points, sifted to mobius_bound."""
     mu = k.generator
     gens = [projective_translation(k, k.p**i) for i in range(k.f)]
     gens.append(projective_scaling(k, k.mul(mu, mu)))
     gens.append(projective_inversion(k, k.neg(1)))
-    return PermGroup(gens, seed=seed)
+    return PermGroup(gens, upper_bound=mobius_bound(gens, k), seed=seed)
 
 
 # -- prime-residue permutations ---------------------------------------
@@ -125,7 +159,6 @@ def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
     <b, c> of order at most |b| |c|, so |R| = q(q - 1) proves both."""
     q = seed.q
     two = gcd(2, q - 1)
-    sift = seed.T.seed
     check(porder(seed.b) == (q - 1) // two, "b has the wrong order")
     c_order = 1 if seed.c == pid(seed.degree) else porder(seed.c)
     check(c_order == two, "c has the wrong order")
@@ -135,12 +168,10 @@ def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
         check(seed.X.contains(g), "R is not inside X")
     # R meet T is F:<b, c^{|X:T|}>, walked under <b, c> alone
     meet = seed.R.meet(seed.T)
-    expected = PermGroup(list(seed.F) + [seed.b, ppow(seed.c, seed.index_XT)],
-                         degree=seed.degree, seed=sift)
-    check(meet.order() == expected.order() == q * (q - 1) // seed.index_XT,
-          "R meet T has the wrong order")
-    for g in expected.gens:
-        check(meet.contains(g), "R meet T mismatch")
+    expected = [*seed.F, seed.b, ppow(seed.c, seed.index_XT)]
+    check(all(meet.contains(g) for g in expected), "R meet T mismatch")
+    check(meet.order() == q * (q - 1) // seed.index_XT
+          and meet.generated_by(expected), "R meet T has the wrong order")
     # the distinguished involution
     o = seed.o
     check(o is not None and pmul(o, o) == pid(seed.degree)
@@ -150,9 +181,9 @@ def _verify_affine_pair(seed: AlmostSimpleSeed) -> None:
     for g in bc.gens:
         check(bc.contains(pconj(g, o)), "o does not normalize <b, c>")
     check(pmul(o, seed.c) == pmul(seed.c, o), "o does not commute with c")
-    full = PermGroup(list(seed.F) + [seed.b, seed.c, o], degree=seed.degree,
-                     seed=sift)
-    check(full.order() == seed.X.order(), "<F, b, c, o> is not all of X")
+    # F, b and c lie in R, inside X, and o in T, inside X
+    check(seed.X.generated_by([*seed.F, seed.b, seed.c, o]),
+          "<F, b, c, o> is not all of X")
 
 
 def _verify_bipartite_pair(seed: AlmostSimpleSeed) -> None:
@@ -168,7 +199,9 @@ def _verify_bipartite_pair(seed: AlmostSimpleSeed) -> None:
     check(pmul(c, c) == pid(seed.degree) and c != pid(seed.degree),
           "c is not an involution")
     check(pconj(seed.b, c) == pinv(seed.b), "c does not invert b")
-    dihedral = PermGroup([seed.b, c], degree=seed.degree, seed=seed.T.seed)
+    # c normalizes <b>, so |<b, c>| <= |b| |c| = 2(p-1)
+    dihedral = PermGroup([seed.b, c], degree=seed.degree,
+                         upper_bound=2 * (p - 1), seed=seed.T.seed)
     check(dihedral.order() == 2 * (p - 1), "<b, c> is not dihedral of "
           "order 2(p-1)")
     half_turn = ppow(seed.b, (p - 1) // 2)
@@ -275,8 +308,10 @@ def seed_symmetric(p: int, bipartite: bool = False,
     trans = residue_translation(p)
     a_scale = residue_scaling(p, k.generator)
     pcycle = trans
-    X = PermGroup([pcycle, (1, 0) + tuple(range(2, p))], seed=seed)
-    T = PermGroup([pcycle, (1, 2, 0) + tuple(range(3, p))], seed=seed)
+    X = PermGroup([pcycle, (1, 0) + tuple(range(2, p))],
+                  upper_bound=factorial(p), seed=seed)
+    tgens = [pcycle, (1, 2, 0) + tuple(range(3, p))]
+    T = PermGroup(tgens, upper_bound=alternating_bound(tgens, p), seed=seed)
     check(X.order() == factorial(p), "S_p has the wrong order")
     check(T.order() == factorial(p) // 2, "A_p has the wrong order")
     F = (trans,)
@@ -296,15 +331,17 @@ def seed_symmetric(p: int, bipartite: bool = False,
     d = residue_scaled_inversion(p, nu)
     o = pmul(c, d)
     check(pconj(a, d) == pinv(a), "d does not invert a")
-    check(PermGroup([a, d], degree=degree, seed=seed).order() == 2 * (p - 1),
+    # d normalizes <a>, so |<a, d>| <= |a| |d|
+    check(PermGroup([a, d], degree=degree, upper_bound=porder(a) * porder(d),
+                    seed=seed).order() == 2 * (p - 1),
           "<a, d> is not dihedral of order 2(p-1)")
     check(pmul(c, d) == pmul(d, c), "c is not central in <a, d>")
     R = affine_group([*F, b, c], len(F), degree, seed)
     out = AlmostSimpleSeed("symmetric", p, k, degree, X, T, R, 2, F, a, b, c,
                            o)
     _verify_affine_pair(out)
-    check(PermGroup(list(F) + [b, o], degree=degree, seed=seed).order()
-          == T.order(), "<F, b, o> is not all of the socle")
+    check(all(T.contains(g) for g in [*F, b, o]) and T.generated_by([*F, b, o]),
+          "<F, b, o> is not all of the socle")
     return out
 
 

@@ -225,7 +225,6 @@ class PAConstruction:
     H: PermGroup
     o: Perm | None
     code_witness: tuple[tuple[int, ...], ...]
-    conj_matrix: tuple[tuple[int, ...], ...]
     qualifying: int
     G: PermGroup | None = None
 
@@ -315,7 +314,7 @@ def build_E_and_H(seed: AlmostSimpleSeed, components: RegularComponents,
 
     o = None if seed.o is None else wreath((seed.o,) * n, 0, d)
     return PAConstruction(seed, n, d, theta, E, H, o, witness,
-                          components.conj, len(qualifying))
+                          len(qualifying))
 
 
 def assemble_G(pa: PAConstruction) -> PAConstruction:
@@ -343,9 +342,11 @@ def product_action_construction(q: int, family: str = "pgl2",
         base = seed_symmetric(q, seed=seed)
     else:
         raise ValueError(f"unknown family {family!r}")
-    pa = build_E_and_H(base, regular_components(base, build_theta(base)),
-                       component_index)
-    verify_code_model_similarity(base, pa.conj_matrix)
+    # the conjugation matrix compared with the code model is the one
+    # regular_components has just measured from theta
+    components = regular_components(base, build_theta(base))
+    pa = build_E_and_H(base, components, component_index)
+    verify_code_model_similarity(base, components.conj)
     return assemble_G(pa)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial, gcd, isqrt
 
-from .atlas import psl2
+from .atlas import mobius_bound, psl2
 from .construct import BipartiteConstruction, PAConstruction, Valency64Construction
 from .gf import GF, make_field
 from .numth import check, classify_valency_case, is_prime, prime_power
@@ -41,6 +41,7 @@ from .permgrp import (
     Perm,
     PermGroup,
     affine_group,
+    alternating_bound,
     coset_action,
     coset_stabilizer,
     orbit_partition,
@@ -307,21 +308,12 @@ def not_double_cover_test(H: PermGroup, M: DirectPower, p: int) -> str:
     return "untested"
 
 
-def _family(kind: str, T: PermGroup, n: int,
-            field: GF | None = None) -> tuple[str, int] | None:
-    """The seed family whose socle is T^n, with its parameter q (the
-    valency when bipartite), from T's degree d, the number n of blocks
-    and |T|; None if none fits or q is too small.  The shapes of d and n
-    exclude one another, so at most one family fits.  T is A_q on q
-    points in the symmetric families, proven by |T| alone, as A_q is the
-    only subgroup of S_q of index 2.  Otherwise T is PSL(2, q) on the
-    atlas's q + 1 projective points, proven by |T| and the atlas
-    generators of PSL(2, q) lying in T; `field` is GF(q) if the caller
-    has it.  A fit proves T nonabelian simple: q is a prime power, at
-    least 4 for PSL(2, q) and 5 for A_q, and a prime of at least 5 in the
-    bipartite families, as their seeds require.  |T| is compared only
-    once d and n fit: a factorial only of d, bounded by the payload."""
-    d = T.degree
+def _shape(kind: str, d: int, n: int) -> tuple[str, int] | None:
+    """The seed family whose socle T^n has n blocks of d points, with its
+    parameter q (the valency when bipartite); None if none fits or q is
+    too small.  The shapes exclude one another, so at most one fits.  q is
+    a prime power, at least 4 for PSL(2, q) and 5 for A_q, and a prime of
+    at least 5 in the bipartite families, as their seeds require."""
     shapes = {
         "product-action": [("pgl2", d - 1, n == d),
                            ("symmetric", d, n == d + 1),
@@ -331,17 +323,34 @@ def _family(kind: str, T: PermGroup, n: int,
     }
     bipartite = kind == "bipartite"
     for family, q, fits in shapes[kind]:
-        if not (fits and q >= (5 if bipartite or q == d else 4)
-                and (is_prime(q) if bipartite else prime_power(q))
-                and T.order() == (factorial(q) // 2 if q == d
-                                  else q * (q * q - 1) // gcd(2, q - 1))):
-            continue
-        if q == d:
-            return family, q
-        k = field if field and field.q == q else make_field(q)
-        if all(T.contains(x) for x in psl2(k, 0).gens):
+        if (fits and q >= (5 if bipartite or q == d else 4)
+                and (is_prime(q) if bipartite else prime_power(q))):
             return family, q
     return None
+
+
+def _family(kind: str, T: PermGroup, n: int,
+            field: GF | None = None) -> tuple[str, int] | None:
+    """The _shape of T's degree d and n blocks, if |T| proves it: T is A_q
+    on q points in the symmetric families, proven by |T| alone, as A_q is
+    the only subgroup of S_q of index 2, and otherwise PSL(2, q) on the
+    atlas's q + 1 projective points, proven by |T| and the atlas
+    generators of PSL(2, q) lying in T; `field` is GF(q) if the caller has
+    it.  |T| meets the bound T's generators prove where it was sifted to
+    one; a T proving none, relabelled or forged, takes the Schreier check.
+    A fit proves T nonabelian simple.  |T| is compared only once d and n
+    fit: a factorial only of d, bounded by the payload."""
+    d = T.degree
+    fit = _shape(kind, d, n)
+    if fit is None:
+        return None
+    q = fit[1]
+    if q == d:
+        return fit if T.order() == factorial(q) // 2 else None
+    if T.order() != q * (q * q - 1) // gcd(2, q - 1):
+        return None
+    k = field if field and field.q == q else make_field(q)
+    return fit if all(T.contains(x) for x in psl2(k, 0).gens) else None
 
 
 def _derive(G: PermGroup, H: PermGroup, g: Perm, fit: tuple[str, int],
@@ -369,9 +378,11 @@ def _derive(G: PermGroup, H: PermGroup, g: Perm, fit: tuple[str, int],
         socle_transitive=(all(top.contains(x) for x in H.gens)
                           and M.order() * H.order()
                           == top.order() * meet.order()),
-        # every projection pi_i of T^n meet H is injective
-        diagonal_type=all(proj.order() == meet.order()
-                          for proj in projections),
+        # every projection pi_i of T^n meet H is injective, which needs
+        # |T^n meet H| to divide |T|: no chain is built otherwise
+        diagonal_type=(M.factor.order() % meet.order() == 0
+                       and all(proj.order() == meet.order()
+                               for proj in projections)),
         # |T^n| = |G:H| * valency: the socle is regular on the arcs
         arc_regular_socle=M.order() * H.order() == G.order() * valency,
     )
@@ -437,20 +448,23 @@ def certify(construction) -> CosetGraphCertificate:
               and cert.meet.contains(a) and cert.meet.contains(b2),
               "T^(p-1) meet H is not <a, b^2>")
         return cert
-    # subdirect; equal orders and generators of one inside the other
-    # make two subgroups equal
+    # subdirect; a projection inside the target, sifted to its order,
+    # is all of it when it meets that bound
     if seed.family != "psl28-gamma":
-        # the atlas proved R meet T = F:<b, c^|X:T|> when it built the seed
+        # the atlas proved R meet T = F:<b, c^|X:T|>, of order
+        # q(q - 1)/|X:T|, when it built the seed
         target = PermGroup([*seed.F, seed.b, ppow(seed.c, seed.index_XT)],
-                           degree=seed.degree, seed=seed.T.seed)
+                           degree=seed.degree,
+                           upper_bound=seed.q * (seed.q - 1) // seed.index_XT,
+                           seed=seed.T.seed)
         name = "R meet T"
     else:
         target, name = cert.projections[0], "projection 0"
         check(1 < target.order() < seed.T.order(),
               "projection 0 of T^n meet H is not proper nontrivial")
     for i, proj in enumerate(cert.projections):
-        check(proj.order() == target.order()
-              and all(target.contains(x) for x in proj.gens),
+        check(all(target.contains(x) for x in proj.gens)
+              and target.generated_by(proj.gens),
               f"projection {i} of T^n meet H is not {name}")
     return cert
 
@@ -585,20 +599,28 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
     check(payload["kind"] == "bipartite" or verdict == "untested",
           f"double_cover_verdict: stated {verdict!r}, a product-action "
           f"certificate is 'untested'")
-    gens = payload["generators"]
-    T = PermGroup(gens["socle_factor"], degree=payload["block_degree"],
-                  seed=seed)
-    fit = (len(orbit_partition(T.gens, T.degree)) == 1
-           and _family(payload["kind"], T, payload["blocks"]))
+    gens, kind = payload["generators"], payload["kind"]
+    d, n = payload["block_degree"], payload["blocks"]
+    # T is sifted to the bound its generators, once checked to be
+    # permutations, prove for the shape of d and n; GF(q) is built once
+    T = PermGroup(gens["socle_factor"], degree=d, seed=seed)
+    shape, field, bound = _shape(kind, d, n), None, None
+    if shape and shape[1] < d:
+        field = make_field(shape[1])
+        bound = mobius_bound(T.gens, field)
+    elif shape:
+        bound = alternating_bound(T.gens, d)
+    T = PermGroup(T.gens, degree=d, upper_bound=bound, seed=seed)
+    fit = (len(orbit_partition(T.gens, d)) == 1
+           and _family(kind, T, n, field))
     check(bool(fit), "the socle factor is intransitive or fits no family")
-    M = DirectPower(T, payload["blocks"])
+    M = DirectPower(T, n)
     # orders are proven from the generators; the payload's are only compared
     G = socle_group(gens["G"], M)
-    gstar = (socle_group(gens["gstar"], M)
-             if payload["kind"] == "bipartite" else None)
+    gstar = socle_group(gens["gstar"], M) if kind == "bipartite" else None
     # H = E:<theta> lists E's generators, then theta; H = <a>:<b, tau>
     # lists a first.  H is an AffineGroup only if every premise is proven
-    H = affine_group(gens["H"], 1 if payload["kind"] == "bipartite" else -1,
+    H = affine_group(gens["H"], 1 if kind == "bipartite" else -1,
                      degree=payload["degree"], seed=seed)
     g = tuple(gens["g"])
     cert = _derive(G, H, g, fit, gstar)

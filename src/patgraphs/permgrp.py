@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import itemgetter
 
 from .numth import VerificationError, check, factorize, is_prime
@@ -112,6 +112,14 @@ def porder(a: Perm) -> int:
     return lcm(*(len(c) for c in cycles(a))) if a else 1
 
 
+def alternating_bound(gens, degree: int) -> int | None:
+    """degree!/2 when every generator is even, as <gens> then lies in the
+    alternating group; None otherwise."""
+    if all(sum(len(c) - 1 for c in cycles(g)) % 2 == 0 for g in gens):
+        return factorial(degree) // 2
+    return None
+
+
 def perm_from_cycles(d: int, cycs) -> Perm:
     img = list(range(d))
     for cyc in cycs:
@@ -190,7 +198,9 @@ class PermGroup:
     checked to sift to the identity, bottom level first (certified_by
     "schreier"); the exact order may then lie below the bound.  The
     bound can also be met by containment, with no sift: see
-    socle_group.
+    socle_group.  A bound is proven where the group is made: from its
+    generators (alternating_bound, atlas.mobius_bound), relations checked
+    there, or the order of a group it lies in (generated_by).
     """
 
     def __init__(self, gens, degree: int | None = None,
@@ -462,12 +472,15 @@ class DirectPower(PermGroup):
         """pi_i(sub) for a subgroup of this power, the group of the pieces
         its elements have on block i.  pi_i is a homomorphism, so
         pi_i(<S>) = <pi_i(S)>: it is generated by the pieces of sub's
-        generators, and no element of sub is listed.  Its order has no
-        upper bound: |sub| is met only when pi_i is injective, and below
-        it a bounded sift would run to its quiet cap before the Schreier
-        check."""
+        generators, and no element of sub is listed.  An image of sub in
+        the factor, it can be injective only if |sub| divides the
+        factor's order, and is then sifted to the bound |sub|; otherwise
+        it has no bound."""
+        order = sub.order()
         return PermGroup([self.piece(x, i) for x in sub.gens],
-                         degree=self.factor.degree, seed=self.seed)
+                         degree=self.factor.degree, upper_bound=(
+                             order if self.factor.order() % order == 0
+                             else None), seed=self.seed)
 
     def contains(self, x) -> bool:
         """x maps each block into itself by a piece in the factor.  Each

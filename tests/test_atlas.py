@@ -1,9 +1,14 @@
+from math import gcd
+
 import pytest
 
 from patgraphs.atlas import (
     least_nonresidue,
+    mobius_bound,
+    pgl2,
     projective_inversion,
     projective_translation,
+    psl2,
     residue_scaled_inversion,
     seed_pgl2,
     seed_psl28_gamma,
@@ -12,9 +17,11 @@ from patgraphs.atlas import (
 from patgraphs.gf import make_field
 from patgraphs.permgrp import (
     PermGroup,
+    alternating_bound,
     cycles,
     filtered_intersection_with_product,
     pconj,
+    perm_from_cycles,
     pid,
     pinv,
     pmul,
@@ -168,3 +175,49 @@ def test_translations_commute():
     t2 = projective_translation(k, 2)
     assert pmul(t1, t2) == pmul(t2, t1)
     assert porder(t1) == 2
+
+
+def test_every_X_and_T_is_certified_by_its_bound():
+    # PGL(2, q) and PSL(2, q) meet the Mobius bounds of their generators,
+    # S_p meets p! and A_p the parity bound p!/2, in every family
+    for q in (4, 5, 7, 8, 9, 11):
+        k = make_field(q)
+        for group, order in ((pgl2(k, 0), q * (q * q - 1)),
+                             (psl2(k, 0), q * (q * q - 1) // gcd(2, q - 1))):
+            assert group.order() == order and group.certified_by == "bound"
+    seeds = ([seed_pgl2(q) for q in (4, 7, 8, 11)]
+             + [seed_symmetric(p) for p in (7, 11)]
+             + [make(p, bipartite=True) for p in (5, 7)
+                for make in (seed_pgl2, seed_symmetric)])
+    for s in seeds:
+        assert s.X.certified_by == s.T.certified_by == "bound", s.family
+    assert seed_psl28_gamma().T.certified_by == "bound"
+
+
+def test_mobius_bound_reads_each_generator():
+    k = make_field(7)
+    T, X = psl2(k, 0), pgl2(k, 0)
+    assert mobius_bound(T.gens, k) == 168
+    assert mobius_bound(X.gens, k) == 336
+    # x -> gamma/x has determinant -gamma: -3 = 2^2 is a square mod 7,
+    # and -1 is not
+    assert mobius_bound([projective_inversion(k, 3)], k) == 168
+    assert mobius_bound([projective_inversion(k, 1)], k) == 336
+    # relabelled by one transposition of projective points, PSL(2, 7)
+    # holds maps that are not Mobius, so no bound is proven
+    swap = perm_from_cycles(8, [(0, 2)])
+    assert mobius_bound([pconj(g, swap) for g in T.gens], k) is None
+    assert mobius_bound([swap], k) is None
+    # every Mobius map lies in PGL(2, q), and those of square determinant
+    # in the atlas's PSL(2, q)
+    for x in X.elements():
+        assert mobius_bound([x], k) == (168 if T.contains(x) else 336)
+
+
+def test_alternating_bound_needs_every_generator_even():
+    three = perm_from_cycles(5, [(0, 1, 2)])
+    five = perm_from_cycles(5, [(0, 1, 2, 3, 4)])
+    assert alternating_bound([three, five], 5) == 60
+    assert alternating_bound([three, five, perm_from_cycles(5, [(0, 1)])],
+                             5) is None
+    assert alternating_bound([perm_from_cycles(5, [(0, 1), (2, 3)])], 5) == 60

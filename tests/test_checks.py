@@ -313,6 +313,37 @@ def test_socle_connectivity_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_forged_socle_factor_falls_back_under_optimize_flag():
+    # a PSL(2, 7) relabelled by one transposition of projective points
+    # proves no Mobius bound: verify orders it by the Schreier check, and
+    # it fits no family, under python -O as without it
+    code = ("from patgraphs import graphcert\n"
+            "from patgraphs.construct import product_action_construction\n"
+            "from patgraphs.numth import VerificationError\n"
+            "from patgraphs.permgrp import pconj, perm_from_cycles\n"
+            "pa = product_action_construction(7)\n"
+            "payload = graphcert.certificate_payload(graphcert.certify(pa))\n"
+            "swap = perm_from_cycles(8, [(0, 2)])\n"
+            "payload['generators']['socle_factor'] = [\n"
+            "    list(pconj(tuple(x), swap))\n"
+            "    for x in payload['generators']['socle_factor']]\n"
+            "seen = []\n"
+            "family = graphcert._family\n"
+            "graphcert._family = lambda *args: seen.append(args[1]) or \\\n"
+            "    family(*args)\n"
+            "try:\n"
+            "    graphcert.verify_certificate(payload)\n"
+            "except VerificationError as exc:\n"
+            "    if 'fits no family' not in str(exc):\n"
+            "        raise SystemExit(str(exc))\n"
+            "else:\n"
+            "    raise SystemExit('a relabelled socle factor passed')\n"
+            "if [T.certified_by for T in seen] != ['schreier']:\n"
+            "    raise SystemExit(f'T was certified by {seen}')\n")
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_affine_premises_survive_optimize_flag():
     # the affine premises are plain branches: q = 4's H is an AffineGroup
     # and reads its local facts from the lemma, H with E's first

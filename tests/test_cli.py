@@ -410,9 +410,12 @@ def test_each_run_reads_H_meet_H_g_from_the_affine_lemma(tmp_path,
 
 
 def test_affine_groups_run_no_schreier_check(tmp_path, monkeypatch):
-    # every affine R and H is ordered by affine_group's proof: no
-    # AffineGroup runs the Schreier check in construct, bipartite or
-    # example-2-6, and the five example-2-6 H's built only for their
+    # every order on d points is sifted to a bound proven from its
+    # generators, and every affine R and H is ordered by affine_group's
+    # proof: construct --q 7 and 11, bipartite --p 5 and 13 and the verify
+    # of each run no Schreier check at all.  example-2-6 still runs some,
+    # for psl28-gamma's X and normalizer checks, but none for an
+    # AffineGroup, and the five example-2-6 H's built only for their
     # orders (components 1 to 5) complete no chain of degree 189, while
     # component 0's H, which the edge search queries, completes one
     made, checked = [], []
@@ -430,17 +433,25 @@ def test_affine_groups_run_no_schreier_check(tmp_path, monkeypatch):
     monkeypatch.setattr(permgrp.AffineGroup, "__init__", making)
     monkeypatch.setattr(permgrp.PermGroup, "_verify", verifying)
     completed = _record_completed_chains(monkeypatch)
-    for argv, degrees in ((["construct", "--q", "7"], {8, 64}),
-                          (["bipartite", "--p", "5"], {5, 20}),
-                          (["example-2-6"], {189})):
-        made.clear()
-        checked.clear()
-        completed.clear()
-        assert main(argv + ["--out", str(tmp_path / "c.json")]) == 0
-        assert set(made) == degrees, argv
-        assert checked, argv
-        assert not [x for x in checked
-                    if isinstance(x, permgrp.AffineGroup)], argv
+    for command, degrees in ((["construct", "--q", "7"], {8, 64}),
+                             (["construct", "--q", "11"], {12, 144}),
+                             (["bipartite", "--p", "5"], {5, 20}),
+                             (["bipartite", "--p", "13"], {13, 156})):
+        cert = tmp_path / f"{command[0]}{command[2]}.json"
+        for argv in (command + ["--out", str(cert)], ["verify", str(cert)]):
+            made.clear()
+            checked.clear()
+            assert main(argv) == 0
+            assert set(made) == (degrees if argv[0] != "verify"
+                                 else {max(degrees)}), argv
+            assert checked == [], argv
+    made.clear()
+    checked.clear()
+    completed.clear()
+    assert main(["example-2-6", "--out", str(tmp_path / "c.json")]) == 0
+    assert set(made) == {189}
+    assert checked
+    assert not [x for x in checked if isinstance(x, permgrp.AffineGroup)]
     psl28 = seed_psl28_gamma()
     report = construct.theta_reading_counts(psl28, "primary")
     H = [construct.build_E_and_H(psl28, report.components, i).H

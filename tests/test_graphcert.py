@@ -8,9 +8,10 @@ import json
 
 import pytest
 
+from patgraphs import graphcert
 from patgraphs.atlas import psl2
 from patgraphs.cli import main
-from patgraphs.construct import wreath
+from patgraphs.construct import product_action_construction, wreath
 from patgraphs.gf import make_field
 from patgraphs.graphcert import (
     _COMMON_KEYS,
@@ -39,6 +40,7 @@ from patgraphs.permgrp import (
     PermGroup,
     coset_action,
     filtered_intersection_with_product,
+    pconj,
     perm_from_cycles,
     pid,
     pinv,
@@ -484,6 +486,71 @@ def test_verify_rejects_a_socle_factor_outside_the_atlas(pa7, tmp_path,
     capsys.readouterr()
     assert main(["verify", str(path)]) == 3
     assert "fits no family" in capsys.readouterr().err
+
+
+def _record_fitted_factors(monkeypatch):
+    """Every socle factor _family is asked to fit."""
+    seen = []
+    family = graphcert._family
+
+    def recording(kind, T, n, field=None):
+        seen.append(T)
+        return family(kind, T, n, field)
+
+    monkeypatch.setattr(graphcert, "_family", recording)
+    return seen
+
+
+def test_verify_orders_T_by_the_bound_of_its_generators(
+        monkeypatch, pa4, pa7, v64, bip5_symmetric, bip5_pgl2):
+    # verify_certificate sifts the socle factor to the bound its
+    # generators prove for the fitted shape: the Mobius bound |PSL(2, q)|
+    # on the projective line, or p!/2 for even generators
+    seen = _record_fitted_factors(monkeypatch)
+    for construction in (pa4, pa7, v64, bip5_symmetric, bip5_pgl2,
+                         product_action_construction(7, "symmetric")):
+        payload = certificate_payload(certify(construction))
+        seen.clear()
+        assert verify_certificate(payload).ok
+        [T] = seen
+        assert T.certified_by == "bound", T.degree
+
+
+def _agammal_1_8_in_its_place(payload):
+    payload["generators"]["socle_factor"] = _agammal_1_8()
+
+
+def _odd_generator_added(payload):
+    factor = payload["generators"]["socle_factor"]
+    factor.append(list(perm_from_cycles(len(factor[0]), [(0, 1)])))
+
+
+def _relabelled_by_a_transposition(payload):
+    factor = payload["generators"]["socle_factor"]
+    swap = perm_from_cycles(len(factor[0]), [(0, 2)])
+    payload["generators"]["socle_factor"] = [list(pconj(tuple(x), swap))
+                                             for x in factor]
+
+
+@pytest.mark.parametrize("forge", [_relabelled_by_a_transposition,
+                                   _agammal_1_8_in_its_place,
+                                   _odd_generator_added],
+                         ids=lambda forge: forge.__name__.strip("_"))
+def test_forged_socle_factors_fall_back_to_the_schreier_check(
+        monkeypatch, pa7, bip5_symmetric, forge):
+    # a PSL(2, 7) relabelled by one transposition of projective points and
+    # the solvable AGammaL(1, 8) are not Mobius, and A_5 with an odd
+    # generator added is not even: no bound is proven, T is ordered by
+    # the Schreier check, and the fit fails as it does with no bounds
+    construction = bip5_symmetric if forge is _odd_generator_added else pa7
+    payload = certificate_payload(certify(construction))
+    forge(payload)
+    seen = _record_fitted_factors(monkeypatch)
+    with pytest.raises(VerificationError, match="fits no family"):
+        verify_certificate(payload)
+    [T] = seen
+    assert T.certified_by == "schreier"
+    assert T.order() == (120 if forge is _odd_generator_added else 168)
 
 
 def test_diagonal_type_needs_every_projection_injective(bip5_symmetric):
