@@ -8,6 +8,7 @@ the `verify` subcommand recomputes from scratch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,14 +48,57 @@ EXIT_REJECTED = 2
 EXIT_FAILED = 3
 
 
+def indented_json(obj, pad: str = "\n") -> str:
+    """The text `json.dumps(obj, indent=2, sort_keys=True)` gives, built
+    without the pure-Python encoder that `indent` selects.
+
+    `pad` is the newline and indent of the line `obj` starts on.  A list
+    of plain ints, the bulk of every certificate, is joined in one call;
+    a bool is an int but is written `true` or `false`, so only `int`
+    itself takes that path.  Every other leaf goes through `json.dumps`.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_key_text(key) + ": " + indented_json(value, inner)
+             for key, value in sorted(obj.items())]) + pad + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, obj)) == {int}:
+            items = map(str, obj)
+        else:
+            items = [indented_json(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(obj)
+
+
+def _key_text(key) -> str:
+    """A dict key as `json.dumps` writes it: an int, float, bool or None
+    key becomes the string of its own JSON text."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
 def _emit(path: str | None, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write `payload` as a certificate: `indented_json` and a newline,
+    the bytes of `json.dumps(payload, indent=2, sort_keys=True) + "\n"`."""
+    _write_text(path, indented_json(payload) + "\n")
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         return
-    with open(path, "w") as fh:
+    # the same bytes on every platform: JSON is written ASCII-escaped and
+    # edge lists are digits, and no newline is translated to CRLF
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
     print(f"wrote {path}")
 
@@ -302,7 +346,17 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_REJECTED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    Building it costs about a millisecond per call, more than many
+    subcommands take, so `main` reuses it.  That is safe because the
+    parser is a constant, like `_BODIES`: it holds no argv, seed or
+    result, and `parse_args` builds a fresh namespace from the defaults
+    each time without changing the parser.  It is not built at import,
+    which would slow every import of this module.
+    """
     parser = argparse.ArgumentParser(
         prog="patgraphs",
         description="Equidistant codes, product-action groups, and "

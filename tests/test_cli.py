@@ -1,6 +1,7 @@
 """Command-line plumbing: exit codes, reports, certificate round-trips,
 and end-to-end determinism on the fast pipelines."""
 
+import argparse
 import copy
 import hashlib
 import json
@@ -95,6 +96,97 @@ def test_example_2_6_certificates_are_frozen(tmp_path, reading):
                  "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == EXAMPLE_2_6_DIGESTS[reading], f"{reading} changed"
+
+
+def _indented_oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "symmetric", "--q", "7"],
+    ["bipartite", "--family", "pgl2", "--p", "5"],
+    ["edc", "--q", "27"],
+])
+def test_certificates_unpinned_elsewhere_match_the_indent_encoder(
+        tmp_path, monkeypatch, argv):
+    # no digest fixes these certificates, so json.dumps is their oracle
+    emitted = []
+    emit = cli._emit
+
+    def recording(path, payload):
+        emitted.append(payload)
+        emit(path, payload)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    out = tmp_path / "cert.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    [payload] = emitted
+    expected = _indented_oracle(payload) + "\n"
+    assert out.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("tree", [
+    {}, [], (), {"a": {}, "b": []}, [[], {}], [[[]], {"x": {}}],
+    [1, True, 2], [False, 0], [None, 3, -4], [True], [None],
+    ['say "hi"', "back\\slash", "tab\tline\nnul\x00unit\x1fdel\x7f",
+     "café 中 \U0001f600"],
+    {'k"ey\\': 1, "ünïcøde": [1], "\n": "\x01"},
+    2**64 + 1, [2**70, -2**65, 0], {"big": [[3**50]]},
+    (1, 2, (3, (4,))), {"t": (), "u": ((1, True),)},
+    {1: "a", 2: [3], -5: {}}, {1.5: 0, -0.25: [1]}, {True: 1, False: 0},
+    {None: [None]},
+    [0.5, -0.0, 1e100, 3], "x", 0, None, True, 2.5,
+    {"b": [[1, 2], [3, 4]], "a": {"z": 1, "y": [True, "s", [5]]}},
+])
+def test_indented_json_matches_the_indent_encoder(tree):
+    assert cli.indented_json(tree) == _indented_oracle(tree)
+
+
+@pytest.mark.parametrize("tree", [{(1, 2): 0}, [1, object()], {"a": {1, 2}}])
+def test_indented_json_rejects_what_json_rejects(tree):
+    with pytest.raises(TypeError):
+        _indented_oracle(tree)
+    with pytest.raises(TypeError):
+        cli.indented_json(tree)
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["edc", "--q", "3"]) == 0
+    # one build makes the top-level parser once, and each subparser once
+    assert progs.count("patgraphs") == 1
+    assert len(progs) == len(set(progs))
+
+
+def _bare_construct():
+    args = cli.build_parser().parse_args(["construct", "--q", "4"])
+    return args.seed, args.family, args.out
+
+
+def test_the_parser_carries_nothing_between_runs(tmp_path, capsys):
+    out = tmp_path / "s7.json"
+    assert main(["construct", "--q", "7", "--seed", "5", "--family",
+                 "symmetric", "--out", str(out)]) == 0
+    assert _bare_construct() == (0, "pgl2", None)
+    for argv, code in ((["construct", "--q", "seven"], 2),
+                       (["construct", "--bogus"], 2),
+                       (["construct", "--help"], 0)):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+        assert _bare_construct() == (0, "pgl2", None)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert "certificate OK" in capsys.readouterr().out
 
 
 class _ClosedStdout:
