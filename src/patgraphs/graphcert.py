@@ -10,10 +10,11 @@ with each premise proven from its generators, reads them from the
 affine lemma when g normalizes C, with no walk of the cosets of H; any
 other H walks the orbit of Hg.  A G built over its socle T^n answers it
 through T^n, with no chain of <H, g>; that needs T simple, which the
-family fit proves, so certify and verify_certificate fit the family
-first.  Toy instances have no socle: <H, g> is sifted to the proven
-bound |G| there, and they are enumerated in full and cross-checked
-against the same local certificate.
+family fit proves, so certify and verify_certificate fit it first, by
+_family: T's generators prove the order of A_q or the atlas's PSL(2, q),
+and T meets it.  Toy instances have no socle: <H, g> is sifted to the
+proven bound |G| there, and they are enumerated in full and
+cross-checked against the same local certificate.
 
 Every verdict of a certificate has one derivation, _derive, which both
 certify (from a construction's groups) and verify_certificate (from the
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial, gcd, isqrt
 
-from .atlas import mobius_bound, psl2
+from .atlas import mobius_bound
 from .construct import BipartiteConstruction, PAConstruction, Valency64Construction
 from .gf import GF, make_field
 from .numth import check, classify_valency_case, is_prime, prime_power
@@ -44,7 +45,6 @@ from .permgrp import (
     alternating_bound,
     coset_action,
     coset_stabilizer,
-    orbit_partition,
     pid,
     pmul,
     porder,
@@ -329,28 +329,31 @@ def _shape(kind: str, d: int, n: int) -> tuple[str, int] | None:
     return None
 
 
-def _family(kind: str, T: PermGroup, n: int,
-            field: GF | None = None) -> tuple[str, int] | None:
-    """The _shape of T's degree d and n blocks, if |T| proves it: T is A_q
-    on q points in the symmetric families, proven by |T| alone, as A_q is
-    the only subgroup of S_q of index 2, and otherwise PSL(2, q) on the
-    atlas's q + 1 projective points, proven by |T| and the atlas
-    generators of PSL(2, q) lying in T; `field` is GF(q) if the caller has
-    it.  |T| meets the bound T's generators prove where it was sifted to
-    one; a T proving none, relabelled or forged, takes the Schreier check.
-    A fit proves T nonabelian simple.  |T| is compared only once d and n
-    fit: a factorial only of d, bounded by the payload."""
-    d = T.degree
+def _family(kind: str, gens, d: int, n: int, field: GF | None = None,
+            seed: int = 0) -> tuple[tuple[str, int], PermGroup] | None:
+    """The _shape of n blocks of d points, with the socle factor T =
+    <gens>, if the generators prove exactly its order and T meets it:
+    q!/2 by alternating_bound when q = d, and |PSL(2, q)| by mobius_bound
+    on the atlas's q + 1 projective points otherwise; `field` is GF(q) if
+    the caller has it.  Even generators put T in A_q, and Mobius maps of
+    square determinant put it in the atlas's PSL(2, q), so meeting the
+    order makes T that group, nonabelian simple and transitive.  A T whose
+    generators prove no such bound is not that group, and is never
+    ordered; one that proves it is sifted to it from the seed.  The
+    generators must be permutations of the d points."""
     fit = _shape(kind, d, n)
     if fit is None:
         return None
     q = fit[1]
     if q == d:
-        return fit if T.order() == factorial(q) // 2 else None
-    if T.order() != q * (q * q - 1) // gcd(2, q - 1):
+        bound, order = alternating_bound(gens, d), factorial(q) // 2
+    else:
+        k = field if field and field.q == q else make_field(q)
+        bound, order = mobius_bound(gens, k), q * (q * q - 1) // gcd(2, q - 1)
+    if bound != order:
         return None
-    k = field if field and field.q == q else make_field(q)
-    return fit if all(T.contains(x) for x in psl2(k, 0).gens) else None
+    T = PermGroup(gens, degree=d, upper_bound=bound, seed=seed)
+    return (fit, T) if T.order() == bound else None
 
 
 def _derive(G: PermGroup, H: PermGroup, g: Perm, fit: tuple[str, int],
@@ -427,9 +430,10 @@ def certify(construction) -> CosetGraphCertificate:
     if construction.G is None:
         raise ValueError("construction is missing the assembled G")
     seed = construction.seed
-    fit = _family(kind, seed.T, construction.n, seed.field)
-    check(fit is not None, "the socle factor fits no family")
-    cert = _derive(construction.G, construction.H, g, fit, gstar)
+    fitted = _family(kind, seed.T.gens, seed.degree, construction.n,
+                     seed.field, seed.T.seed)
+    check(fitted is not None, "the socle factor fits no family")
+    cert = _derive(construction.G, construction.H, g, fitted[0], gstar)
     check(cert.family == seed.family, f"the groups show family "
           f"{cert.family!r}, not the seed's {seed.family!r}")
     check(cert.socle_transitive, "T^n is not transitive on the coset space")
@@ -592,8 +596,9 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
     from the given seed, derive every verdict with certify's own code,
     serialize it with certificate_payload and compare the JSON trees
     leaf by leaf.  Before any walk of cosets of T^n, the socle factor
-    must be transitive and fit a family; _derive then checks that H and
-    g lie in G before it walks the cosets of H or of T^n."""
+    must fit a family by certify's own _family, the one group of T built;
+    _derive then checks that H and g lie in G before it walks the cosets
+    of H or of T^n."""
     _check_shape(payload)
     verdict = payload["double_cover_verdict"]
     check(payload["kind"] == "bipartite" or verdict == "untested",
@@ -601,19 +606,9 @@ def verify_certificate(payload: dict, seed: int = 0) -> VerificationReport:
           f"certificate is 'untested'")
     gens, kind = payload["generators"], payload["kind"]
     d, n = payload["block_degree"], payload["blocks"]
-    # T is sifted to the bound its generators, once checked to be
-    # permutations, prove for the shape of d and n; GF(q) is built once
-    T = PermGroup(gens["socle_factor"], degree=d, seed=seed)
-    shape, field, bound = _shape(kind, d, n), None, None
-    if shape and shape[1] < d:
-        field = make_field(shape[1])
-        bound = mobius_bound(T.gens, field)
-    elif shape:
-        bound = alternating_bound(T.gens, d)
-    T = PermGroup(T.gens, degree=d, upper_bound=bound, seed=seed)
-    fit = (len(orbit_partition(T.gens, d)) == 1
-           and _family(kind, T, n, field))
-    check(bool(fit), "the socle factor is intransitive or fits no family")
+    fitted = _family(kind, gens["socle_factor"], d, n, seed=seed)
+    check(fitted is not None, "the socle factor fits no family")
+    fit, T = fitted
     M = DirectPower(T, n)
     # orders are proven from the generators; the payload's are only compared
     G = socle_group(gens["G"], M)
@@ -670,9 +665,10 @@ def _mismatch(path: tuple, stated, recomputed) -> str:
 
 def _check_shape(payload) -> None:
     """The certificate's format and kind are known, its keys are those
-    certificate_payload writes for its kind, each of its type, and g
+    certificate_payload writes for its kind, each of its type, g
     permutes blocks * block_degree = degree points, so no domain is
-    longer than the payload's arrays; ValueError otherwise."""
+    longer than the payload's arrays, and each generator of the socle
+    factor permutes block_degree points; ValueError otherwise."""
     if not isinstance(payload, dict):
         raise ValueError("certificate is not a JSON object")
     fmt = payload.get("format")
@@ -698,8 +694,13 @@ def _check_shape(payload) -> None:
         more = f" and {len(leaves) - 1} more" if len(leaves) > 1 else ""
         raise ValueError(f"{kind} certificate has unknown key {path}{more}")
     degree, g = payload["degree"], payload["generators"]["g"]
-    if not (payload["blocks"] * payload["block_degree"] == degree == len(g)
+    d = payload["block_degree"]
+    if not (payload["blocks"] * d == degree == len(g)
             and sorted(g) == list(range(degree))):
         raise ValueError(f"{kind} certificate's generators.g is not a "
                          f"permutation of its blocks * block_degree points")
+    if any(sorted(x) != list(range(d))
+           for x in payload["generators"]["socle_factor"]):
+        raise ValueError(f"{kind} certificate's generators.socle_factor "
+                         f"has one not a permutation of block_degree points")
 

@@ -196,11 +196,12 @@ class PermGroup:
     upper_bound proves the order (certified_by "bound"), and exceeding
     it fails on every query.  Otherwise every Schreier generator is
     checked to sift to the identity, bottom level first (certified_by
-    "schreier"); the exact order may then lie below the bound.  The
-    bound can also be met by containment, with no sift: see
-    socle_group.  A bound is proven where the group is made: from its
-    generators (alternating_bound, atlas.mobius_bound), relations checked
-    there, or the order of a group it lies in (generated_by).
+    "schreier"); the exact order may then lie below the bound.  A group
+    that proves its order as it is made (DirectPower, socle_group,
+    affine_group) stores it, and order() builds no chain for it.  A bound
+    is proven where the group is made: from its generators
+    (alternating_bound, atlas.mobius_bound), relations checked there, or
+    the order of a group it lies in (generated_by).
     """
 
     def __init__(self, gens, degree: int | None = None,
@@ -353,17 +354,19 @@ class PermGroup:
         if bound is None or self._orbit_product() < bound:
             self._verify(ident)
             self.certified_by = "schreier"
-        self._order = self._orbit_product()
-        if bound is not None and self._order > bound:
+        order = self._orbit_product()
+        if bound is not None and order > bound:
             # dropping the chain makes every later query fail the same way
             self._levels = None
-            raise VerificationError(f"group order is at least {self._order},"
+            raise VerificationError(f"group order is at least {order},"
                                     f" above the upper bound {bound}")
+        self._order = order
 
     # -- queries ------------------------------------------------------
 
     def order(self) -> int:
-        self._ensure_chain()
+        if self._order is None:
+            self._ensure_chain()
         return self._order
 
     def contains(self, x) -> bool:
@@ -456,12 +459,11 @@ class DirectPower(PermGroup):
         super().__init__(gens, degree=d * copies,
                          upper_bound=factor.order() ** copies,
                          seed=factor.seed)
+        self._order = self._upper_bound
+        self.certified_by = "bound"
         # per block, whether a raw slice of images is a piece in the factor
         self._slices: list[dict[Perm, bool]] = [{} for _ in range(copies)]
         self._points = pid(d * copies)
-
-    def order(self) -> int:
-        return self.factor.order() ** self.copies
 
     def piece(self, x: Perm, i: int) -> Perm:
         """The images of block i's points under x, moved to 0, ..., d-1."""
@@ -689,7 +691,7 @@ class _SocleExtension(PermGroup):
               "a generator does not normalize T^n")
         self._locate = M._coset_labeler()
         self._index = len(self._walk(self.gens, self._locate).transversal)
-        self._upper_bound = M.order() * self._index
+        self._order = self._upper_bound = M.order() * self._index
         self.certified_by = "bound"
 
     def _walk(self, gens, locate) -> _CosetOrbit:
@@ -703,9 +705,6 @@ class _SocleExtension(PermGroup):
         fixed = (tuple(range(len(walk.transversal))),) * len(inside)
         return replace(walk, gens=walk.gens + tuple(inside),
                        action=walk.action + fixed)
-
-    def order(self) -> int:
-        return self._upper_bound
 
     def contains(self, x) -> bool:
         x = tuple(x)
@@ -797,10 +796,8 @@ class AffineGroup(PermGroup):
                          upper_bound=V.order() * C.order(), seed=V.seed)
         self.translations = V
         self.complement = C
+        self._order = self._upper_bound
         self.certified_by = "bound"
-
-    def order(self) -> int:
-        return self._upper_bound
 
     def local_action(self, g) -> tuple[int, int, bool]:
         """If g normalizes C and v^(g^-1) is not in H for v = V.gens[0],
@@ -994,7 +991,6 @@ class CosetAction:
     canonical representative labeling each coset index."""
     group: PermGroup
     representatives: tuple[Perm, ...]
-    parent: PermGroup
     subgroup: PermGroup
     labels: dict[Perm, int] = field(repr=False, compare=False)
 
@@ -1022,8 +1018,7 @@ def coset_action(group: PermGroup, subgroup: PermGroup,
     check(len(walk.transversal) == index,
           "coset enumeration did not reach the full index")
     action = PermGroup(walk.action, degree=index, seed=group.seed)
-    return CosetAction(action, tuple(locate.labels), group, subgroup,
-                       locate.labels)
+    return CosetAction(action, tuple(locate.labels), subgroup, locate.labels)
 
 
 def filtered_intersection_with_product(small: PermGroup,

@@ -313,34 +313,40 @@ def test_socle_connectivity_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_forged_socle_factor_falls_back_under_optimize_flag():
+def test_forged_socle_factor_fits_no_family_under_optimize_flag(tmp_path):
     # a PSL(2, 7) relabelled by one transposition of projective points
-    # proves no Mobius bound: verify orders it by the Schreier check, and
-    # it fits no family, under python -O as without it
-    code = ("from patgraphs import graphcert\n"
-            "from patgraphs.construct import product_action_construction\n"
-            "from patgraphs.numth import VerificationError\n"
+    # proves no Mobius bound: verify exits 3 as it fits no family, under
+    # python -O as without it, with no Schreier check; an unbounded oracle
+    # orders it at 168
+    cert = tmp_path / "c7.json"
+    assert main(["construct", "--q", "7", "--out", str(cert)]) == 0
+    code = ("import contextlib, io, json, sys\n"
+            "from patgraphs import cli, permgrp\n"
             "from patgraphs.permgrp import pconj, perm_from_cycles\n"
-            "pa = product_action_construction(7)\n"
-            "payload = graphcert.certificate_payload(graphcert.certify(pa))\n"
+            "path = sys.argv[1]\n"
+            "payload = json.load(open(path))\n"
             "swap = perm_from_cycles(8, [(0, 2)])\n"
-            "payload['generators']['socle_factor'] = [\n"
-            "    list(pconj(tuple(x), swap))\n"
-            "    for x in payload['generators']['socle_factor']]\n"
-            "seen = []\n"
-            "family = graphcert._family\n"
-            "graphcert._family = lambda *args: seen.append(args[1]) or \\\n"
-            "    family(*args)\n"
-            "try:\n"
-            "    graphcert.verify_certificate(payload)\n"
-            "except VerificationError as exc:\n"
-            "    if 'fits no family' not in str(exc):\n"
-            "        raise SystemExit(str(exc))\n"
-            "else:\n"
-            "    raise SystemExit('a relabelled socle factor passed')\n"
-            "if [T.certified_by for T in seen] != ['schreier']:\n"
-            "    raise SystemExit(f'T was certified by {seen}')\n")
-    proc = _run_optimized(code)
+            "factor = [list(pconj(tuple(x), swap))\n"
+            "          for x in payload['generators']['socle_factor']]\n"
+            "payload['generators']['socle_factor'] = factor\n"
+            "json.dump(payload, open(path, 'w'))\n"
+            "checked = []\n"
+            "verify = permgrp.PermGroup._verify\n"
+            "permgrp.PermGroup._verify = lambda self, ident: (\n"
+            "    checked.append(self) or verify(self, ident))\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    code = cli.main(['verify', path])\n"
+            "if code != 3 or 'the socle factor fits no family' not in \\\n"
+            "        err.getvalue():\n"
+            "    raise SystemExit(f'exit {code}: {err.getvalue()}')\n"
+            "if checked:\n"
+            "    raise SystemExit('a Schreier check ran')\n"
+            "if permgrp.PermGroup(factor, degree=8).order() != 168:\n"
+            "    raise SystemExit('the relabelled factor is not of order 168')\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(cert)],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 

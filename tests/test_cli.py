@@ -504,8 +504,9 @@ def test_each_run_reads_H_meet_H_g_from_the_affine_lemma(tmp_path,
 def test_affine_groups_run_no_schreier_check(tmp_path, monkeypatch):
     # every order on d points is sifted to a bound proven from its
     # generators, and every affine R and H is ordered by affine_group's
-    # proof: construct --q 7 and 11, bipartite --p 5 and 13 and the verify
-    # of each run no Schreier check at all.  example-2-6 still runs some,
+    # proof: construct --q 7 and 11 and symmetric 7, bipartite --p 5 and
+    # 13 and pgl2 5, both fits of the socle factor in both kinds, and the
+    # verify of each run no Schreier check at all.  example-2-6 still runs some,
     # for psl28-gamma's X and normalizer checks, but none for an
     # AffineGroup, and the five example-2-6 H's built only for their
     # orders (components 1 to 5) complete no chain of degree 189, while
@@ -525,11 +526,14 @@ def test_affine_groups_run_no_schreier_check(tmp_path, monkeypatch):
     monkeypatch.setattr(permgrp.AffineGroup, "__init__", making)
     monkeypatch.setattr(permgrp.PermGroup, "_verify", verifying)
     completed = _record_completed_chains(monkeypatch)
-    for command, degrees in ((["construct", "--q", "7"], {8, 64}),
-                             (["construct", "--q", "11"], {12, 144}),
-                             (["bipartite", "--p", "5"], {5, 20}),
-                             (["bipartite", "--p", "13"], {13, 156})):
-        cert = tmp_path / f"{command[0]}{command[2]}.json"
+    for command, degrees in (
+            (["construct", "--q", "7"], {8, 64}),
+            (["construct", "--q", "11"], {12, 144}),
+            (["construct", "--family", "symmetric", "--q", "7"], {7, 56}),
+            (["bipartite", "--p", "5"], {5, 20}),
+            (["bipartite", "--p", "13"], {13, 156}),
+            (["bipartite", "--family", "pgl2", "--p", "5"], {6, 24})):
+        cert = tmp_path / f"{'-'.join(command)}.json"
         for argv in (command + ["--out", str(cert)], ["verify", str(cert)]):
             made.clear()
             checked.clear()
@@ -859,14 +863,19 @@ def test_forged_generators_fail_at_once(tmp_path, request, construction,
 
 
 def test_verify_rejects_a_generator_outside_the_domain(tmp_path, capsys):
-    # an image past the last point was an IndexError traceback
-    def edit(payload):
+    # an image past the last point was an IndexError traceback; a socle
+    # factor's is caught before its bound is read from its generators
+    def edit_G(payload):
         payload["generators"]["G"][-1][0] = payload["degree"]
 
-    edited = _edited_q4(tmp_path, edit)
-    capsys.readouterr()
-    assert main(["verify", str(edited)]) == 2
-    assert "not a permutation" in capsys.readouterr().err
+    def edit_socle_factor(payload):
+        payload["generators"]["socle_factor"][0][0] = payload["block_degree"]
+
+    for edit in (edit_G, edit_socle_factor):
+        edited = _edited_q4(tmp_path, edit)
+        capsys.readouterr()
+        assert main(["verify", str(edited)]) == 2
+        assert "not a permutation" in capsys.readouterr().err
 
 
 def test_bug_is_a_traceback_not_a_failed_check(monkeypatch):

@@ -349,6 +349,23 @@ def test_G_is_certified_by_its_socle_bound():
             assert pa.G.certified_by == "bound"
 
 
+def test_socle_groups_store_the_orders_they_prove(monkeypatch):
+    # M = T^n, G and G* prove their orders as they are made, from |T| and
+    # one walk of the cosets of M: each reports "bound", and asking for
+    # its order builds no chain
+    pa, bc = product_action_construction(7), bipartite_construction(5)
+    chains = []
+    ensure = PermGroup._ensure_chain
+    monkeypatch.setattr(PermGroup, "_ensure_chain",
+                        lambda self: chains.append(self) or ensure(self))
+    for group, order in ((pa.G.socle, 168**8), (pa.G, 168**8 * 16),
+                         (bc.G.socle, 60**4), (bc.Gstar, 60**4 * 8),
+                         (bc.G, 60**4 * 16)):
+        assert group.order() == order
+        assert group.certified_by == "bound"
+    assert chains == []
+
+
 def test_symmetric_family_pipeline():
     pa = product_action_construction(7, family="symmetric")
     t_order = pa.seed.T.order()

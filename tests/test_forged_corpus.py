@@ -163,8 +163,8 @@ def labelled(monkeypatch):
 def _payload(c) -> dict:
     bipartite = isinstance(c, BipartiteConstruction)
     kind = "bipartite" if bipartite else "product-action"
-    cert = _derive(c.G, c.H, c.o, _family(kind, c.seed.T, c.n),
-                   c.Gstar if bipartite else None)
+    fit, _ = _family(kind, c.seed.T.gens, c.seed.degree, c.n)
+    cert = _derive(c.G, c.H, c.o, fit, c.Gstar if bipartite else None)
     # G decides connectivity through its socle, as the sift to |G| does
     assert cert.local.connected == PermGroup.generated_by(c.G,
                                                           [*c.H.gens, c.o])

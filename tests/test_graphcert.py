@@ -5,11 +5,17 @@ frozen orders."""
 
 import dataclasses
 import json
+from math import factorial, gcd
 
 import pytest
 
 from patgraphs import graphcert
-from patgraphs.atlas import psl2
+from patgraphs.atlas import (
+    mobius_bound,
+    projective_scaling,
+    projective_translation,
+    psl2,
+)
 from patgraphs.cli import main
 from patgraphs.construct import product_action_construction, wreath
 from patgraphs.gf import make_field
@@ -19,6 +25,7 @@ from patgraphs.graphcert import (
     SmallGraph,
     _family,
     _leaves,
+    _shape,
     certificate_payload,
     certify,
     edge_list_text,
@@ -38,8 +45,10 @@ from patgraphs.numth import VerificationError
 from patgraphs.permgrp import (
     DirectPower,
     PermGroup,
+    alternating_bound,
     coset_action,
     filtered_intersection_with_product,
+    orbit_partition,
     pconj,
     perm_from_cycles,
     pid,
@@ -462,19 +471,47 @@ def _agammal_1_8():
 def test_family_needs_the_atlas_group(pa7):
     T = PermGroup([tuple(g) for g in _agammal_1_8()])
     assert T.order() == 168
-    assert _family("product-action", T, 8) is None
-    assert _family("product-action", pa7.seed.T, 8) == ("pgl2", 7)
+    assert _family("product-action", T.gens, 8, 8) is None
+    fit, fitted = _family("product-action", pa7.seed.T.gens, 8, 8)
+    assert fit == ("pgl2", 7) and fitted.order() == 168
     # d = 7 would give q = 6 for pgl2, which is not a prime power
-    assert _family("product-action", sym(7), 7) is None
+    assert _family("product-action", sym(7).gens, 7, 7) is None
     # a fit proves T simple: PSL(2, 3) is A_4, and A_4 and A_3 are not
     # simple; the bipartite families need a prime q >= 5
-    assert _family("product-action", psl2(make_field(3), 0), 4) is None
+    assert _family("product-action", psl2(make_field(3), 0).gens, 4, 4) is None
     a4 = PermGroup([perm_from_cycles(4, [(0, 1, 2)]),
                     perm_from_cycles(4, [(1, 2, 3)])])
     assert a4.order() == 12
-    assert _family("product-action", a4, 5) is None
-    assert _family("bipartite", a4, 3) is None
-    assert _family("bipartite", PermGroup([(1, 2, 0)]), 2) is None
+    assert _family("product-action", a4.gens, 4, 5) is None
+    assert _family("bipartite", a4.gens, 4, 3) is None
+    assert _family("bipartite", [(1, 2, 0)], 3, 2) is None
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16])
+def test_a_mobius_group_meeting_the_psl2_order_is_the_atlas_group(q):
+    # Mobius maps of square determinant lie in the atlas's PSL(2, q), so a
+    # group of them that meets |PSL(2, q)| contains psl2's generators: the
+    # implication that lets _family drop the containment test
+    k = make_field(q)
+    order = q * (q * q - 1) // gcd(2, q - 1)
+    # the atlas's generators conjugated by x -> mu*x, whose determinant mu
+    # is a non-square for odd q
+    scale = projective_scaling(k, k.generator)
+    gens = [pconj(x, scale) for x in psl2(k, 0).gens]
+    assert set(gens) != set(psl2(k, 0).gens)
+    assert mobius_bound(gens, k) == order
+    T = PermGroup(gens, upper_bound=order)
+    assert T.order() == order and T.certified_by == "bound"
+    assert all(T.contains(x) for x in psl2(k, 0).gens)
+    # the Borel subgroup F:<x -> mu^2 x> proves the bound, is smaller,
+    # and fits no family
+    borel = [projective_translation(k, k.p ** i) for i in range(k.f)]
+    borel.append(projective_scaling(k, k.mul(k.generator, k.generator)))
+    assert mobius_bound(borel, k) == order
+    assert PermGroup(borel).order() == q * (q - 1) // gcd(2, q - 1)
+    assert _family("product-action", borel, q + 1, q + 1, k) is None
+    fit, fitted = _family("product-action", gens, q + 1, q + 1, k)
+    assert fit == ("pgl2", q) and fitted.order() == order
 
 
 def test_verify_rejects_a_socle_factor_outside_the_atlas(pa7, tmp_path,
@@ -489,13 +526,13 @@ def test_verify_rejects_a_socle_factor_outside_the_atlas(pa7, tmp_path,
 
 
 def _record_fitted_factors(monkeypatch):
-    """Every socle factor _family is asked to fit."""
+    """What _family returns for every socle factor it is asked to fit."""
     seen = []
     family = graphcert._family
 
-    def recording(kind, T, n, field=None):
-        seen.append(T)
-        return family(kind, T, n, field)
+    def recording(kind, gens, d, n, field=None, seed=0):
+        seen.append(family(kind, gens, d, n, field, seed))
+        return seen[-1]
 
     monkeypatch.setattr(graphcert, "_family", recording)
     return seen
@@ -512,7 +549,7 @@ def test_verify_orders_T_by_the_bound_of_its_generators(
         payload = certificate_payload(certify(construction))
         seen.clear()
         assert verify_certificate(payload).ok
-        [T] = seen
+        [(_, T)] = seen
         assert T.certified_by == "bound", T.degree
 
 
@@ -532,25 +569,116 @@ def _relabelled_by_a_transposition(payload):
                                              for x in factor]
 
 
-@pytest.mark.parametrize("forge", [_relabelled_by_a_transposition,
-                                   _agammal_1_8_in_its_place,
-                                   _odd_generator_added],
-                         ids=lambda forge: forge.__name__.strip("_"))
-def test_forged_socle_factors_fall_back_to_the_schreier_check(
-        monkeypatch, pa7, bip5_symmetric, forge):
-    # a PSL(2, 7) relabelled by one transposition of projective points and
-    # the solvable AGammaL(1, 8) are not Mobius, and A_5 with an odd
-    # generator added is not even: no bound is proven, T is ordered by
-    # the Schreier check, and the fit fails as it does with no bounds
+FORGERIES = [_relabelled_by_a_transposition, _agammal_1_8_in_its_place,
+             _odd_generator_added]
+
+
+def _forged_payload(forge, pa7, bip5_symmetric) -> dict:
+    """A PSL(2, 7) relabelled by one transposition of projective points,
+    or the solvable AGammaL(1, 8), in q = 7's certificate; A_5 with an odd
+    generator added in the symmetric p = 5 one."""
     construction = bip5_symmetric if forge is _odd_generator_added else pa7
     payload = certificate_payload(certify(construction))
     forge(payload)
-    seen = _record_fitted_factors(monkeypatch)
-    with pytest.raises(VerificationError, match="fits no family"):
-        verify_certificate(payload)
-    [T] = seen
-    assert T.certified_by == "schreier"
-    assert T.order() == (120 if forge is _odd_generator_added else 168)
+    return payload
+
+
+def _old_family(kind, gens, d, n):
+    """The fit that _family replaced, kept as its oracle: |T| by the
+    Schreier check, then, for a transitive T of the shape, the order of
+    A_q, or that of PSL(2, q) and the atlas's generators in T."""
+    fit = _shape(kind, d, n)
+    T = PermGroup(gens, degree=d)
+    if fit is None or len(orbit_partition(T.gens, d)) != 1:
+        return None
+    q = fit[1]
+    if q == d:
+        return fit if T.order() == factorial(q) // 2 else None
+    if T.order() != q * (q * q - 1) // gcd(2, q - 1):
+        return None
+    return fit if all(T.contains(x) for x in psl2(make_field(q), 0).gens) \
+        else None
+
+
+def test_family_agrees_with_the_schreier_and_containment_rule(
+        pa4, pa7, v64, bip5_symmetric, bip5_pgl2):
+    cases = [("product-action", c.seed.T.gens, c.seed.degree, c.n)
+             for c in (pa4, pa7, v64.pa,
+                       product_action_construction(7, "symmetric"))]
+    cases += [("bipartite", c.seed.T.gens, c.seed.degree, c.n)
+              for c in (bip5_symmetric, bip5_pgl2)]
+    for forge in FORGERIES:
+        payload = _forged_payload(forge, pa7, bip5_symmetric)
+        cases.append((payload["kind"], payload["generators"]["socle_factor"],
+                      payload["block_degree"], payload["blocks"]))
+    fits = []
+    for args in cases:
+        fitted = _family(*args)
+        fits.append(fitted and fitted[0])
+        assert fits[-1] == _old_family(*args), args[2:]
+    assert fits == [("pgl2", 4), ("pgl2", 7), ("psl28-gamma", 8),
+                    ("symmetric", 7), ("symmetric-bipartite", 5),
+                    ("pgl2-bipartite", 5), None, None, None]
+
+
+def _no_schreier_check(monkeypatch):
+    """The groups that run PermGroup._verify."""
+    checked = []
+    verify = PermGroup._verify
+
+    def verifying(self, ident):
+        checked.append(self)
+        return verify(self, ident)
+
+    monkeypatch.setattr(PermGroup, "_verify", verifying)
+    return checked
+
+
+@pytest.mark.parametrize("forge", FORGERIES,
+                         ids=lambda forge: forge.__name__.strip("_"))
+def test_forged_socle_factors_fit_no_family_unordered(
+        monkeypatch, tmp_path, capsys, pa7, bip5_symmetric, forge):
+    # the relabelled PSL(2, 7) and the solvable AGammaL(1, 8) are not
+    # Mobius, and A_5 with an odd generator added is not even: no bound
+    # is proven, so the socle factor fits no family, exit 3, and is never
+    # ordered
+    payload = _forged_payload(forge, pa7, bip5_symmetric)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(payload))
+    checked = _no_schreier_check(monkeypatch)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    assert "the socle factor fits no family" in capsys.readouterr().err
+    assert checked == []
+    # an unbounded oracle orders each forgery by the Schreier check
+    oracle = PermGroup(payload["generators"]["socle_factor"],
+                       degree=payload["block_degree"])
+    assert oracle.order() == (120 if forge is _odd_generator_added else 168)
+    assert oracle.certified_by == "schreier"
+
+
+def test_family_rejects_reach_size_forgeries_unordered(monkeypatch):
+    # S_47 in the symmetric-bipartite shape and A_48 in the pgl2 shape at
+    # q = 47: an odd transposition and a non-Mobius 3-cycle prove no
+    # bound, so neither is sifted nor Schreier-checked
+    checked = _no_schreier_check(monkeypatch)
+    chains = []
+    ensure = PermGroup._ensure_chain
+    monkeypatch.setattr(PermGroup, "_ensure_chain",
+                        lambda self: chains.append(self) or ensure(self))
+    s47 = [perm_from_cycles(47, [(0, 1)]),
+           perm_from_cycles(47, [tuple(range(47))])]
+    a48 = [perm_from_cycles(48, [(0, 1, 2)]),
+           perm_from_cycles(48, [tuple(range(1, 48))])]
+    assert _shape("bipartite", 47, 46) == ("symmetric-bipartite", 47)
+    assert _shape("product-action", 48, 48) == ("pgl2", 47)
+    assert _family("bipartite", s47, 47, 46) is None
+    assert _family("product-action", a48, 48, 48) is None
+    assert checked == [] and chains == []
+    # they are S_47 and A_48, as their own bounds show
+    assert PermGroup(s47, upper_bound=factorial(47)).order() == factorial(47)
+    assert PermGroup(a48, upper_bound=alternating_bound(a48, 48)).order() \
+        == factorial(48) // 2
 
 
 def test_diagonal_type_needs_every_projection_injective(bip5_symmetric):
