@@ -506,8 +506,8 @@ def test_affine_groups_run_no_schreier_check(tmp_path, monkeypatch):
     # generators, and every affine R and H is ordered by affine_group's
     # proof: construct --q 7 and 11 and symmetric 7, bipartite --p 5 and
     # 13 and pgl2 5, both fits of the socle factor in both kinds, and the
-    # verify of each run no Schreier check at all.  example-2-6 still runs some,
-    # for psl28-gamma's X and normalizer checks, but none for an
+    # verify of each run no Schreier check at all.  example-2-6 still runs
+    # some, for psl28-gamma's X and normalizer checks, but none for an
     # AffineGroup, and the five example-2-6 H's built only for their
     # orders (components 1 to 5) complete no chain of degree 189, while
     # component 0's H, which the edge search queries, completes one
